@@ -102,8 +102,11 @@ def record_to_dict(rec: SampleRecord) -> dict:
 
 
 def record_from_dict(doc: dict) -> SampleRecord:
+    """Rebuild a record; rejects one whose caption names other terms than its
+    stored relation, since judges score against the relation alone.
+    """
     cam = doc["camera"]
-    return SampleRecord(
+    rec = SampleRecord(
         id=int(doc["id"]),
         scene_id=int(doc["scene_id"]),
         objects=tuple(
@@ -128,6 +131,11 @@ def record_from_dict(doc: dict) -> SampleRecord:
         episode=int(doc["episode"]),
         iteration=int(doc["iteration"]),
     )
+    if prompts.parse_caption(rec.caption).terms != rec.truth_terms():
+        raise ValueError(
+            f"record {rec.id}: caption {rec.caption!r} disagrees with its stored relation"
+        )
+    return rec
 
 
 def record_line(rec: SampleRecord) -> str:

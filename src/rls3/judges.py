@@ -52,7 +52,6 @@ class JudgeVerdict:
 @dataclass
 class FineTuneReport:
     losses: list[float] = field(default_factory=list)
-    validation: list[tuple[int, float]] = field(default_factory=list)  # (step, metric)
 
 
 # --- rubric --------------------------------------------------------------------
@@ -85,6 +84,13 @@ def rubric_score(predicted: frozenset[str] | set[str], truth: frozenset[str] | s
     if len(predicted) > len(truth):
         score -= 1
     return max(score, RUBRIC_MIN)
+
+
+def _mean_rubric(verdicts: list[JudgeVerdict]) -> np.floating:
+    scores = [v.rubric for v in verdicts if v.rubric is not None]
+    if not scores:
+        raise JudgeError("no scored verdicts")
+    return np.mean(scores)
 
 
 # --- contrastive loss ------------------------------------------------------------
@@ -239,12 +245,6 @@ def text_features(caption: str, catalog_names: tuple[str, ...]) -> np.ndarray:
     return out
 
 
-def _truth_terms(rec: SampleRecord) -> frozenset[str]:
-    # truth comes from parsing the positive caption, keeping the rubric
-    # consistent with the caption generator
-    return prompts.parse_caption(rec.caption).terms
-
-
 # --- generative judge -----------------------------------------------------------------
 
 
@@ -278,7 +278,7 @@ class GenerativeJudge:
     def targets(self, samples: list[SampleRecord]) -> np.ndarray:
         t = np.zeros((len(samples), len(prompts.PRIMITIVES)))
         for i, rec in enumerate(samples):
-            for term in _truth_terms(rec):
+            for term in rec.truth_terms():
                 t[i, prompts.PRIMITIVES.index(term)] = 1.0
         return t
 
@@ -298,36 +298,19 @@ class GenerativeJudge:
         return out
 
     def infer(self, samples: list[SampleRecord]) -> list[JudgeVerdict]:
-        verdicts = []
-        predictions = self.predict_terms(samples)
-        for rec, predicted in zip(samples, predictions):
-            truth = _truth_terms(rec)
-            if not 1 <= len(truth) <= 3:
-                verdicts.append(JudgeVerdict(rec.id, flagged=True))
-                continue
-            verdicts.append(
-                JudgeVerdict(rec.id, predicted_terms=predicted,
-                             rubric=rubric_score(predicted, truth))
-            )
-        return verdicts
+        return [
+            JudgeVerdict(rec.id, predicted_terms=predicted,
+                         rubric=rubric_score(predicted, rec.truth_terms()))
+            for rec, predicted in zip(samples, self.predict_terms(samples))
+        ]
 
     def validation_metric(self, samples: list[SampleRecord]) -> float:
-        scores = [v.rubric for v in self.infer(samples) if v.rubric is not None]
-        return float(np.mean(scores))
+        return float(_mean_rubric(self.infer(samples)))
 
     def batch_reward(self, verdicts: list[JudgeVerdict]) -> float:
-        scores = [v.rubric for v in verdicts if v.rubric is not None]
-        if not scores:
-            raise JudgeError("no scored verdicts")
-        return float((6.0 - np.mean(scores)) ** 2)
+        return float((6.0 - _mean_rubric(verdicts)) ** 2)
 
-    def finetune(
-        self,
-        samples: list[SampleRecord],
-        steps: int,
-        cadence: int = 32,
-        validation: list[SampleRecord] | None = None,
-    ) -> FineTuneReport:
+    def finetune(self, samples: list[SampleRecord], steps: int) -> FineTuneReport:
         """Optimizer steps of multi-label cross-entropy on seeded minibatches;
         weights resume from wherever the previous call left them.
         """
@@ -336,7 +319,7 @@ class GenerativeJudge:
         x = self.features(samples)
         t = self.targets(samples)
         report = FineTuneReport()
-        for k in range(1, steps + 1):
+        for _ in range(steps):
             take = min(self.minibatch, len(samples))
             idx = self._rng.choice(len(samples), size=take, replace=False)
             logits = self.net.forward(x[idx])
@@ -356,8 +339,6 @@ class GenerativeJudge:
             grads, _ = self.net.backward((probs - t[idx]) / take)
             self.optimizer.step(grads)
             report.losses.append(loss)
-            if validation is not None and k % cadence == 0:
-                report.validation.append((k, self.validation_metric(validation)))
         return report
 
     def digest(self) -> str:
@@ -460,17 +441,11 @@ class ContrastiveJudge:
     def batch_reward_from_loss(self, loss: float) -> float:
         return float(loss) ** 2
 
-    def finetune(
-        self,
-        samples: list[SampleRecord],
-        epochs: int,
-        cadence: int = 1,
-        validation: list[SampleRecord] | None = None,
-    ) -> FineTuneReport:
+    def finetune(self, samples: list[SampleRecord], epochs: int) -> FineTuneReport:
         if not samples:
             raise JudgeError("empty fine-tuning batch")
         report = FineTuneReport()
-        for k in range(1, epochs + 1):
+        for _ in range(epochs):
             order = self._rng.permutation(len(samples))
             epoch_losses = []
             for start in range(0, len(order), self.minibatch):
@@ -492,8 +467,6 @@ class ContrastiveJudge:
                 self.text_optimizer.step(txt_grads)
                 epoch_losses.append(loss)
             report.losses.append(float(np.mean(epoch_losses)))
-            if validation is not None and k % cadence == 0:
-                report.validation.append((k, self.validation_metric(validation)))
         return report
 
     def digest(self) -> str:
@@ -550,7 +523,7 @@ class ExternalJudge:
                     JudgeVerdict(
                         rec.id,
                         predicted_terms=predicted,
-                        rubric=rubric_score(predicted, _truth_terms(rec)),
+                        rubric=rubric_score(predicted, rec.truth_terms()),
                     )
                 )
             return verdicts
@@ -562,21 +535,17 @@ class ExternalJudge:
 
     def validation_metric(self, samples: list[SampleRecord]) -> float:
         if self.mode == "generative":
-            scores = [v.rubric for v in self.infer(samples) if v.rubric is not None]
-            return float(np.mean(scores))
+            return float(_mean_rubric(self.infer(samples)))
         _, loss = self.infer(samples)
         return -loss  # lower loss is better; keep "higher is better" orientation
 
     def batch_reward(self, verdicts) -> float:
-        scores = [v.rubric for v in verdicts if v.rubric is not None]
-        if not scores:
-            raise JudgeError("no scored verdicts")
-        return float((6.0 - np.mean(scores)) ** 2)
+        return float((6.0 - _mean_rubric(verdicts)) ** 2)
 
     def batch_reward_from_loss(self, loss: float) -> float:
         return float(loss) ** 2
 
-    def finetune(self, samples, steps, cadence=1, validation=None) -> FineTuneReport:
+    def finetune(self, samples, steps) -> FineTuneReport:
         resp = self.client.request(
             {
                 "op": "finetune",
@@ -589,8 +558,6 @@ class ExternalJudge:
             report.losses.append(float(resp["loss"]))
         elif resp.get("ok") is not True:
             raise JudgeError("external judge did not acknowledge fine-tuning")
-        if validation is not None:
-            report.validation.append((steps, self.validation_metric(validation)))
         return report
 
     def digest(self) -> str:

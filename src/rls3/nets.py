@@ -274,24 +274,39 @@ def save_net(net: Mlp, path) -> None:
 
 def load_net(path) -> Mlp:
     with open(path, "rb") as f:
-        magic = f.read(8)
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"bad checkpoint magic {magic!r}")
-        (n_sizes,) = struct.unpack("<Q", f.read(8))
-        sizes = [struct.unpack("<Q", f.read(8))[0] for _ in range(n_sizes)]
-        acts = []
-        for _ in range(n_sizes - 1):
-            (code,) = struct.unpack("<Q", f.read(8))
-            acts.append(ACTIVATIONS[code])
-        net = Mlp(sizes, acts, seed=0)
-        for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-            w = np.frombuffer(f.read(8 * fan_in * fan_out), dtype="<f8")
-            net.weights[i] = w.reshape(fan_out, fan_in).copy()
-            b = np.frombuffer(f.read(8 * fan_out), dtype="<f8")
-            net.biases[i] = b.copy()
-        extra = f.read(1)
-        if extra:
-            raise ValueError("trailing bytes in checkpoint")
+        blob = f.read()
+    magic = blob[: len(CHECKPOINT_MAGIC)]
+    if magic != CHECKPOINT_MAGIC:
+        raise ValueError(f"bad checkpoint magic {magic!r}")
+    pos = len(CHECKPOINT_MAGIC)
+    if len(blob) < pos + 8:
+        raise ValueError("checkpoint header truncated")
+    (n_sizes,) = struct.unpack_from("<Q", blob, pos)
+    if n_sizes < 2:
+        raise ValueError(f"checkpoint declares {n_sizes} layer sizes, need at least 2")
+    n_fields = 2 * n_sizes - 1  # sizes, then one activation code per layer
+    pos += 8
+    if len(blob) < pos + 8 * n_fields:
+        raise ValueError("checkpoint header truncated")
+    fields = struct.unpack_from(f"<{n_fields}Q", blob, pos)
+    pos += 8 * n_fields
+    sizes, codes = fields[:n_sizes], fields[n_sizes:]
+    for code in codes:
+        if code >= len(ACTIVATIONS):
+            raise ValueError(f"unknown activation code {code} in checkpoint")
+    shapes = list(zip(sizes[1:], sizes[:-1]))  # (fan_out, fan_in) per layer
+    body = 8 * sum(fan_out * fan_in + fan_out for fan_out, fan_in in shapes)
+    if len(blob) - pos != body:
+        raise ValueError(
+            f"checkpoint body has {len(blob) - pos} bytes, its header needs {body}"
+        )
+    net = Mlp(list(sizes), [ACTIVATIONS[c] for c in codes], seed=0)
+    values = np.frombuffer(blob, dtype="<f8", offset=pos)
+    for i, (fan_out, fan_in) in enumerate(shapes):
+        w, values = values[: fan_out * fan_in], values[fan_out * fan_in :]
+        net.weights[i] = w.reshape(fan_out, fan_in).copy()
+        b, values = values[:fan_out], values[fan_out:]
+        net.biases[i] = b.copy()
     if not net.all_finite():
         raise ValueError("checkpoint contains non-finite parameters")
     return net

@@ -58,7 +58,6 @@ class RunConfig:
     sampling_rate: float = 0.5
     reward_scale: float = 10.0
     finetune_steps: int = 256
-    validation_cadence: int = 32
     judge: str = "generative"  # generative | contrastive | external:<addr>
     agent: str = "sac"  # sac | random
     deterministic_actions: bool = False
@@ -104,7 +103,6 @@ class RunConfig:
             "episodes_per_iteration",
             "samples_per_episode",
             "finetune_steps",
-            "validation_cadence",
         ):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
@@ -191,7 +189,6 @@ def desk_config(**overrides) -> RunConfig:
         samples_per_episode=20,
         sampling_rate=0.5,
         finetune_steps=64,
-        validation_cadence=16,
         warmup=1000,
         pretrain_steps=20_000,
         validation_count=500,
@@ -403,6 +400,10 @@ class RunReport:
         return dataclasses.asdict(self)
 
 
+# failures a run records in report.failure instead of raising
+_RUN_FAILURES = (OrchestratorError, judges.JudgeError, wire.WireError)
+
+
 def run_loop(config: RunConfig, run_dir) -> RunReport:
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -440,8 +441,6 @@ def run_loop(config: RunConfig, run_dir) -> RunReport:
     )
     val_records = datasets.read_samples(run_dir / "validation.jsonl")
     test_records = datasets.read_samples(run_dir / "test.jsonl")
-
-    report.initial_val_metric = judge.validation_metric(val_records)
     policy = config.resolved_early_stop()
 
     samples_path = run_dir / "samples.jsonl"
@@ -465,11 +464,12 @@ def run_loop(config: RunConfig, run_dir) -> RunReport:
                 "batch_size",
             ]
         )
-        metrics.writerow(
-            [0, 0, 0, f"{report.initial_val_metric:.6f}", "", "", 0]
-        )
 
         try:
+            report.initial_val_metric = judge.validation_metric(val_records)
+            metrics.writerow(
+                [0, 0, 0, f"{report.initial_val_metric:.6f}", "", "", 0]
+            )
             for iteration in range(1, config.iterations + 1):
                 batch: list[SampleRecord] = []  # cleared every iteration
                 j2s: list[float] = []
@@ -514,12 +514,7 @@ def run_loop(config: RunConfig, run_dir) -> RunReport:
                 if report.budget_exhausted:
                     break
 
-                ft = judge.finetune(
-                    batch,
-                    config.finetune_steps,
-                    cadence=config.validation_cadence,
-                    validation=val_records,
-                )
+                ft = judge.finetune(batch, config.finetune_steps)
                 val_metric = judge.validation_metric(val_records)
                 report.validation_history.append(val_metric)
                 report.mean_j2_per_iteration.append(float(np.mean(j2s)))
@@ -546,10 +541,13 @@ def run_loop(config: RunConfig, run_dir) -> RunReport:
                 if early_stop(report.validation_history, policy):
                     report.early_stop_iteration = iteration
                     break
-        except (OrchestratorError, judges.JudgeError, wire.WireError) as exc:
+        except _RUN_FAILURES as exc:
             report.failure = str(exc)
 
-    report.test_metric = judge.validation_metric(test_records)
+    try:
+        report.test_metric = judge.validation_metric(test_records)
+    except _RUN_FAILURES as exc:
+        report.failure = report.failure or str(exc)  # keep the first cause
     report.samples_digest = datasets.file_digest(samples_path)
     with open(run_dir / "report.json", "w", encoding="utf-8") as f:
         json.dump(report.to_dict(), f, sort_keys=True, indent=2)

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from rls3 import cli
+from rls3 import cli, orchestrator
 from rls3.datasets import read_samples, record_line
+from rls3.judges import GenerativeJudge, JudgeError
 from rls3.orchestrator import desk_config, run_loop
 
 
@@ -120,6 +121,34 @@ def test_replay_tamper_exits_2_and_names_record(tmp_path, capsys):
 def test_runtime_error_exit_code(tmp_path):
     assert run_cli("replay", "--samples", str(tmp_path / "missing.jsonl")) == 2
     assert run_cli("export-plots", "--run-dir", str(tmp_path / "nothing")) == 2
+
+
+class _DyingJudge(GenerativeJudge):
+    """Fails in its first finetune and on every call after it."""
+
+    dead = False
+
+    def finetune(self, samples, steps):
+        self.dead = True
+        raise JudgeError("judge died in finetune")
+
+    def infer(self, samples):
+        if self.dead:
+            raise JudgeError("judge is still dead")
+        return super().infer(samples)
+
+
+def test_judge_failure_writes_report_and_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(
+        orchestrator, "make_judge", lambda config, names, seed: _DyingJudge(names, seed=seed)
+    )
+    run_dir = tmp_path / "run"
+    assert run_cli("run", "--run-dir", str(run_dir), "--agent", "random", *TINY_SETS) == 2
+    assert "judge died in finetune" in capsys.readouterr().err
+    report = json.loads((run_dir / "report.json").read_text())
+    assert report["failure"] == "judge died in finetune"
+    assert report["test_metric"] is None
+    assert report["iterations_completed"] == 0
 
 
 def test_seed_flag_changes_run_digest(tmp_path, capsys):

@@ -181,12 +181,11 @@ def test_generative_infer_shapes(train, records):
 def test_generative_finetune_improves(train, records):
     judge = GenerativeJudge(train.catalog_names, seed=1)
     before = judge.validation_metric(records)
-    report = judge.finetune(records, steps=400, cadence=100, validation=records[:20])
+    report = judge.finetune(records, steps=400)
     after = judge.validation_metric(records)
     assert after > before + 0.5
     assert len(report.losses) == 400
     assert np.mean(report.losses[-20:]) < np.mean(report.losses[:20])
-    assert [k for k, _ in report.validation] == [100, 200, 300, 400]
 
 
 def test_generative_digest_tracks_weights(train, records):

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,41 @@ def test_checkpoint_rejects_bad_magic(tmp_path, net):
     data[0] ^= 0xFF
     path.write_bytes(bytes(data))
     with pytest.raises(ValueError):
+        load_net(path)
+
+
+def _set_u64(data: bytes, offset: int, value: int) -> bytes:
+    return data[:offset] + struct.pack("<Q", value) + data[offset + 8 :]
+
+
+# offsets in the checkpoint of the 4-8-5-3 fixture net: magic 0, layer count 8,
+# sizes 16-47, activation codes 48-71, body from 72
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda d: d[:12], "header truncated"),
+        (lambda d: d[:30], "header truncated"),
+        (lambda d: _set_u64(d, 8, 2**62), "header truncated"),
+        (lambda d: _set_u64(d, 8, 1), "need at least 2"),
+        (lambda d: _set_u64(d, 48, 7), "unknown activation code 7"),
+        (lambda d: d[:-4], "body has"),
+        (lambda d: _set_u64(d, 16, 2**40), "body has"),
+    ],
+    ids=[
+        "cut-in-layer-count",
+        "cut-in-sizes",
+        "huge-layer-count",
+        "one-layer-size",
+        "bad-activation-code",
+        "short-body",
+        "huge-layer-size",
+    ],
+)
+def test_checkpoint_corruption_raises_value_error(tmp_path, net, corrupt, message):
+    path = tmp_path / "net.net"
+    save_net(net, path)
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(ValueError, match=message):
         load_net(path)
 
 

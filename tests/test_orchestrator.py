@@ -33,7 +33,6 @@ TINY = dict(
     finetune_steps=4,
     validation_count=15,
     test_count=15,
-    validation_cadence=2,
 )
 
 
@@ -305,3 +304,24 @@ def test_loop_contrastive_judge(tmp_path):
     assert report.failure is None
     assert all(j2 >= 0 for j2 in report.mean_j2_per_iteration)
     assert 0.0 <= report.test_metric <= 1.0
+
+
+# --- golden digests ---------------------------------------------------------------
+# The fixed sets and the random-agent samples depend only on the environment,
+# prompt and RNG streams, not on BLAS or float rounding, so their digests are
+# pinned: a change that moves them changes what the loop generates.
+
+GOLDEN_VALIDATION_DIGEST = "6f5dc3271b6b31648991b1eb9b8bb9d649ef6b6d770a71df1c12874d1c0c025f"
+GOLDEN_TEST_DIGEST = "e613af3bdd2fa6bf8477e54742921e220dafb65c904a9f53fa664e0abbebd281"
+GOLDEN_SAMPLES_DIGEST = "d9598eb1381b5aed8057d814651c57250807920db781edee80fb97c07c202d4b"
+
+
+def test_golden_digests(tmp_path):
+    cfg = desk_config(
+        iterations=10, episodes_per_iteration=8, agent="random", judge="generative", seed=0
+    )
+    report = run_loop(cfg, tmp_path / "run")
+    assert report.failure is None
+    assert report.validation_digest == GOLDEN_VALIDATION_DIGEST
+    assert report.test_digest == GOLDEN_TEST_DIGEST
+    assert report.samples_digest == GOLDEN_SAMPLES_DIGEST

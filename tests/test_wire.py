@@ -150,6 +150,20 @@ def test_external_judge_rejects_malformed_terms(records):
             judge.infer(records[:2])  # length mismatch
 
 
+class _OutOfVocabularyClient:
+    """Answers every infer request with a term outside the six primitives."""
+
+    def request(self, payload):
+        return {"terms": [["sideways"]] * len(payload["samples"])}
+
+
+def test_external_validation_metric_needs_scored_verdicts(records):
+    judge = ExternalJudge(_OutOfVocabularyClient(), mode="generative")
+    assert all(v.flagged for v in judge.infer(records))
+    with pytest.raises(JudgeError, match="no scored verdicts"):
+        judge.validation_metric(records)
+
+
 def test_stub_handles_sample_payload(records):
     req = {
         "id": 0,

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import agent as agent_mod
-from . import datasets, orchestrator
+from . import datasets, judges, orchestrator
 from .orchestrator import ConfigError, RunConfig, apply_overrides, config_from_dict
 from .scene import PlacementEnv
 
@@ -193,7 +193,11 @@ def _cmd_eval(args) -> int:
         judge.load(args.judge_checkpoint)
     if judge.kind == "contrastive":
         verdicts, loss = judge.infer(records)
-        summary = {"loss": loss, "retrieval_accuracy": judge.validation_metric(records)}
+        if isinstance(judge, judges.ExternalJudge):
+            accuracy = -loss  # no rankings come over the wire; its metric is -loss
+        else:
+            accuracy = judges.retrieval_accuracy(verdicts)
+        summary = {"loss": loss, "retrieval_accuracy": accuracy}
     else:
         verdicts = judge.infer(records)
         summary = {"mean_rubric": judge.validation_metric(records)}

@@ -93,6 +93,11 @@ def _mean_rubric(verdicts: list[JudgeVerdict]) -> np.floating:
     return np.mean(scores)
 
 
+def retrieval_accuracy(verdicts: list[JudgeVerdict]) -> float:
+    """Share of contrastive verdicts that rank the positive caption first."""
+    return float(np.mean([v.ranked_correct for v in verdicts]))
+
+
 # --- contrastive loss ------------------------------------------------------------
 
 
@@ -390,6 +395,9 @@ class ContrastiveJudge:
         self.minibatch = minibatch
         self.pool_negatives = pool_negatives
         self._rng = np.random.default_rng(rng_seed)
+        # caption -> text_features row; a row depends only on the caption and
+        # the fixed catalog, so entries never go stale
+        self._text_rows: dict[str, np.ndarray] = {}
 
     def _image_batch(self, samples) -> np.ndarray:
         return np.stack([image_features(r, self.catalog_names) for r in samples])
@@ -399,26 +407,29 @@ class ContrastiveJudge:
         2N with just one ('term' or 'object').
         """
         negatives = negatives or self.pool_negatives
-        rows = [text_features(r.caption, self.catalog_names) for r in samples]
+        captions = [r.caption for r in samples]
         if negatives in ("both", "term"):
-            rows += [text_features(r.neg_term, self.catalog_names) for r in samples]
+            captions += [r.neg_term for r in samples]
         if negatives in ("both", "object"):
-            rows += [text_features(r.neg_object, self.catalog_names) for r in samples]
-        return np.stack(rows)
+            captions += [r.neg_object for r in samples]
+        cache = self._text_rows
+        for caption in captions:
+            if caption not in cache:
+                cache[caption] = text_features(caption, self.catalog_names)
+        return np.stack([cache[c] for c in captions])
 
     def _embed(self, net: Mlp, x: np.ndarray) -> np.ndarray:
         out = net.forward(x)
         net.invalidate_cache()
         return out
 
-    def infer(self, samples: list[SampleRecord]) -> tuple[list[JudgeVerdict], float]:
-        """Per-sample positive-vs-negative similarities plus the batch loss over
-        the 3N text pool; no weight updates.
+    def _score(self, samples) -> tuple[list[JudgeVerdict], np.ndarray, np.ndarray]:
+        """Per-sample positive-vs-negative similarities over the 3N text pool,
+        with the image and text embeddings they came from.
         """
         n = len(samples)
         z = self._embed(self.image_encoder, self._image_batch(samples))
         w = self._embed(self.text_encoder, self._text_pool(samples, negatives="both"))
-        loss = contrastive_loss(z, w, self.temperature)
         zn, _ = _normalize_rows(z)
         wn, _ = _normalize_rows(w)
         sims = zn @ wn.T
@@ -432,11 +443,17 @@ class ContrastiveJudge:
                     ranked_correct=bool(pos > neg_t and pos > neg_o),
                 )
             )
-        return verdicts, loss
+        return verdicts, z, w
+
+    def infer(self, samples: list[SampleRecord]) -> tuple[list[JudgeVerdict], float]:
+        """Verdicts plus the batch loss over the 3N text pool; no weight updates."""
+        verdicts, z, w = self._score(samples)
+        return verdicts, contrastive_loss(z, w, self.temperature)
 
     def validation_metric(self, samples: list[SampleRecord]) -> float:
-        verdicts, _ = self.infer(samples)
-        return float(np.mean([v.ranked_correct for v in verdicts]))
+        """Retrieval accuracy: the share of samples ranking the positive first."""
+        verdicts, _, _ = self._score(samples)
+        return retrieval_accuracy(verdicts)
 
     def batch_reward_from_loss(self, loss: float) -> float:
         return float(loss) ** 2

@@ -429,10 +429,14 @@ def run_loop(config: RunConfig, run_dir) -> RunReport:
         snap_tol=config.snap_tol,
         p_swap=config.p_swap,
     )
-    judge = make_judge(config, train.catalog_names, judge_seed)
+    report = RunReport(config_digest=config.digest(), seed=config.seed)
+    try:
+        judge = make_judge(config, train.catalog_names, judge_seed)
+    except _RUN_FAILURES as exc:
+        report.failure = str(exc)
+        return _write_report(report, run_dir)
     agent = make_agent(config, agent_seed)
 
-    report = RunReport(config_digest=config.digest(), seed=config.seed)
     report.validation_digest = datasets.generate_fixed_set(
         train, config.validation_count, config.validation_seed, run_dir / "validation.jsonl"
     )
@@ -549,6 +553,10 @@ def run_loop(config: RunConfig, run_dir) -> RunReport:
     except _RUN_FAILURES as exc:
         report.failure = report.failure or str(exc)  # keep the first cause
     report.samples_digest = datasets.file_digest(samples_path)
+    return _write_report(report, run_dir)
+
+
+def _write_report(report: RunReport, run_dir: Path) -> RunReport:
     with open(run_dir / "report.json", "w", encoding="utf-8") as f:
         json.dump(report.to_dict(), f, sort_keys=True, indent=2)
     return report

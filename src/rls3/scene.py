@@ -149,6 +149,13 @@ def suite_from_dict(doc: dict) -> SceneSuite:
     names = [o.name for o in catalog]
     if len(set(names)) != len(names):
         raise SceneConfigError("catalog names must be unique")
+    from .prompts import PRIMITIVES  # prompts imports scene
+
+    for name in names:
+        # a spatial word in a name would add a term to every caption naming it
+        words = "".join(c.lower() if c.isalnum() else " " for c in name).split()
+        if set(words) & set(PRIMITIVES):
+            raise SceneConfigError(f"catalog name {name!r} contains a spatial word")
     for o in catalog:
         if any(h <= 0 for h in o.half_extents):
             raise SceneConfigError(f"non-positive half extents for {o.name}")

@@ -43,18 +43,24 @@ class NdjsonClient:
     @classmethod
     def spawn(cls, argv: list[str], timeout: float = 30.0) -> "NdjsonClient":
         client = cls(timeout=timeout)
-        client._proc = subprocess.Popen(
-            argv,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            text=False,
-        )
+        try:
+            client._proc = subprocess.Popen(
+                argv,
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                text=False,
+            )
+        except OSError as exc:
+            raise WireError(f"cannot start external judge {argv!r}: {exc}") from exc
         return client
 
     @classmethod
     def connect(cls, host: str, port: int, timeout: float = 30.0) -> "NdjsonClient":
         client = cls(timeout=timeout)
-        client._sock = socket.create_connection((host, port), timeout=timeout)
+        try:
+            client._sock = socket.create_connection((host, port), timeout=timeout)
+        except OSError as exc:
+            raise WireError(f"cannot connect to external judge at {host}:{port}: {exc}") from exc
         return client
 
     def close(self) -> None:
@@ -77,14 +83,17 @@ class NdjsonClient:
     # -- transport
 
     def _send_line(self, line: bytes) -> None:
-        if self._proc is not None:
-            assert self._proc.stdin is not None
-            self._proc.stdin.write(line)
-            self._proc.stdin.flush()
-        elif self._sock is not None:
-            self._sock.sendall(line)
-        else:
-            raise WireError("client not connected")
+        try:
+            if self._proc is not None:
+                assert self._proc.stdin is not None
+                self._proc.stdin.write(line)
+                self._proc.stdin.flush()
+            elif self._sock is not None:
+                self._sock.sendall(line)
+            else:
+                raise WireError("client not connected")
+        except OSError as exc:
+            raise WireError(f"cannot send to external judge: {exc}") from exc
 
     def _recv_chunk(self, remaining: float) -> bytes:
         if self._proc is not None:

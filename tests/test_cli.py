@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -149,6 +150,48 @@ def test_judge_failure_writes_report_and_exits_2(tmp_path, monkeypatch, capsys):
     assert report["failure"] == "judge died in finetune"
     assert report["test_metric"] is None
     assert report["iterations_completed"] == 0
+
+
+@pytest.mark.parametrize(
+    "command, cause",
+    [
+        (f"{sys.executable} -c pass", ("Broken pipe", "peer closed the stream")),
+        ("/nonexistent/judge", ("cannot start external judge", "No such file")),
+    ],
+    ids=["exits-at-once", "cannot-start"],
+)
+def test_external_judge_failure_writes_report(tmp_path, capsys, command, cause):
+    run_dir = tmp_path / "run"
+    argv = ["run", "--run-dir", str(run_dir), "--agent", "random", *TINY_SETS]
+    assert run_cli(*argv, "--judge", f"external:{command}") == 2
+    report = json.loads((run_dir / "report.json").read_text())
+    assert any(c in report["failure"] for c in cause), report["failure"]
+    assert report["failure"] in capsys.readouterr().err
+    assert report["test_metric"] is None
+
+
+def test_eval_contrastive_metric(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert run_cli("gen-fixed-set", "--count", "30", "--run-dir", str(run_dir)) == 0
+    capsys.readouterr()
+    samples = run_dir / "fixed_set.jsonl"
+    assert run_cli("eval", "--run-dir", str(run_dir), "--samples", str(samples),
+                   "--judge", "contrastive") == 0
+    summary = json.loads(capsys.readouterr().out)
+
+    records = read_samples(samples)
+    config = orchestrator.config_from_dict({"judge": "contrastive"})
+    names = orchestrator.resolve_suite(config.train_suite).catalog_names
+    judge = orchestrator.make_judge(config, names, config.seed)
+    assert summary == {
+        "loss": judge.infer(records)[1],
+        "retrieval_accuracy": judge.validation_metric(records),
+    }
+
+    stub = f"{sys.executable} -m rls3.external_stub --behavior fixed_loss --loss 0.8"
+    assert run_cli("eval", "--run-dir", str(run_dir), "--samples", str(samples),
+                   "--judge", f"external:{stub}", "--set", "external_mode=contrastive") == 0
+    assert json.loads(capsys.readouterr().out) == {"loss": 0.8, "retrieval_accuracy": -0.8}
 
 
 def test_seed_flag_changes_run_digest(tmp_path, capsys):

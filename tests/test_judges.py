@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rls3 import judges
 from rls3.datasets import generate_fixed_records
 from rls3.judges import (
     ContrastiveJudge,
@@ -286,6 +287,43 @@ def test_contrastive_pool_modes(train, records):
     term.finetune(records[:20], epochs=1)
     with pytest.raises(ValueError):
         ContrastiveJudge(train.catalog_names, pool_negatives="none")
+
+
+def _direct_pool(records, names, negatives):
+    captions = [r.caption for r in records]
+    if negatives in ("both", "term"):
+        captions += [r.neg_term for r in records]
+    if negatives in ("both", "object"):
+        captions += [r.neg_object for r in records]
+    return np.stack([text_features(c, names) for c in captions])
+
+
+@pytest.mark.parametrize("negatives", ["both", "term", "object"])
+def test_text_pool_cache_matches_direct_features(train, records, negatives):
+    judge = ContrastiveJudge(train.catalog_names, seed=4, pool_negatives=negatives)
+    for batch in (records[:40], records[:40], records[20:80]):
+        expected = _direct_pool(batch, train.catalog_names, negatives)
+        assert np.array_equal(judge._text_pool(batch), expected)
+
+
+def test_text_pool_is_a_fresh_array(train, records):
+    judge = ContrastiveJudge(train.catalog_names, seed=4)
+    judge._text_pool(records[:10])[:] = 7.0
+    expected = _direct_pool(records[:10], train.catalog_names, "both")
+    assert np.array_equal(judge._text_pool(records[:10]), expected)
+
+
+def test_contrastive_validation_metric_computes_no_loss(train, records, monkeypatch):
+    judge = ContrastiveJudge(train.catalog_names, seed=6)
+    verdicts, _ = judge.infer(records)
+
+    def no_loss(*args, **kwargs):
+        raise AssertionError("validation computed a loss")
+
+    monkeypatch.setattr(judges, "contrastive_loss", no_loss)
+    monkeypatch.setattr(judges, "contrastive_loss_components", no_loss)
+    got = judge.validation_metric(records)
+    assert got == float(np.mean([v.ranked_correct for v in verdicts]))
 
 
 def test_untrained_generative_near_chance(train):

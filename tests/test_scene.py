@@ -1,3 +1,6 @@
+import json
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -64,6 +67,15 @@ def test_suite_rejects_duplicate_names(train):
         "scenes": [],
     }
     with pytest.raises(SceneConfigError):
+        suite_from_dict(doc)
+
+
+@pytest.mark.parametrize("name", ["left speaker", "Front-Lamp", "box_below"])
+def test_suite_rejects_spatial_words_in_names(name):
+    text = resources.files("rls3.data").joinpath("scenes_train.json").read_text()
+    doc = json.loads(text)
+    doc["catalog"][0]["name"] = name
+    with pytest.raises(SceneConfigError, match=repr(name)):
         suite_from_dict(doc)
 
 

@@ -13,6 +13,7 @@ from rls3.judges import ExternalJudge, JudgeError
 from rls3.scene import builtin_suite
 from rls3.wire import (
     NdjsonClient,
+    WireError,
     WireIdMismatch,
     WireProtocolError,
     WireTimeout,
@@ -125,6 +126,16 @@ def test_peer_closure():
             client.request({"op": "infer"})
     finally:
         client.close()
+
+
+def test_transport_os_errors_become_wire_errors():
+    with pytest.raises(WireError, match="cannot start external judge"):
+        NdjsonClient.spawn(["/nonexistent/judge"])
+    srv = socket.create_server(("127.0.0.1", 0))
+    port = srv.getsockname()[1]
+    srv.close()  # nothing listens on the port now
+    with pytest.raises(WireError, match="cannot connect to external judge"):
+        NdjsonClient.connect("127.0.0.1", port, timeout=2)
 
 
 def test_client_for_address_dispatch():

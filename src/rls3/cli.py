@@ -23,9 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import agent as agent_mod
-from . import datasets, judges, orchestrator
+from . import datasets, orchestrator
 from .orchestrator import ConfigError, RunConfig, apply_overrides, config_from_dict
-from .scene import PlacementEnv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -131,25 +130,8 @@ def _cmd_pretrain(args) -> int:
     steps = args.steps if args.steps is not None else config.pretrain_steps
     seq = np.random.SeedSequence(config.seed)
     env_seed, agent_seed = seq.spawn(2)
-    env = PlacementEnv(
-        orchestrator.resolve_suite(config.train_suite),
-        config.samples_per_episode,
-        seed=env_seed,
-        dmax=config.dmax,
-        snap_tol=config.snap_tol,
-        p_swap=config.p_swap,
-    )
-    agent = agent_mod.SacAgent(
-        seed=agent_seed,
-        hidden=config.agent_hidden,
-        lr=config.agent_lr,
-        gamma=config.gamma,
-        polyak=config.polyak,
-        alpha=config.alpha,
-        warmup=config.warmup,
-        minibatch=config.agent_minibatch,
-        buffer_capacity=config.buffer_capacity,
-    )
+    env = orchestrator.make_env(config, env_seed)
+    agent = orchestrator.make_sac_agent(config, agent_seed)
     stats = agent_mod.pretrain_intrinsic(
         agent, env, steps, update_every=config.pretrain_update_every
     )
@@ -191,16 +173,8 @@ def _cmd_eval(args) -> int:
         if not hasattr(judge, "load"):
             raise UsageError("external judges do not take local checkpoints")
         judge.load(args.judge_checkpoint)
-    if judge.kind == "contrastive":
-        verdicts, loss = judge.infer(records)
-        if isinstance(judge, judges.ExternalJudge):
-            accuracy = -loss  # no rankings come over the wire; its metric is -loss
-        else:
-            accuracy = judges.retrieval_accuracy(verdicts)
-        summary = {"loss": loss, "retrieval_accuracy": accuracy}
-    else:
-        verdicts = judge.infer(records)
-        summary = {"mean_rubric": judge.validation_metric(records)}
+    verdicts, loss = judge.infer(records)
+    summary = {"loss": loss, judge.metric_name: judge.validation_metric(records)}
     doc = {
         "metric": summary,
         "per_term": datasets.breakdown_to_dict(datasets.per_term_breakdown(verdicts, records)),

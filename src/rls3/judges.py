@@ -93,6 +93,11 @@ def _mean_rubric(verdicts: list[JudgeVerdict]) -> np.floating:
     return np.mean(scores)
 
 
+def _rubric_loss(verdicts: list[JudgeVerdict]) -> float:
+    """Batch loss of a rubric-scored batch: 6 - mean rubric, 1 when all correct."""
+    return float(6.0 - _mean_rubric(verdicts))
+
+
 def retrieval_accuracy(verdicts: list[JudgeVerdict]) -> float:
     """Share of contrastive verdicts that rank the positive caption first."""
     return float(np.mean([v.ranked_correct for v in verdicts]))
@@ -256,7 +261,7 @@ def text_features(caption: str, catalog_names: tuple[str, ...]) -> np.ndarray:
 class GenerativeJudge:
     """Multi-label term classifier on scene-pair features, scored by the rubric."""
 
-    kind = "generative"
+    metric_name = "mean_rubric"
 
     def __init__(
         self,
@@ -302,18 +307,18 @@ class GenerativeJudge:
             )
         return out
 
-    def infer(self, samples: list[SampleRecord]) -> list[JudgeVerdict]:
-        return [
+    def infer(self, samples: list[SampleRecord]) -> tuple[list[JudgeVerdict], float]:
+        """Verdicts plus the rubric batch loss; no weight updates."""
+        verdicts = [
             JudgeVerdict(rec.id, predicted_terms=predicted,
                          rubric=rubric_score(predicted, rec.truth_terms()))
             for rec, predicted in zip(samples, self.predict_terms(samples))
         ]
+        return verdicts, _rubric_loss(verdicts)
 
     def validation_metric(self, samples: list[SampleRecord]) -> float:
-        return float(_mean_rubric(self.infer(samples)))
-
-    def batch_reward(self, verdicts: list[JudgeVerdict]) -> float:
-        return float((6.0 - _mean_rubric(verdicts)) ** 2)
+        verdicts, _ = self.infer(samples)
+        return float(_mean_rubric(verdicts))
 
     def finetune(self, samples: list[SampleRecord], steps: int) -> FineTuneReport:
         """Optimizer steps of multi-label cross-entropy on seeded minibatches;
@@ -367,7 +372,7 @@ class ContrastiveJudge:
     negatives extend the text pool during training and inference.
     """
 
-    kind = "contrastive"
+    metric_name = "retrieval_accuracy"
 
     def __init__(
         self,
@@ -455,9 +460,6 @@ class ContrastiveJudge:
         verdicts, _, _ = self._score(samples)
         return retrieval_accuracy(verdicts)
 
-    def batch_reward_from_loss(self, loss: float) -> float:
-        return float(loss) ** 2
-
     def finetune(self, samples: list[SampleRecord], epochs: int) -> FineTuneReport:
         if not samples:
             raise JudgeError("empty fine-tuning batch")
@@ -510,19 +512,23 @@ class ContrastiveJudge:
 
 
 class ExternalJudge:
-    """Adapter forwarding infer/finetune over the NDJSON wire protocol."""
+    """Adapter forwarding infer/finetune over the NDJSON wire protocol.
+
+    No rankings come over the wire in contrastive mode, so its validation
+    metric is the negated loss.
+    """
 
     def __init__(self, client, mode: str = "generative"):
         if mode not in ("generative", "contrastive"):
             raise ValueError(f"bad external judge mode {mode!r}")
         self.client = client
         self.mode = mode
-        self.kind = mode
+        self.metric_name = "mean_rubric" if mode == "generative" else "neg_loss"
 
     def _samples_payload(self, samples):
         return [record_to_dict(r) for r in samples]
 
-    def infer(self, samples: list[SampleRecord]):
+    def infer(self, samples: list[SampleRecord]) -> tuple[list[JudgeVerdict], float]:
         resp = self.client.request(
             {"op": "infer", "mode": self.mode, "samples": self._samples_payload(samples)}
         )
@@ -543,7 +549,7 @@ class ExternalJudge:
                         rubric=rubric_score(predicted, rec.truth_terms()),
                     )
                 )
-            return verdicts
+            return verdicts, _rubric_loss(verdicts)
         loss = resp.get("loss")
         if not isinstance(loss, (int, float)):
             raise JudgeError("external judge returned a malformed loss")
@@ -551,16 +557,10 @@ class ExternalJudge:
         return verdicts, float(loss)
 
     def validation_metric(self, samples: list[SampleRecord]) -> float:
+        verdicts, loss = self.infer(samples)
         if self.mode == "generative":
-            return float(_mean_rubric(self.infer(samples)))
-        _, loss = self.infer(samples)
+            return float(_mean_rubric(verdicts))
         return -loss  # lower loss is better; keep "higher is better" orientation
-
-    def batch_reward(self, verdicts) -> float:
-        return float((6.0 - _mean_rubric(verdicts)) ** 2)
-
-    def batch_reward_from_loss(self, loss: float) -> float:
-        return float(loss) ** 2
 
     def finetune(self, samples, steps) -> FineTuneReport:
         resp = self.client.request(
@@ -576,6 +576,3 @@ class ExternalJudge:
         elif resp.get("ok") is not True:
             raise JudgeError("external judge did not acknowledge fine-tuning")
         return report
-
-    def digest(self) -> str:
-        return "external"

@@ -58,12 +58,6 @@ class Grads:
             out.append(b)
         return out
 
-    def add(self, other: "Grads") -> "Grads":
-        return Grads(
-            [a + b for a, b in zip(self.weights, other.weights)],
-            [a + b for a, b in zip(self.biases, other.biases)],
-        )
-
 
 class Mlp:
     """Fully connected network. Weights are (out, in) matrices, one activation
@@ -243,12 +237,6 @@ class NetOptimizer:
         ok = self.adam.step(self.net.params(), grads.flat())
         self.net.invalidate_cache()
         return ok
-
-
-def sgd_step(params: list[np.ndarray], grads: list[np.ndarray], lr: float) -> None:
-    """Plain gradient rule, used in tests as the update-identity reference."""
-    for p, g in zip(params, grads):
-        p -= lr * g
 
 
 # --- checkpoint format -------------------------------------------------------

@@ -258,14 +258,11 @@ def sample_for_batch(
 
 
 def infer_and_reward(judge, records: list[SampleRecord]):
-    """(verdicts, J2) for one episode batch, dispatching on judge kind."""
+    """(verdicts, J2) for one episode batch; J2 is the squared batch loss."""
     if not records:
         raise OrchestratorError("cannot score an empty episode")
-    if judge.kind == "contrastive":
-        verdicts, loss = judge.infer(records)
-        return verdicts, judge.batch_reward_from_loss(loss)
-    verdicts = judge.infer(records)
-    return verdicts, judge.batch_reward(verdicts)
+    verdicts, loss = judge.infer(records)
+    return verdicts, loss**2
 
 
 def run_episode(
@@ -350,10 +347,19 @@ def make_judge(config: RunConfig, catalog_names: tuple[str, ...], seed):
     return judges.ExternalJudge(client, mode=config.external_mode)
 
 
-def make_agent(config: RunConfig, seed):
-    if config.agent == "random":
-        return RandomAgent(seed=seed)
-    agent = SacAgent(
+def make_env(config: RunConfig, seed) -> PlacementEnv:
+    return PlacementEnv(
+        resolve_suite(config.train_suite),
+        config.samples_per_episode,
+        seed=seed,
+        dmax=config.dmax,
+        snap_tol=config.snap_tol,
+        p_swap=config.p_swap,
+    )
+
+
+def make_sac_agent(config: RunConfig, seed) -> SacAgent:
+    return SacAgent(
         seed=seed,
         hidden=config.agent_hidden,
         lr=config.agent_lr,
@@ -364,6 +370,12 @@ def make_agent(config: RunConfig, seed):
         minibatch=config.agent_minibatch,
         buffer_capacity=config.buffer_capacity,
     )
+
+
+def make_agent(config: RunConfig, seed):
+    if config.agent == "random":
+        return RandomAgent(seed=seed)
+    agent = make_sac_agent(config, seed)
     if config.agent_checkpoint is None:
         raise ConfigError("agent=sac requires a pretrained agent_checkpoint")
     agent.load(config.agent_checkpoint)
@@ -419,16 +431,9 @@ def run_loop(config: RunConfig, run_dir) -> RunReport:
     prompt_rng = np.random.default_rng(prompt_seed)
     sampling_rng = np.random.default_rng(sampling_seed)
 
-    train = resolve_suite(config.train_suite)
+    env = make_env(config, env_seed)
+    train = env.suite
     test = resolve_suite(config.test_suite)
-    env = PlacementEnv(
-        train,
-        config.samples_per_episode,
-        seed=env_seed,
-        dmax=config.dmax,
-        snap_tol=config.snap_tol,
-        p_swap=config.p_swap,
-    )
     report = RunReport(config_digest=config.digest(), seed=config.seed)
     try:
         judge = make_judge(config, train.catalog_names, judge_seed)

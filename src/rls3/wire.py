@@ -7,8 +7,10 @@ client; responses must echo it. Transport is either a spawned child process
 
 from __future__ import annotations
 
+import contextlib
 import json
 import selectors
+import shlex
 import socket
 import subprocess
 import time
@@ -66,7 +68,9 @@ class NdjsonClient:
     def close(self) -> None:
         if self._proc is not None:
             if self._proc.stdin:
-                self._proc.stdin.close()
+                # flushing what a failed send left buffered fails again
+                with contextlib.suppress(BrokenPipeError):
+                    self._proc.stdin.close()
             self._proc.terminate()
             self._proc.wait(timeout=5)
             self._proc = None
@@ -92,6 +96,8 @@ class NdjsonClient:
                 self._sock.sendall(line)
             else:
                 raise WireError("client not connected")
+        except BrokenPipeError as exc:
+            raise WireProtocolError("peer closed the stream") from exc
         except OSError as exc:
             raise WireError(f"cannot send to external judge: {exc}") from exc
 
@@ -155,4 +161,8 @@ def client_for_address(addr: str, timeout: float = 30.0) -> NdjsonClient:
     host, sep, port = addr.rpartition(":")
     if sep and port.isdigit():
         return NdjsonClient.connect(host or "127.0.0.1", int(port), timeout=timeout)
-    return NdjsonClient.spawn(addr.split(), timeout=timeout)
+    try:
+        argv = shlex.split(addr)
+    except ValueError as exc:
+        raise WireError(f"cannot parse external judge command {addr!r}: {exc}") from exc
+    return NdjsonClient.spawn(argv, timeout=timeout)

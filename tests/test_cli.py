@@ -191,7 +191,34 @@ def test_eval_contrastive_metric(tmp_path, capsys):
     stub = f"{sys.executable} -m rls3.external_stub --behavior fixed_loss --loss 0.8"
     assert run_cli("eval", "--run-dir", str(run_dir), "--samples", str(samples),
                    "--judge", f"external:{stub}", "--set", "external_mode=contrastive") == 0
-    assert json.loads(capsys.readouterr().out) == {"loss": 0.8, "retrieval_accuracy": -0.8}
+    assert json.loads(capsys.readouterr().out) == {"loss": 0.8, "neg_loss": -0.8}
+
+
+STUB_COMMAND = f"{sys.executable} -m rls3.external_stub"
+
+
+@pytest.mark.parametrize(
+    "judge, extra, metric",
+    [
+        ("generative", [], "mean_rubric"),
+        ("contrastive", [], "retrieval_accuracy"),
+        (f"external:{STUB_COMMAND} --behavior all_correct", [], "mean_rubric"),
+        (f"external:{STUB_COMMAND} --behavior fixed_loss",
+         ["--set", "external_mode=contrastive"], "neg_loss"),
+    ],
+    ids=["generative", "contrastive", "external-generative", "external-contrastive"],
+)
+def test_eval_summary_keys(tmp_path, capsys, judge, extra, metric):
+    run_dir = tmp_path / "run"
+    assert run_cli("gen-fixed-set", "--count", "12", "--run-dir", str(run_dir)) == 0
+    capsys.readouterr()
+    samples = run_dir / "fixed_set.jsonl"
+    assert run_cli("eval", "--run-dir", str(run_dir), "--samples", str(samples),
+                   "--judge", judge, *extra) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert set(summary) == {"loss", metric}
+    if metric == "mean_rubric":
+        assert summary["loss"] == 6.0 - summary["mean_rubric"]
 
 
 def test_seed_flag_changes_run_digest(tmp_path, capsys):

@@ -108,7 +108,7 @@ def test_replay_detects_caption_edit(records):
 
 def test_breakdowns(train, records):
     judge = GenerativeJudge(train.catalog_names, seed=0)
-    verdicts = judge.infer(records)
+    verdicts, _ = judge.infer(records)
     table = per_term_breakdown(verdicts, records)
     assert [r.key for r in table.rows] == list(PRIMITIVES)
     assert sum(r.count for r in table.rows) >= len(records)  # terms overlap

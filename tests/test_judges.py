@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from rls3 import judges
 from rls3.datasets import generate_fixed_records
 from rls3.judges import (
     ContrastiveJudge,
+    ExternalJudge,
     GenerativeJudge,
     JudgeError,
     contrastive_loss,
@@ -17,7 +19,9 @@ from rls3.judges import (
     rubric_score,
     text_features,
 )
+from rls3.orchestrator import infer_and_reward
 from rls3.scene import builtin_suite
+from rls3.wire import NdjsonClient
 
 import oracles
 from oracles import finite_difference_gradients, relative_error
@@ -171,7 +175,7 @@ def test_text_features_deterministic(train):
 
 def test_generative_infer_shapes(train, records):
     judge = GenerativeJudge(train.catalog_names, seed=0)
-    verdicts = judge.infer(records[:10])
+    verdicts, _ = judge.infer(records[:10])
     assert len(verdicts) == 10
     for v, rec in zip(verdicts, records[:10]):
         assert v.sample_id == rec.id
@@ -201,13 +205,14 @@ def test_generative_digest_tracks_weights(train, records):
 
 def test_generative_reward_from_rubric(train, records):
     judge = GenerativeJudge(train.catalog_names, seed=3)
-    verdicts = judge.infer(records[:16])
+    verdicts, loss = judge.infer(records[:16])
     mean = np.mean([v.rubric for v in verdicts])
-    assert math.isclose(judge.batch_reward(verdicts), (6.0 - mean) ** 2)
+    assert math.isclose(loss, 6.0 - mean)
+    _, j2 = infer_and_reward(judge, records[:16])
+    assert math.isclose(j2, (6.0 - mean) ** 2)
     # perfect batch gives the minimum reward of 1
-    class V:
-        rubric = 5
-    assert judge.batch_reward([V(), V()]) == 1.0
+    judge.predict_terms = lambda samples: [r.truth_terms() for r in samples]
+    assert infer_and_reward(judge, records[:16])[1] == 1.0
 
 
 def test_generative_empty_batch_rejected(train):
@@ -223,9 +228,46 @@ def test_generative_save_load(tmp_path, train, records):
     other = GenerativeJudge(train.catalog_names, seed=99)
     other.load(tmp_path)
     assert other.digest() == judge.digest()
-    a = [v.rubric for v in judge.infer(records[:10])]
-    b = [v.rubric for v in other.infer(records[:10])]
+    a = [v.rubric for v in judge.infer(records[:10])[0]]
+    b = [v.rubric for v in other.infer(records[:10])[0]]
     assert a == b
+
+
+# --- the contract every judge keeps -------------------------------------------------
+
+STUB = [sys.executable, "-m", "rls3.external_stub"]
+
+JUDGES = {
+    "generative": lambda names: GenerativeJudge(names, seed=0),
+    "contrastive": lambda names: ContrastiveJudge(names, seed=0),
+    "external-generative": lambda names: ExternalJudge(
+        NdjsonClient.spawn(STUB + ["--behavior", "all_correct"], timeout=10),
+        mode="generative",
+    ),
+    "external-contrastive": lambda names: ExternalJudge(
+        NdjsonClient.spawn(STUB + ["--behavior", "fixed_loss", "--loss", "0.8"], timeout=10),
+        mode="contrastive",
+    ),
+}
+
+
+@pytest.fixture(params=sorted(JUDGES))
+def any_judge(request, train):
+    judge = JUDGES[request.param](train.catalog_names)
+    yield judge
+    if isinstance(judge, ExternalJudge):
+        judge.client.close()
+
+
+def test_judge_contract(any_judge, records):
+    batch = records[:10]
+    verdicts, loss = any_judge.infer(batch)
+    assert [v.sample_id for v in verdicts] == [r.id for r in batch]
+    assert type(loss) is float and math.isfinite(loss)
+    _, j2 = infer_and_reward(any_judge, batch)
+    assert j2 == loss**2
+    assert type(any_judge.validation_metric(batch)) is float
+    assert any_judge.metric_name in ("mean_rubric", "retrieval_accuracy", "neg_loss")
 
 
 # --- contrastive judge ------------------------------------------------------------

@@ -11,7 +11,6 @@ from rls3.nets import (
     StaleCacheError,
     load_net,
     save_net,
-    sgd_step,
 )
 
 from oracles import finite_difference_gradients, relative_error
@@ -74,22 +73,6 @@ def test_input_gradient_matches_finite_differences():
     _, grad_in = net.backward(np.ones((1, 2)))
     fd = finite_difference_gradients(loss, [x])[0]
     assert relative_error(grad_in, fd) < 1e-6
-
-
-def test_sgd_reduces_loss(net):
-    rng = np.random.default_rng(1)
-    x = rng.normal(size=(16, 4))
-    t = rng.normal(size=(16, 3))
-
-    def loss():
-        return 0.5 * float(np.sum((net.forward(x) - t) ** 2))
-
-    before = loss()
-    for _ in range(50):
-        grads, _ = net.backward(net.forward(x) - t)
-        sgd_step(net.params(), grads.flat(), lr=1e-3)
-        net.invalidate_cache()
-    assert loss() < before
 
 
 def test_adam_reduces_loss():

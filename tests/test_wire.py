@@ -1,4 +1,5 @@
 import json
+import shlex
 import socket
 import socketserver
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 from rls3.datasets import generate_fixed_records, record_to_dict
 from rls3.external_stub import handle_request
 from rls3.judges import ExternalJudge, JudgeError
+from rls3.orchestrator import infer_and_reward
 from rls3.scene import builtin_suite
 from rls3.wire import (
     NdjsonClient,
@@ -44,10 +46,11 @@ def test_request_ids_increment():
 def test_external_generative_judge_all_correct(records):
     with NdjsonClient.spawn(STUB + ["--behavior", "all_correct"], timeout=10) as client:
         judge = ExternalJudge(client, mode="generative")
-        verdicts = judge.infer(records)
+        verdicts, loss = judge.infer(records)
         assert all(v.rubric == 5 for v in verdicts)
         assert judge.validation_metric(records) == 5.0
-        assert judge.batch_reward(verdicts) == 1.0
+        assert loss == 1.0
+        assert infer_and_reward(judge, records)[1] == 1.0
         report = judge.finetune(records, steps=4)
         assert report.losses == []
 
@@ -58,7 +61,7 @@ def test_external_contrastive_judge_fixed_loss(records):
         judge = ExternalJudge(client, mode="contrastive")
         verdicts, loss = judge.infer(records)
         assert loss == 0.8 and len(verdicts) == len(records)
-        assert judge.batch_reward_from_loss(loss) == pytest.approx(0.64)
+        assert infer_and_reward(judge, records)[1] == pytest.approx(0.64)
 
 
 def test_tcp_transport(records):
@@ -128,6 +131,15 @@ def test_peer_closure():
         client.close()
 
 
+def test_peer_exited_before_request():
+    client = NdjsonClient.spawn([sys.executable, "-c", "pass"], timeout=5)
+    client._proc.wait(timeout=10)  # the send, not the read, meets the closed pipe
+    with pytest.raises(WireProtocolError, match="peer closed the stream"):
+        client.request({"op": "infer"})
+    client.close()  # must not raise, and must reap the child
+    assert client._proc is None
+
+
 def test_transport_os_errors_become_wire_errors():
     with pytest.raises(WireError, match="cannot start external judge"):
         NdjsonClient.spawn(["/nonexistent/judge"])
@@ -146,19 +158,34 @@ def test_client_for_address_dispatch():
         client.close()
 
 
+def test_client_for_address_splits_like_a_shell(records):
+    command = f"{shlex.quote(sys.executable)} -m rls3.external_stub --behavior 'all_correct'"
+    with client_for_address(command, timeout=10) as client:
+        resp = client.request(
+            {"op": "infer", "mode": "generative",
+             "samples": [record_to_dict(r) for r in records[:2]]}
+        )
+        assert resp["terms"] == [sorted(r.truth_terms()) for r in records[:2]]
+    with pytest.raises(WireError, match="cannot parse external judge command"):
+        client_for_address(command + " '")
+
+
 def test_external_judge_rejects_malformed_terms(records):
     code = (
         "import sys, json\n"
         "for line in sys.stdin:\n"
         "    req = json.loads(line)\n"
-        "    print(json.dumps({'id': req['id'], 'terms': [['sideways']]}), flush=True)\n"
+        "    terms = [['sideways'], ['left']][:len(req['samples'])]\n"
+        "    print(json.dumps({'id': req['id'], 'terms': terms}), flush=True)\n"
     )
     with NdjsonClient.spawn([sys.executable, "-c", code], timeout=5) as client:
         judge = ExternalJudge(client, mode="generative")
-        verdicts = judge.infer(records[:1])
-        assert verdicts[0].flagged
-        with pytest.raises(JudgeError):
-            judge.infer(records[:2])  # length mismatch
+        verdicts, _ = judge.infer(records[:2])
+        assert verdicts[0].flagged and not verdicts[1].flagged
+        with pytest.raises(JudgeError, match="no scored verdicts"):
+            judge.infer(records[:1])  # every verdict flagged
+        with pytest.raises(JudgeError, match="malformed terms list"):
+            judge.infer(records[:3])  # length mismatch
 
 
 class _OutOfVocabularyClient:
@@ -170,7 +197,8 @@ class _OutOfVocabularyClient:
 
 def test_external_validation_metric_needs_scored_verdicts(records):
     judge = ExternalJudge(_OutOfVocabularyClient(), mode="generative")
-    assert all(v.flagged for v in judge.infer(records))
+    with pytest.raises(JudgeError, match="no scored verdicts"):
+        judge.infer(records)
     with pytest.raises(JudgeError, match="no scored verdicts"):
         judge.validation_metric(records)
 

@@ -8,7 +8,7 @@ judge feedback back into the agent's reward.
 from .agent import RandomAgent, SacAgent, Transition
 from .datasets import SampleRecord
 from .judges import ContrastiveJudge, ExternalJudge, GenerativeJudge
-from .orchestrator import RunConfig, desk_config, full_scale_config, run_loop
+from .orchestrator import RunConfig, desk_config, run_loop
 from .prompts import SpatialRelation, build_caption_set
 from .scene import PlacementEnv, SceneSuite, builtin_suite, load_suite
 
@@ -30,7 +30,6 @@ __all__ = [
     "builtin_suite",
     "desk_config",
     "load_suite",
-    "full_scale_config",
     "run_loop",
     "__version__",
 ]

@@ -8,6 +8,7 @@ terminal transition before the episode enters the replay buffer.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -147,8 +148,10 @@ class SacAgent:
 
     # -- policy
 
-    def _policy_params(self, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        out = self.actor.forward(obs)
+    def _policy_params(
+        self, obs: np.ndarray, tape: list | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        out = self.actor.forward(obs, tape)
         mean = out[..., :ACTION_DIM]
         log_std_raw = out[..., ACTION_DIM:]
         log_std = np.clip(log_std_raw, LOG_STD_MIN, LOG_STD_MAX)
@@ -159,17 +162,16 @@ class SacAgent:
         if obs.shape != (self.obs_dim,) or not np.isfinite(obs).all():
             raise AgentError("observation must be a finite vector of the right width")
         mean, log_std, _ = self._policy_params(obs / self.obs_scale)
-        self.actor.invalidate_cache()
         if not stochastic:
             return np.tanh(mean)
         eps = self._rng.standard_normal(ACTION_DIM)
         return np.tanh(mean + np.exp(log_std) * eps)
 
-    def _sample_with_logp(self, obs: np.ndarray, rng: np.random.Generator):
+    def _sample_with_logp(self, obs: np.ndarray, tape: list | None = None):
         """Reparameterized batch sample; returns (action, logp, pieces for grads)."""
-        mean, log_std, log_std_raw = self._policy_params(obs)
+        mean, log_std, log_std_raw = self._policy_params(obs, tape)
         std = np.exp(log_std)
-        eps = rng.standard_normal(mean.shape)
+        eps = self._rng.standard_normal(mean.shape)
         u = mean + std * eps
         a = np.tanh(u)
         sq_term = 1.0 - a * a + _TANH_EPS
@@ -196,12 +198,9 @@ class SacAgent:
         nxt = nxt / self.obs_scale
 
         # critic targets
-        a_next, logp_next, _ = self._sample_with_logp(nxt, self._rng)
-        self.actor.invalidate_cache()
+        a_next, logp_next, _ = self._sample_with_logp(nxt)
         q1n = self.q1_target.forward(np.hstack([nxt, a_next]))[:, 0]
         q2n = self.q2_target.forward(np.hstack([nxt, a_next]))[:, 0]
-        self.q1_target.invalidate_cache()
-        self.q2_target.invalidate_cache()
         target = rew + self.gamma * (1.0 - term) * (
             np.minimum(q1n, q2n) - self.alpha * logp_next
         )
@@ -209,23 +208,22 @@ class SacAgent:
         critic_losses = []
         sa = np.hstack([obs, act])
         for q, opt in ((self.q1, self.q1_opt), (self.q2, self.q2_opt)):
-            pred = q.forward(sa)[:, 0]
+            tape = []
+            pred = q.forward(sa, tape)[:, 0]
             err = pred - target
             critic_losses.append(float(np.mean(err * err)))
-            grads, _ = q.backward((2.0 * err / batch)[:, None])
+            grads, _ = q.backward((2.0 * err / batch)[:, None], tape)
             opt.step(grads)
 
         # actor step (critic weights held fixed)
-        a, logp, (eps, std, sq_term, clamp_mask) = self._sample_with_logp(
-            obs, self._rng
-        )
+        actor_tape = []
+        a, logp, (eps, std, sq_term, clamp_mask) = self._sample_with_logp(obs, actor_tape)
         sa_pi = np.hstack([obs, a])
-        q1v = self.q1.forward(sa_pi)[:, 0]
-        _, g1 = self.q1.backward(np.ones((batch, 1)))
-        q2v = self.q2.forward(sa_pi)[:, 0]
-        _, g2 = self.q2.backward(np.ones((batch, 1)))
-        self.q1.invalidate_cache()
-        self.q2.invalidate_cache()
+        q1_tape, q2_tape = [], []
+        q1v = self.q1.forward(sa_pi, q1_tape)[:, 0]
+        _, g1 = self.q1.backward(np.ones((batch, 1)), q1_tape)
+        q2v = self.q2.forward(sa_pi, q2_tape)[:, 0]
+        _, g2 = self.q2.backward(np.ones((batch, 1)), q2_tape)
         use_q1 = (q1v <= q2v)[:, None]
         dq_da = np.where(use_q1, g1[:, self.obs_dim :], g2[:, self.obs_dim :])
         q_min = np.minimum(q1v, q2v)
@@ -239,7 +237,7 @@ class SacAgent:
         d_mean = dL_du
         d_log_std = dL_du * std * eps - (self.alpha / batch) * np.ones_like(std)
         d_log_std = np.where(clamp_mask, d_log_std, 0.0)
-        actor_grads, _ = self.actor.backward(np.hstack([d_mean, d_log_std]))
+        actor_grads, _ = self.actor.backward(np.hstack([d_mean, d_log_std]), actor_tape)
         self.actor_opt.step(actor_grads)
 
         if self.auto_alpha:
@@ -346,6 +344,22 @@ class RandomAgent:
         return self._rng.uniform(-1.0, 1.0, size=ACTION_DIM)
 
 
+def rollout(agent, env: PlacementEnv, episode: int = 0, stochastic: bool = True):
+    """Step `env` with `agent`'s actions, yielding (observation, action, step
+    result) for every step. After a step that ends an episode, the next
+    request resets the env to the following episode.
+    """
+    obs = env.reset_episode(episode)
+    while True:
+        action = agent.select_action(obs, stochastic=stochastic)
+        result = env.step(action)
+        yield obs, action, result
+        obs = result.observation
+        if result.done:
+            episode += 1
+            obs = env.reset_episode(episode)
+
+
 def pretrain_intrinsic(
     agent: SacAgent,
     env: PlacementEnv,
@@ -360,39 +374,23 @@ def pretrain_intrinsic(
     """
     if steps <= 0:
         raise ValueError("steps must be positive")
-    episode = 0
-    obs = env.reset_episode(episode)
+    episodes = 0
     valid = 0
-    for t in range(steps):
-        action = agent.select_action(obs, stochastic=True)
-        result = env.step(action)
+    taken = itertools.islice(rollout(agent, env), steps)
+    for t, (obs, action, result) in enumerate(taken, start=1):
         agent.buffer.push(
             Transition(obs, action, result.reward, result.observation, result.done)
         )
-        if result.reward > 0:
-            valid += 1
-        obs = result.observation
-        if result.done:
-            episode += 1
-            obs = env.reset_episode(episode)
-        if (t + 1) % update_every == 0:
+        valid += result.reward > 0
+        episodes += result.done
+        if t % update_every == 0:
             agent.update()
     if checkpoint_dir is not None:
         agent.save(checkpoint_dir)
-    return {"steps": steps, "episodes": episode, "valid_rate": valid / steps}
+    return {"steps": steps, "episodes": episodes, "valid_rate": valid / steps}
 
 
 def measure_valid_rate(agent, env: PlacementEnv, steps: int, stochastic: bool = True) -> float:
     """Fraction of valid placements over fresh environment steps."""
-    episode = 0
-    obs = env.reset_episode(episode)
-    valid = 0
-    for _ in range(steps):
-        result = env.step(agent.select_action(obs, stochastic=stochastic))
-        if result.reward > 0:
-            valid += 1
-        obs = result.observation
-        if result.done:
-            episode += 1
-            obs = env.reset_episode(episode)
-    return valid / steps
+    taken = itertools.islice(rollout(agent, env, stochastic=stochastic), steps)
+    return sum(result.reward > 0 for _, _, result in taken) / steps

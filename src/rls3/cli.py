@@ -15,6 +15,7 @@ stderr; machine-readable output goes to stdout or into the run directory.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -169,12 +170,13 @@ def _cmd_eval(args) -> int:
     records = datasets.read_samples(args.samples)
     suite = orchestrator.resolve_suite(config.train_suite)
     judge = orchestrator.make_judge(config, suite.catalog_names, config.seed)
-    if args.judge_checkpoint:
-        if not hasattr(judge, "load"):
-            raise UsageError("external judges do not take local checkpoints")
-        judge.load(args.judge_checkpoint)
-    verdicts, loss = judge.infer(records)
-    summary = {"loss": loss, judge.metric_name: judge.validation_metric(records)}
+    with contextlib.closing(judge):
+        if args.judge_checkpoint:
+            if not hasattr(judge, "load"):
+                raise UsageError("external judges do not take local checkpoints")
+            judge.load(args.judge_checkpoint)
+        verdicts, loss = judge.infer(records)
+        summary = {"loss": loss, judge.metric_name: judge.validation_metric(records)}
     doc = {
         "metric": summary,
         "per_term": datasets.breakdown_to_dict(datasets.per_term_breakdown(verdicts, records)),

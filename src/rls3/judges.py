@@ -294,7 +294,6 @@ class GenerativeJudge:
 
     def predict_terms(self, samples: list[SampleRecord]) -> list[frozenset[str]]:
         logits = self.net.forward(self.features(samples))
-        self.net.invalidate_cache()
         probs = 1.0 / (1.0 + np.exp(-logits))
         out = []
         for row in probs:
@@ -332,7 +331,8 @@ class GenerativeJudge:
         for _ in range(steps):
             take = min(self.minibatch, len(samples))
             idx = self._rng.choice(len(samples), size=take, replace=False)
-            logits = self.net.forward(x[idx])
+            tape = []
+            logits = self.net.forward(x[idx], tape)
             probs = 1.0 / (1.0 + np.exp(-logits))
             eps = 1e-12
             loss = float(
@@ -346,7 +346,7 @@ class GenerativeJudge:
             )
             if not np.isfinite(loss):
                 raise JudgeError("non-finite fine-tuning loss")
-            grads, _ = self.net.backward((probs - t[idx]) / take)
+            grads, _ = self.net.backward((probs - t[idx]) / take, tape)
             self.optimizer.step(grads)
             report.losses.append(loss)
         return report
@@ -362,6 +362,9 @@ class GenerativeJudge:
     def load(self, directory) -> None:
         self.net = load_net(Path(directory) / "classifier.net")
         self.optimizer = NetOptimizer(self.net, lr=self.optimizer.adam.lr)
+
+    def close(self) -> None:
+        """A local judge holds nothing to release."""
 
 
 # --- contrastive judge ------------------------------------------------------------------
@@ -423,18 +426,13 @@ class ContrastiveJudge:
                 cache[caption] = text_features(caption, self.catalog_names)
         return np.stack([cache[c] for c in captions])
 
-    def _embed(self, net: Mlp, x: np.ndarray) -> np.ndarray:
-        out = net.forward(x)
-        net.invalidate_cache()
-        return out
-
     def _score(self, samples) -> tuple[list[JudgeVerdict], np.ndarray, np.ndarray]:
         """Per-sample positive-vs-negative similarities over the 3N text pool,
         with the image and text embeddings they came from.
         """
         n = len(samples)
-        z = self._embed(self.image_encoder, self._image_batch(samples))
-        w = self._embed(self.text_encoder, self._text_pool(samples, negatives="both"))
+        z = self.image_encoder.forward(self._image_batch(samples))
+        w = self.text_encoder.forward(self._text_pool(samples, negatives="both"))
         zn, _ = _normalize_rows(z)
         wn, _ = _normalize_rows(w)
         sims = zn @ wn.T
@@ -473,15 +471,16 @@ class ContrastiveJudge:
                     continue
                 x_img = self._image_batch(chunk)
                 x_txt = self._text_pool(chunk)
-                z = self.image_encoder.forward(x_img)
-                w = self.text_encoder.forward(x_txt)
+                img_tape, txt_tape = [], []
+                z = self.image_encoder.forward(x_img, img_tape)
+                w = self.text_encoder.forward(x_txt, txt_tape)
                 loss, grad_z, grad_w = contrastive_loss_and_grads(
                     z, w, self.temperature
                 )
                 if not np.isfinite(loss):
                     raise JudgeError("non-finite fine-tuning loss")
-                img_grads, _ = self.image_encoder.backward(grad_z)
-                txt_grads, _ = self.text_encoder.backward(grad_w)
+                img_grads, _ = self.image_encoder.backward(grad_z, img_tape)
+                txt_grads, _ = self.text_encoder.backward(grad_w, txt_tape)
                 self.image_optimizer.step(img_grads)
                 self.text_optimizer.step(txt_grads)
                 epoch_losses.append(loss)
@@ -507,6 +506,9 @@ class ContrastiveJudge:
         self.image_optimizer = NetOptimizer(self.image_encoder, lr=self.image_optimizer.adam.lr)
         self.text_optimizer = NetOptimizer(self.text_encoder, lr=self.text_optimizer.adam.lr)
 
+    def close(self) -> None:
+        """A local judge holds nothing to release."""
+
 
 # --- external judge -----------------------------------------------------------------------
 
@@ -525,13 +527,17 @@ class ExternalJudge:
         self.mode = mode
         self.metric_name = "mean_rubric" if mode == "generative" else "neg_loss"
 
-    def _samples_payload(self, samples):
-        return [record_to_dict(r) for r in samples]
+    def _request(self, op: str, samples: list[SampleRecord]) -> dict:
+        """Send one op over the wire; a peer's `error` reply raises JudgeError."""
+        resp = self.client.request(
+            {"op": op, "mode": self.mode, "samples": [record_to_dict(r) for r in samples]}
+        )
+        if "error" in resp:
+            raise JudgeError(f"external judge failed to {op}: {resp['error']}")
+        return resp
 
     def infer(self, samples: list[SampleRecord]) -> tuple[list[JudgeVerdict], float]:
-        resp = self.client.request(
-            {"op": "infer", "mode": self.mode, "samples": self._samples_payload(samples)}
-        )
+        resp = self._request("infer", samples)
         if self.mode == "generative":
             terms = resp.get("terms")
             if not isinstance(terms, list) or len(terms) != len(samples):
@@ -563,16 +569,14 @@ class ExternalJudge:
         return -loss  # lower loss is better; keep "higher is better" orientation
 
     def finetune(self, samples, steps) -> FineTuneReport:
-        resp = self.client.request(
-            {
-                "op": "finetune",
-                "mode": self.mode,
-                "samples": self._samples_payload(samples),
-            }
-        )
+        resp = self._request("finetune", samples)
         report = FineTuneReport()
         if isinstance(resp.get("loss"), (int, float)):
             report.losses.append(float(resp["loss"]))
         elif resp.get("ok") is not True:
             raise JudgeError("external judge did not acknowledge fine-tuning")
         return report
+
+    def close(self) -> None:
+        """Close the client, ending a spawned judge process; closing again does nothing."""
+        self.client.close()

@@ -23,7 +23,7 @@ class DimensionError(ValueError):
 
 
 class StaleCacheError(RuntimeError):
-    """backward() called without a matching cached forward pass."""
+    """backward() called with a tape that holds no forward pass."""
 
 
 def _act(name: str, z: np.ndarray) -> np.ndarray:
@@ -46,23 +46,11 @@ def _act_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown activation {name!r}")
 
 
-@dataclass
-class Grads:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-    def flat(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
-
-
 class Mlp:
     """Fully connected network. Weights are (out, in) matrices, one activation
-    tag per layer. forward() caches intermediates for the following backward();
-    any parameter update invalidates the cache.
+    tag per layer. The net keeps no activations: a forward() that will be
+    differentiated records them on a tape its caller owns and hands to
+    backward().
     """
 
     def __init__(
@@ -92,7 +80,6 @@ class Mlp:
             bound = 1.0 / np.sqrt(fan_in)
             self.weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
             self.biases.append(np.zeros(fan_out))
-        self._cache: tuple | None = None
 
     @property
     def n_in(self) -> int:
@@ -109,11 +96,10 @@ class Mlp:
             out.append(b)
         return out
 
-    def invalidate_cache(self) -> None:
-        self._cache = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate the network on a single input (n_in,) or a batch (B, n_in)."""
+    def forward(self, x: np.ndarray, tape: list | None = None) -> np.ndarray:
+        """Evaluate the network on a single input (n_in,) or a batch (B, n_in).
+        Pass a list as `tape` to record the activations backward() needs;
+        without one, each layer's intermediates are freed as the pass goes."""
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
         if single:
@@ -128,20 +114,24 @@ class Mlp:
         for w, b, act in zip(self.weights, self.biases, self.activations):
             z = h @ w.T + b
             h = _act(act, z)
-            pre.append(z)
-            post.append(h)
-        self._cache = (pre, post, single)
+            if tape is not None:
+                pre.append(z)
+                post.append(h)
+        if tape is not None:
+            tape.append((pre, post, single))
         return h[0] if single else h
 
-    def backward(self, grad_out: np.ndarray) -> tuple[Grads, np.ndarray]:
-        """Backpropagate a loss gradient w.r.t. the last forward() output.
+    def backward(self, grad_out: np.ndarray, tape: list) -> tuple[list[np.ndarray], np.ndarray]:
+        """Backpropagate a loss gradient w.r.t. the output of the last forward()
+        recorded on `tape`.
 
-        Returns (parameter gradients, gradient w.r.t. the input). Gradients
-        are summed over the batch; scale grad_out by 1/B for a mean loss.
+        Returns (parameter gradients in params() order, gradient w.r.t. the
+        input). Gradients are summed over the batch; scale grad_out by 1/B for
+        a mean loss.
         """
-        if self._cache is None:
-            raise StaleCacheError("no cached forward pass")
-        pre, post, single = self._cache
+        if not tape:
+            raise StaleCacheError("no forward pass recorded on the tape")
+        pre, post, single = tape[-1]
         g = np.asarray(grad_out, dtype=np.float64)
         if single:
             g = g[None, :]
@@ -149,15 +139,14 @@ class Mlp:
             raise DimensionError(
                 f"expected gradient shape {(post[-1].shape[0], self.n_out)}, got {g.shape}"
             )
-        gw: list[np.ndarray] = [None] * len(self.weights)  # type: ignore[list-item]
-        gb: list[np.ndarray] = [None] * len(self.biases)  # type: ignore[list-item]
+        grads: list[np.ndarray] = [None] * (2 * len(self.weights))  # type: ignore[list-item]
         for i in range(len(self.weights) - 1, -1, -1):
             g = g * _act_grad(self.activations[i], pre[i], post[i + 1])
-            gw[i] = g.T @ post[i]
-            gb[i] = g.sum(axis=0)
+            grads[2 * i] = g.T @ post[i]
+            grads[2 * i + 1] = g.sum(axis=0)
             g = g @ self.weights[i]
         grad_in = g[0] if single else g
-        return Grads(gw, gb), grad_in
+        return grads, grad_in
 
     def digest(self) -> str:
         import hashlib
@@ -227,16 +216,14 @@ class Adam:
 
 
 class NetOptimizer:
-    """Adam bound to one Mlp; stepping invalidates the net's forward cache."""
+    """Adam bound to one Mlp's parameters."""
 
     def __init__(self, net: Mlp, lr: float, **kwargs):
         self.net = net
         self.adam = Adam(lr=lr, **kwargs)
 
-    def step(self, grads: Grads) -> bool:
-        ok = self.adam.step(self.net.params(), grads.flat())
-        self.net.invalidate_cache()
-        return ok
+    def step(self, grads: list[np.ndarray]) -> bool:
+        return self.adam.step(self.net.params(), grads)
 
 
 # --- checkpoint format -------------------------------------------------------

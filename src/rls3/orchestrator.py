@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import datasets, judges, wire
-from .agent import RandomAgent, SacAgent, Transition
+from .agent import RandomAgent, SacAgent, Transition, rollout
 from .datasets import SampleRecord
 from .prompts import build_caption_set
 from .scene import PlacementEnv, SceneSuite, builtin_suite, load_suite
@@ -200,22 +200,6 @@ def desk_config(**overrides) -> RunConfig:
     return RunConfig(**base)
 
 
-def full_scale_config(**overrides) -> RunConfig:
-    base = dict(
-        iterations=40,
-        episodes_per_iteration=20,
-        samples_per_episode=200,
-        sampling_rate=0.5,
-        reward_scale=10.0,
-        finetune_steps=256,
-        pretrain_steps=100_000,
-    )
-    base.update(overrides)
-    if base.get("judge") == "contrastive" and "finetune_steps" not in overrides:
-        base["finetune_steps"] = 10
-    return RunConfig(**base)
-
-
 # --- loop pieces ------------------------------------------------------------------
 
 
@@ -280,23 +264,17 @@ def run_episode(
     absorbed episodes; the fresh transitions stay out of the buffer until the
     terminal bonus is injected.
     """
-    obs = env.reset_episode(episode_idx)
     sac = isinstance(agent, SacAgent)
     transitions: list[Transition] = []
     snapshots = []
     j1 = 0.0
-    steps = 0
-    while True:
-        action = agent.select_action(obs, stochastic=stochastic)
-        result = env.step(action)
-        steps += 1
+    for obs, action, result in rollout(agent, env, episode_idx, stochastic):
         j1 += result.reward
         transitions.append(
             Transition(obs, action, result.reward, result.observation, result.done)
         )
         if result.snapshot is not None:
             snapshots.append(result.snapshot)
-        obs = result.observation
         if sac and learn:
             agent.update()
         if result.done:
@@ -319,7 +297,7 @@ def run_episode(
                 snap, captions, sample_id_start + k, episode=episode_idx, iteration=iteration
             )
         )
-    return EpisodeResult(records, transitions, j1, steps, truncated)
+    return EpisodeResult(records, transitions, j1, len(transitions), truncated)
 
 
 def make_judge(config: RunConfig, catalog_names: tuple[str, ...], seed):
@@ -440,123 +418,126 @@ def run_loop(config: RunConfig, run_dir) -> RunReport:
     except _RUN_FAILURES as exc:
         report.failure = str(exc)
         return _write_report(report, run_dir)
-    agent = make_agent(config, agent_seed)
+    try:
+        agent = make_agent(config, agent_seed)
 
-    report.validation_digest = datasets.generate_fixed_set(
-        train, config.validation_count, config.validation_seed, run_dir / "validation.jsonl"
-    )
-    report.test_digest = datasets.generate_fixed_set(
-        test, config.test_count, config.test_seed, run_dir / "test.jsonl"
-    )
-    val_records = datasets.read_samples(run_dir / "validation.jsonl")
-    test_records = datasets.read_samples(run_dir / "test.jsonl")
-    policy = config.resolved_early_stop()
-
-    samples_path = run_dir / "samples.jsonl"
-    verdicts_path = run_dir / "verdicts.jsonl"
-    metrics_path = run_dir / "metrics.csv"
-    episode_counter = 0
-    sample_counter = 0
-
-    with open(samples_path, "w", encoding="utf-8", newline="\n") as samples_f, open(
-        verdicts_path, "w", encoding="utf-8", newline="\n"
-    ) as verdicts_f, open(metrics_path, "w", newline="") as metrics_f:
-        metrics = csv.writer(metrics_f)
-        metrics.writerow(
-            [
-                "iteration",
-                "cumulative_valid",
-                "cumulative_attempts",
-                "val_metric",
-                "test_metric",
-                "mean_J2",
-                "batch_size",
-            ]
+        report.validation_digest = datasets.generate_fixed_set(
+            train, config.validation_count, config.validation_seed, run_dir / "validation.jsonl"
         )
+        report.test_digest = datasets.generate_fixed_set(
+            test, config.test_count, config.test_seed, run_dir / "test.jsonl"
+        )
+        val_records = datasets.read_samples(run_dir / "validation.jsonl")
+        test_records = datasets.read_samples(run_dir / "test.jsonl")
+        policy = config.resolved_early_stop()
+
+        samples_path = run_dir / "samples.jsonl"
+        verdicts_path = run_dir / "verdicts.jsonl"
+        metrics_path = run_dir / "metrics.csv"
+        episode_counter = 0
+        sample_counter = 0
+
+        with open(samples_path, "w", encoding="utf-8", newline="\n") as samples_f, open(
+            verdicts_path, "w", encoding="utf-8", newline="\n"
+        ) as verdicts_f, open(metrics_path, "w", newline="") as metrics_f:
+            metrics = csv.writer(metrics_f)
+            metrics.writerow(
+                [
+                    "iteration",
+                    "cumulative_valid",
+                    "cumulative_attempts",
+                    "val_metric",
+                    "test_metric",
+                    "mean_J2",
+                    "batch_size",
+                ]
+            )
+
+            try:
+                report.initial_val_metric = judge.validation_metric(val_records)
+                metrics.writerow(
+                    [0, 0, 0, f"{report.initial_val_metric:.6f}", "", "", 0]
+                )
+                for iteration in range(1, config.iterations + 1):
+                    batch: list[SampleRecord] = []  # cleared every iteration
+                    j2s: list[float] = []
+                    for _ in range(config.episodes_per_iteration):
+                        if (
+                            config.budget is not None
+                            and report.cumulative_attempts >= config.budget
+                        ):
+                            report.budget_exhausted = True
+                            break
+                        ep = run_episode(
+                            env,
+                            agent,
+                            episode_counter,
+                            iteration,
+                            prompt_rng,
+                            sample_counter,
+                            stochastic=not config.deterministic_actions,
+                        )
+                        episode_counter += 1
+                        sample_counter += len(ep.records)
+                        verdicts, j2 = infer_and_reward(judge, ep.records)
+                        ep.j2 = j2
+                        j2s.append(j2)
+                        if isinstance(agent, SacAgent):
+                            bonused = SacAgent.inject_terminal_bonus(
+                                ep.transitions, j2, config.reward_scale
+                            )
+                            agent.absorb_episode(bonused)
+                        report.cumulative_valid += min(
+                            config.samples_per_episode, len(ep.records)
+                        )
+                        report.cumulative_attempts += ep.steps
+                        report.truncated_episodes += int(ep.truncated)
+                        for rec in ep.records:
+                            samples_f.write(datasets.record_line(rec) + "\n")
+                        for v in verdicts:
+                            verdicts_f.write(_verdict_line(v, iteration) + "\n")
+                        batch.extend(
+                            sample_for_batch(ep.records, config.sampling_rate, sampling_rng)
+                        )
+                    if report.budget_exhausted:
+                        break
+
+                    ft = judge.finetune(batch, config.finetune_steps)
+                    val_metric = judge.validation_metric(val_records)
+                    report.validation_history.append(val_metric)
+                    report.mean_j2_per_iteration.append(float(np.mean(j2s)))
+                    report.finetune_losses.append([float(x) for x in ft.losses])
+                    report.iterations_completed = iteration
+                    metrics.writerow(
+                        [
+                            iteration,
+                            report.cumulative_valid,
+                            report.cumulative_attempts,
+                            f"{val_metric:.6f}",
+                            "",
+                            f"{float(np.mean(j2s)):.6f}",
+                            len(batch),
+                        ]
+                    )
+
+                    ck = run_dir / "checkpoints" / f"iter_{iteration:04d}"
+                    if hasattr(judge, "save"):
+                        judge.save(ck / "judge")
+                    if isinstance(agent, SacAgent):
+                        agent.save(ck / "agent")
+
+                    if early_stop(report.validation_history, policy):
+                        report.early_stop_iteration = iteration
+                        break
+            except _RUN_FAILURES as exc:
+                report.failure = str(exc)
 
         try:
-            report.initial_val_metric = judge.validation_metric(val_records)
-            metrics.writerow(
-                [0, 0, 0, f"{report.initial_val_metric:.6f}", "", "", 0]
-            )
-            for iteration in range(1, config.iterations + 1):
-                batch: list[SampleRecord] = []  # cleared every iteration
-                j2s: list[float] = []
-                for _ in range(config.episodes_per_iteration):
-                    if (
-                        config.budget is not None
-                        and report.cumulative_attempts >= config.budget
-                    ):
-                        report.budget_exhausted = True
-                        break
-                    ep = run_episode(
-                        env,
-                        agent,
-                        episode_counter,
-                        iteration,
-                        prompt_rng,
-                        sample_counter,
-                        stochastic=not config.deterministic_actions,
-                    )
-                    episode_counter += 1
-                    sample_counter += len(ep.records)
-                    verdicts, j2 = infer_and_reward(judge, ep.records)
-                    ep.j2 = j2
-                    j2s.append(j2)
-                    if isinstance(agent, SacAgent):
-                        bonused = SacAgent.inject_terminal_bonus(
-                            ep.transitions, j2, config.reward_scale
-                        )
-                        agent.absorb_episode(bonused)
-                    report.cumulative_valid += min(
-                        config.samples_per_episode, len(ep.records)
-                    )
-                    report.cumulative_attempts += ep.steps
-                    report.truncated_episodes += int(ep.truncated)
-                    for rec in ep.records:
-                        samples_f.write(datasets.record_line(rec) + "\n")
-                    for v in verdicts:
-                        verdicts_f.write(_verdict_line(v, iteration) + "\n")
-                    batch.extend(
-                        sample_for_batch(ep.records, config.sampling_rate, sampling_rng)
-                    )
-                if report.budget_exhausted:
-                    break
-
-                ft = judge.finetune(batch, config.finetune_steps)
-                val_metric = judge.validation_metric(val_records)
-                report.validation_history.append(val_metric)
-                report.mean_j2_per_iteration.append(float(np.mean(j2s)))
-                report.finetune_losses.append([float(x) for x in ft.losses])
-                report.iterations_completed = iteration
-                metrics.writerow(
-                    [
-                        iteration,
-                        report.cumulative_valid,
-                        report.cumulative_attempts,
-                        f"{val_metric:.6f}",
-                        "",
-                        f"{float(np.mean(j2s)):.6f}",
-                        len(batch),
-                    ]
-                )
-
-                ck = run_dir / "checkpoints" / f"iter_{iteration:04d}"
-                if hasattr(judge, "save"):
-                    judge.save(ck / "judge")
-                if isinstance(agent, SacAgent):
-                    agent.save(ck / "agent")
-
-                if early_stop(report.validation_history, policy):
-                    report.early_stop_iteration = iteration
-                    break
+            report.test_metric = judge.validation_metric(test_records)
         except _RUN_FAILURES as exc:
-            report.failure = str(exc)
-
-    try:
-        report.test_metric = judge.validation_metric(test_records)
-    except _RUN_FAILURES as exc:
-        report.failure = report.failure or str(exc)  # keep the first cause
+            report.failure = report.failure or str(exc)  # keep the first cause
+    finally:
+        judge.close()
     report.samples_digest = datasets.file_digest(samples_path)
     return _write_report(report, run_dir)
 

@@ -73,6 +73,7 @@ class NdjsonClient:
                     self._proc.stdin.close()
             self._proc.terminate()
             self._proc.wait(timeout=5)
+            self._proc.stdout.close()
             self._proc = None
         if self._sock is not None:
             self._sock.close()
@@ -165,4 +166,6 @@ def client_for_address(addr: str, timeout: float = 30.0) -> NdjsonClient:
         argv = shlex.split(addr)
     except ValueError as exc:
         raise WireError(f"cannot parse external judge command {addr!r}: {exc}") from exc
+    if not argv:
+        raise WireError(f"empty external judge command {addr!r}")
     return NdjsonClient.spawn(argv, timeout=timeout)

@@ -157,8 +157,9 @@ def test_judge_failure_writes_report_and_exits_2(tmp_path, monkeypatch, capsys):
     [
         (f"{sys.executable} -c pass", ("Broken pipe", "peer closed the stream")),
         ("/nonexistent/judge", ("cannot start external judge", "No such file")),
+        ("", ("empty external judge command",)),
     ],
-    ids=["exits-at-once", "cannot-start"],
+    ids=["exits-at-once", "cannot-start", "empty-command"],
 )
 def test_external_judge_failure_writes_report(tmp_path, capsys, command, cause):
     run_dir = tmp_path / "run"

@@ -255,8 +255,7 @@ JUDGES = {
 def any_judge(request, train):
     judge = JUDGES[request.param](train.catalog_names)
     yield judge
-    if isinstance(judge, ExternalJudge):
-        judge.client.close()
+    judge.close()
 
 
 def test_judge_contract(any_judge, records):
@@ -268,6 +267,8 @@ def test_judge_contract(any_judge, records):
     assert j2 == loss**2
     assert type(any_judge.validation_metric(batch)) is float
     assert any_judge.metric_name in ("mean_rubric", "retrieval_accuracy", "neg_loss")
+    any_judge.close()
+    any_judge.close()  # a second close does nothing
 
 
 # --- contrastive judge ------------------------------------------------------------

@@ -37,7 +37,33 @@ def test_forward_rejects_bad_dim(net):
 
 def test_backward_requires_forward(net):
     with pytest.raises(StaleCacheError):
-        net.backward(np.ones(3))
+        net.backward(np.ones(3), [])
+
+
+def test_forward_without_tape_keeps_nothing(net):
+    before = dict(vars(net))
+    net.forward(np.zeros((2, 4)))
+    assert vars(net).keys() == before.keys()
+    assert all(vars(net)[k] is v for k, v in before.items())
+
+
+def test_interleaved_tapes_match_sequential_passes(net):
+    rng = np.random.default_rng(8)
+    x_a, x_b = rng.normal(size=(3, 4)), rng.normal(size=(5, 4))
+    g_a, g_b = rng.normal(size=(3, 3)), rng.normal(size=(5, 3))
+    ta, tb = [], []
+    net.forward(x_a, ta)
+    net.forward(x_b, tb)
+    interleaved = [net.backward(g_a, ta), net.backward(g_b, tb)]
+    sequential = []
+    for x, g in ((x_a, g_a), (x_b, g_b)):
+        tape = []
+        net.forward(x, tape)
+        sequential.append(net.backward(g, tape))
+    for (grads, grad_in), (want, want_in) in zip(interleaved, sequential):
+        np.testing.assert_array_equal(grad_in, want_in)
+        for got, expected in zip(grads, want):
+            np.testing.assert_array_equal(got, expected)
 
 
 @pytest.mark.parametrize("activations", [None, ("relu", "relu", "identity")])
@@ -54,10 +80,10 @@ def test_gradients_match_finite_differences(activations):
     def loss():
         return 0.5 * float(np.sum((net.forward(x) - target) ** 2))
 
-    loss()
-    grads, _ = net.backward(net.forward(x) - target)
+    tape = []
+    grads, _ = net.backward(net.forward(x, tape) - target, tape)
     fd = finite_difference_gradients(loss, net.params())
-    for got, want in zip(grads.flat(), fd):
+    for got, want in zip(grads, fd):
         assert relative_error(got, want) < 1e-6
 
 
@@ -69,8 +95,9 @@ def test_input_gradient_matches_finite_differences():
     def loss():
         return float(np.sum(net.forward(x)))
 
-    loss()
-    _, grad_in = net.backward(np.ones((1, 2)))
+    tape = []
+    net.forward(x, tape)
+    _, grad_in = net.backward(np.ones((1, 2)), tape)
     fd = finite_difference_gradients(loss, [x])[0]
     assert relative_error(grad_in, fd) < 1e-6
 
@@ -87,8 +114,9 @@ def test_adam_reduces_loss():
 
     before = loss()
     for _ in range(200):
-        err = net.forward(x) - t
-        grads, _ = net.backward(2 * err / len(x))
+        tape = []
+        err = net.forward(x, tape) - t
+        grads, _ = net.backward(2 * err / len(x), tape)
         opt.step(grads)
     assert loss() < 0.25 * before
 
@@ -103,16 +131,6 @@ def test_adam_skips_nonfinite_gradients():
     good = [np.ones((2, 2))]
     assert adam.step(params, good) is True
     assert not np.allclose(params[0], 0.0)
-
-
-def test_optimizer_step_invalidates_cache(net):
-    x = np.zeros((2, 4))
-    net.forward(x)
-    opt = NetOptimizer(net, lr=1e-3)
-    grads, _ = net.backward(np.ones((2, 3)))
-    opt.step(grads)
-    with pytest.raises(StaleCacheError):
-        net.backward(np.ones((2, 3)))
 
 
 def test_checkpoint_round_trip(tmp_path, net):

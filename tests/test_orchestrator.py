@@ -1,9 +1,12 @@
 import csv
 import json
+import shlex
+import sys
 
 import numpy as np
 import pytest
 
+from rls3 import wire
 from rls3.agent import RandomAgent
 from rls3.datasets import read_samples
 from rls3.orchestrator import (
@@ -16,7 +19,6 @@ from rls3.orchestrator import (
     desk_config,
     early_stop,
     infer_and_reward,
-    full_scale_config,
     run_episode,
     run_loop,
     sample_for_batch,
@@ -40,7 +42,7 @@ TINY = dict(
 
 
 def test_defaults_match_reference_scale():
-    cfg = full_scale_config()
+    cfg = RunConfig()
     assert cfg.samples_per_episode == 200
     assert cfg.episodes_per_iteration == 20
     assert cfg.sampling_rate == 0.5
@@ -49,7 +51,6 @@ def test_defaults_match_reference_scale():
     assert cfg.pretrain_steps == 100_000
     assert cfg.validation_count == 500 and cfg.test_count == 1000
     assert cfg.batch_size() == 20 * 100
-    assert full_scale_config(judge="contrastive").finetune_steps == 10
 
 
 def test_early_stop_policy_defaults():
@@ -304,6 +305,48 @@ def test_loop_contrastive_judge(tmp_path):
     assert report.failure is None
     assert all(j2 >= 0 for j2 in report.mean_j2_per_iteration)
     assert 0.0 <= report.test_metric <= 1.0
+
+
+# An external judge that answers every request with an `error` reply.
+ERROR_JUDGE = (
+    "import sys, json\n"
+    "for line in sys.stdin:\n"
+    "    req = json.loads(line)\n"
+    "    print(json.dumps({'id': req['id'], 'error': 'no model loaded'}), flush=True)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command, failure",
+    [
+        ("-m rls3.external_stub", None),
+        (f"-c {shlex.quote(ERROR_JUDGE)}", "external judge failed to infer: no model loaded"),
+    ],
+    ids=["stub", "error-reply"],
+)
+def test_run_loop_closes_external_judge(tmp_path, monkeypatch, command, failure):
+    procs, clients = [], []
+    client_for_address = wire.client_for_address
+
+    def keep_client(addr, *args, **kwargs):
+        client = client_for_address(addr, *args, **kwargs)
+        clients.append(client)
+        procs.append(client._proc)
+        return client
+
+    monkeypatch.setattr(wire, "client_for_address", keep_client)
+    cfg = desk_config(
+        **{**TINY, "iterations": 1, "episodes_per_iteration": 1},
+        judge=f"external:{shlex.quote(sys.executable)} {command}",
+    )
+    try:
+        report = run_loop(cfg, tmp_path / "run")
+        assert report.failure == failure
+        assert len(procs) == 1 and procs[0].poll() is not None  # the child has exited
+        assert procs[0].stdin.closed and procs[0].stdout.closed
+    finally:
+        for client in clients:
+            client.close()
 
 
 # --- golden digests ---------------------------------------------------------------

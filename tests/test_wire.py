@@ -188,6 +188,25 @@ def test_external_judge_rejects_malformed_terms(records):
             judge.infer(records[:3])  # length mismatch
 
 
+def test_external_judge_reports_peer_errors(records):
+    code = (
+        "import sys, json\n"
+        "for line in sys.stdin:\n"
+        "    req = json.loads(line)\n"
+        "    print(json.dumps({'id': req['id'], 'error': 'no model loaded'}), flush=True)\n"
+    )
+    with NdjsonClient.spawn([sys.executable, "-c", code], timeout=5) as client:
+        for mode in ("generative", "contrastive"):
+            judge = ExternalJudge(client, mode=mode)
+            for op, call in (
+                ("infer", judge.infer),
+                ("infer", judge.validation_metric),
+                ("finetune", lambda samples: judge.finetune(samples, 1)),
+            ):
+                with pytest.raises(JudgeError, match=f"failed to {op}: no model loaded"):
+                    call(records[:2])
+
+
 class _OutOfVocabularyClient:
     """Answers every infer request with a term outside the six primitives."""
 

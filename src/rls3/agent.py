@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .nets import Adam, Mlp, NetOptimizer, load_net, save_net
+from .nets import Mlp, NetOptimizer, load_net, save_net
 from .scene import OBS_DIM, PlacementEnv
 
 ACTION_DIM = 3
@@ -40,6 +40,10 @@ def default_obs_scale(obs_dim: int) -> np.ndarray:
 
 class AgentError(RuntimeError):
     pass
+
+
+# the networks a checkpoint holds, each in <name>.net
+CHECKPOINT_NETWORKS = ("actor", "q1", "q2", "q1_target", "q2_target")
 
 
 @dataclass(frozen=True)
@@ -112,8 +116,6 @@ class SacAgent:
         gamma: float = 0.99,
         polyak: float = 0.995,
         alpha: float = 0.2,
-        auto_alpha: bool = False,
-        target_entropy: float = -float(ACTION_DIM),
         warmup: int = 1000,
         minibatch: int = 256,
         buffer_capacity: int = 100_000,
@@ -133,9 +135,6 @@ class SacAgent:
         self.gamma = gamma
         self.polyak = polyak
         self.log_alpha = float(np.log(alpha))
-        self.auto_alpha = auto_alpha
-        self.target_entropy = target_entropy
-        self.alpha_opt = Adam(lr=lr)
         self.warmup = warmup
         self.minibatch = minibatch
         self.buffer = ReplayBuffer(buffer_capacity, seed=s_buf, obs_dim=obs_dim)
@@ -212,8 +211,8 @@ class SacAgent:
             pred = q.forward(sa, tape)[:, 0]
             err = pred - target
             critic_losses.append(float(np.mean(err * err)))
-            grads, _ = q.backward((2.0 * err / batch)[:, None], tape)
-            opt.step(grads)
+            grad, _ = q.backward((2.0 * err / batch)[:, None], tape)
+            opt.step(grad)
 
         # actor step (critic weights held fixed)
         actor_tape = []
@@ -237,20 +236,13 @@ class SacAgent:
         d_mean = dL_du
         d_log_std = dL_du * std * eps - (self.alpha / batch) * np.ones_like(std)
         d_log_std = np.where(clamp_mask, d_log_std, 0.0)
-        actor_grads, _ = self.actor.backward(np.hstack([d_mean, d_log_std]), actor_tape)
-        self.actor_opt.step(actor_grads)
-
-        if self.auto_alpha:
-            d_log_alpha = -self.alpha * float(np.mean(logp + self.target_entropy))
-            params = [np.array([self.log_alpha])]
-            self.alpha_opt.step(params, [np.array([d_log_alpha])])
-            self.log_alpha = float(params[0][0])
+        actor_grad, _ = self.actor.backward(np.hstack([d_mean, d_log_std]), actor_tape)
+        self.actor_opt.step(actor_grad)
 
         # polyak averaging of the target critics
         for q, t in ((self.q1, self.q1_target), (self.q2, self.q2_target)):
-            for p, tp in zip(q.params(), t.params()):
-                tp *= self.polyak
-                tp += (1.0 - self.polyak) * p
+            t.flat *= self.polyak
+            t.flat += (1.0 - self.polyak) * q.flat
 
         for net in (self.actor, self.q1, self.q2):
             if not net.all_finite():
@@ -294,13 +286,7 @@ class SacAgent:
     def save(self, directory) -> None:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        nets = {
-            "actor": self.actor,
-            "q1": self.q1,
-            "q2": self.q2,
-            "q1_target": self.q1_target,
-            "q2_target": self.q2_target,
-        }
+        nets = {name: getattr(self, name) for name in CHECKPOINT_NETWORKS}
         for name, net in nets.items():
             save_net(net, directory / f"{name}.net")
         manifest = {
@@ -314,21 +300,34 @@ class SacAgent:
             json.dump(manifest, f, sort_keys=True, indent=2)
 
     def load(self, directory) -> None:
+        """Replace the networks, alpha and observation scale with a saved
+        checkpoint's. Raises AgentError naming the checkpoint if its manifest
+        or any of its files is missing, unreadable or does not fit this agent;
+        the agent is left unchanged then.
+        """
         directory = Path(directory)
-        with open(directory / "manifest.json", "r", encoding="utf-8") as f:
-            manifest = json.load(f)
-        for name, rel in manifest["networks"].items():
-            net = load_net(directory / rel)
-            target = getattr(self, name)
-            if net.layer_sizes != target.layer_sizes:
-                raise AgentError(f"checkpoint architecture mismatch for {name}")
+        try:
+            with open(directory / "manifest.json", "r", encoding="utf-8") as f:
+                manifest = json.load(f)
+            networks = manifest["networks"]
+            if not isinstance(networks, dict) or sorted(networks) != sorted(CHECKPOINT_NETWORKS):
+                raise ValueError(f"manifest must name exactly the networks {CHECKPOINT_NETWORKS}")
+            loaded = {n: load_net(directory / str(networks[n])) for n in CHECKPOINT_NETWORKS}
+            for name, net in loaded.items():
+                if net.layer_sizes != getattr(self, name).layer_sizes:
+                    raise ValueError(f"architecture mismatch for {name}")
+            alpha = float(manifest["alpha"])
+            if not 0.0 < alpha < np.inf:
+                raise ValueError(f"alpha must be positive and finite, got {alpha}")
+            scale = np.asarray(manifest.get("obs_scale", self.obs_scale), dtype=float)
+            if scale.shape != (self.obs_dim,) or not (np.isfinite(scale) & (scale > 0)).all():
+                raise ValueError("observation scale mismatch")
+        except (OSError, ValueError, TypeError, KeyError) as exc:
+            raise AgentError(f"cannot load agent checkpoint {directory}: {exc}") from exc
+        for name, net in loaded.items():
             setattr(self, name, net)
-        self.log_alpha = float(np.log(manifest["alpha"]))
-        if "obs_scale" in manifest:
-            scale = np.asarray(manifest["obs_scale"], dtype=float)
-            if scale.shape != (self.obs_dim,):
-                raise AgentError("checkpoint observation scale mismatch")
-            self.obs_scale = scale
+        self.log_alpha = float(np.log(alpha))
+        self.obs_scale = scale
         self.actor_opt = NetOptimizer(self.actor, lr=self.actor_opt.adam.lr)
         self.q1_opt = NetOptimizer(self.q1, lr=self.q1_opt.adam.lr)
         self.q2_opt = NetOptimizer(self.q2, lr=self.q2_opt.adam.lr)

@@ -346,8 +346,8 @@ class GenerativeJudge:
             )
             if not np.isfinite(loss):
                 raise JudgeError("non-finite fine-tuning loss")
-            grads, _ = self.net.backward((probs - t[idx]) / take, tape)
-            self.optimizer.step(grads)
+            grad, _ = self.net.backward((probs - t[idx]) / take, tape)
+            self.optimizer.step(grad)
             report.losses.append(loss)
         return report
 
@@ -479,10 +479,10 @@ class ContrastiveJudge:
                 )
                 if not np.isfinite(loss):
                     raise JudgeError("non-finite fine-tuning loss")
-                img_grads, _ = self.image_encoder.backward(grad_z, img_tape)
-                txt_grads, _ = self.text_encoder.backward(grad_w, txt_tape)
-                self.image_optimizer.step(img_grads)
-                self.text_optimizer.step(txt_grads)
+                img_grad, _ = self.image_encoder.backward(grad_z, img_tape)
+                txt_grad, _ = self.text_encoder.backward(grad_w, txt_tape)
+                self.image_optimizer.step(img_grad)
+                self.text_optimizer.step(txt_grad)
                 epoch_losses.append(loss)
             report.losses.append(float(np.mean(epoch_losses)))
         return report
@@ -576,6 +576,10 @@ class ExternalJudge:
         elif resp.get("ok") is not True:
             raise JudgeError("external judge did not acknowledge fine-tuning")
         return report
+
+    def save(self, directory) -> None:
+        """Writes nothing: the external process owns its weights, and the run
+        directory gets no judge checkpoint for it."""
 
     def close(self) -> None:
         """Close the client, ending a spawned judge process; closing again does nothing."""

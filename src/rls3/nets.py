@@ -3,13 +3,16 @@ binary checkpoint format.
 
 Shared by the SAC agent and both toy judges. Everything is plain numpy with
 float64 parameters so that gradients can be validated against central finite
-differences.
+differences. Each network holds its parameters in one vector, `Mlp.flat`, in
+checkpoint order; gradients, Adam moments, target averaging, digests and
+checkpoint bodies all work on vectors with that layout.
 """
 
 from __future__ import annotations
 
+import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,9 +51,11 @@ def _act_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 class Mlp:
     """Fully connected network. Weights are (out, in) matrices, one activation
-    tag per layer. The net keeps no activations: a forward() that will be
-    differentiated records them on a tape its caller owns and hands to
-    backward().
+    tag per layer. All parameters live in one float64 vector, `flat`: each
+    layer's weights row-major, then that layer's biases. `weights`, `biases`
+    and params() are views into it, so `flat` must only be written in place.
+    The net keeps no activations: a forward() that will be differentiated
+    records them on a tape its caller owns and hands to backward().
     """
 
     def __init__(
@@ -73,13 +78,24 @@ class Mlp:
         self.activations = list(activations)
 
         rng = np.random.default_rng(seed)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
+        pairs = list(zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
+        self.flat = np.zeros(sum(fan_out * (fan_in + 1) for fan_in, fan_out in pairs))
+        self.weights, self.biases = self._split(self.flat)
+        for w in self.weights:
+            # uniform fan-in scaling; biases start at zero
+            bound = 1.0 / np.sqrt(w.shape[1])
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
+
+    def _split(self, vec: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-layer (weight, bias) views of a vector laid out like `flat`."""
+        weights, biases = [], []
+        pos = 0
         for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
-            # uniform fan-in scaling
-            bound = 1.0 / np.sqrt(fan_in)
-            self.weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-            self.biases.append(np.zeros(fan_out))
+            weights.append(vec[pos : pos + fan_out * fan_in].reshape(fan_out, fan_in))
+            pos += fan_out * fan_in
+            biases.append(vec[pos : pos + fan_out])
+            pos += fan_out
+        return weights, biases
 
     @property
     def n_in(self) -> int:
@@ -90,11 +106,8 @@ class Mlp:
         return self.layer_sizes[-1]
 
     def params(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        """Views into `flat`: W0, b0, W1, b1, ..."""
+        return [p for pair in zip(self.weights, self.biases) for p in pair]
 
     def forward(self, x: np.ndarray, tape: list | None = None) -> np.ndarray:
         """Evaluate the network on a single input (n_in,) or a batch (B, n_in).
@@ -121,13 +134,13 @@ class Mlp:
             tape.append((pre, post, single))
         return h[0] if single else h
 
-    def backward(self, grad_out: np.ndarray, tape: list) -> tuple[list[np.ndarray], np.ndarray]:
+    def backward(self, grad_out: np.ndarray, tape: list) -> tuple[np.ndarray, np.ndarray]:
         """Backpropagate a loss gradient w.r.t. the output of the last forward()
         recorded on `tape`.
 
-        Returns (parameter gradients in params() order, gradient w.r.t. the
-        input). Gradients are summed over the batch; scale grad_out by 1/B for
-        a mean loss.
+        Returns (parameter gradient, a vector laid out like `flat`; gradient
+        w.r.t. the input). Gradients are summed over the batch; scale grad_out
+        by 1/B for a mean loss.
         """
         if not tape:
             raise StaleCacheError("no forward pass recorded on the tape")
@@ -139,36 +152,32 @@ class Mlp:
             raise DimensionError(
                 f"expected gradient shape {(post[-1].shape[0], self.n_out)}, got {g.shape}"
             )
-        grads: list[np.ndarray] = [None] * (2 * len(self.weights))  # type: ignore[list-item]
+        grad = np.empty_like(self.flat)
+        grad_w, grad_b = self._split(grad)
         for i in range(len(self.weights) - 1, -1, -1):
             g = g * _act_grad(self.activations[i], pre[i], post[i + 1])
-            grads[2 * i] = g.T @ post[i]
-            grads[2 * i + 1] = g.sum(axis=0)
+            np.matmul(g.T, post[i], out=grad_w[i])
+            g.sum(axis=0, out=grad_b[i])
             g = g @ self.weights[i]
         grad_in = g[0] if single else g
-        return grads, grad_in
+        return grad, grad_in
 
     def digest(self) -> str:
-        import hashlib
-
-        h = hashlib.sha256()
-        for p in self.params():
-            h.update(np.ascontiguousarray(p).tobytes())
-        return h.hexdigest()
+        return hashlib.sha256(self.flat.tobytes()).hexdigest()
 
     def copy(self) -> "Mlp":
         other = Mlp(self.layer_sizes, self.activations, seed=0)
-        other.weights = [w.copy() for w in self.weights]
-        other.biases = [b.copy() for b in self.biases]
+        other.flat[:] = self.flat
         return other
 
     def all_finite(self) -> bool:
-        return all(np.isfinite(p).all() for p in self.params())
+        return bool(np.isfinite(self.flat).all())
 
 
 @dataclass
 class Adam:
-    """Adaptive-moment optimizer over a list of parameter arrays."""
+    """Adaptive-moment optimizer over one parameter vector; the first and
+    second moments are vectors of the same shape."""
 
     lr: float
     beta1: float = 0.9
@@ -176,75 +185,64 @@ class Adam:
     eps: float = 1e-8
     step_count: int = 0
     skipped: int = 0
-    _m: list[np.ndarray] = field(default_factory=list)
-    _v: list[np.ndarray] = field(default_factory=list)
+    _m: np.ndarray | None = None
+    _v: np.ndarray | None = None
 
     def __post_init__(self):
         if self.lr <= 0:
             raise ValueError("learning rate must be positive")
 
-    def _ensure_slots(self, params: list[np.ndarray]) -> None:
-        if not self._m:
-            self._m = [np.zeros_like(p) for p in params]
-            self._v = [np.zeros_like(p) for p in params]
-        for s, p in zip(self._m, params):
-            if s.shape != p.shape:
-                raise DimensionError("optimizer slots do not mirror parameters")
-
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> bool:
-        """Update params in place. Returns False (and skips) on non-finite grads."""
-        self._ensure_slots(params)
-        if len(grads) != len(params):
-            raise DimensionError("gradient count mismatch")
-        for g, p in zip(grads, params):
-            if g.shape != p.shape:
-                raise DimensionError("gradient shape mismatch")
-        if not all(np.isfinite(g).all() for g in grads):
+    def step(self, param: np.ndarray, grad: np.ndarray) -> bool:
+        """Update param in place. Returns False (and skips) on a non-finite grad."""
+        if grad.shape != param.shape:
+            raise DimensionError("gradient shape mismatch")
+        if self._m is None:
+            self._m = np.zeros_like(param)
+            self._v = np.zeros_like(param)
+        elif self._m.shape != param.shape:
+            raise DimensionError("optimizer moments do not mirror the parameters")
+        if not np.isfinite(grad).all():
             self.skipped += 1
             return False
         self.step_count += 1
         t = self.step_count
         c1 = 1.0 - self.beta1**t
         c2 = 1.0 - self.beta2**t
-        for p, g, m, v in zip(params, grads, self._m, self._v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        m, v = self._m, self._v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grad
+        v *= self.beta2
+        v += (1.0 - self.beta2) * grad * grad
+        param -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
         return True
 
 
 class NetOptimizer:
-    """Adam bound to one Mlp's parameters."""
+    """Adam bound to one Mlp's parameter vector."""
 
     def __init__(self, net: Mlp, lr: float, **kwargs):
         self.net = net
         self.adam = Adam(lr=lr, **kwargs)
 
-    def step(self, grads: list[np.ndarray]) -> bool:
-        return self.adam.step(self.net.params(), grads)
+    def step(self, grad: np.ndarray) -> bool:
+        return self.adam.step(self.net.flat, grad)
 
 
 # --- checkpoint format -------------------------------------------------------
 # magic "RLS3NET1", then little-endian u64 fields:
 #   n_sizes, sizes..., activation codes (one per layer),
-# then per layer: W row-major f64 then b f64.
+# then the body: Mlp.flat as little-endian f64, i.e. per layer W row-major
+# then b.
 
 _ACT_CODES = {name: i for i, name in enumerate(ACTIVATIONS)}
 
 
 def save_net(net: Mlp, path) -> None:
+    fields = [len(net.layer_sizes), *net.layer_sizes, *(_ACT_CODES[a] for a in net.activations)]
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<Q", len(net.layer_sizes)))
-        for s in net.layer_sizes:
-            f.write(struct.pack("<Q", s))
-        for a in net.activations:
-            f.write(struct.pack("<Q", _ACT_CODES[a]))
-        for w, b in zip(net.weights, net.biases):
-            f.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            f.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+        f.write(struct.pack(f"<{len(fields)}Q", *fields))
+        f.write(net.flat.astype("<f8", copy=False).tobytes())
 
 
 def load_net(path) -> Mlp:
@@ -269,19 +267,13 @@ def load_net(path) -> Mlp:
     for code in codes:
         if code >= len(ACTIVATIONS):
             raise ValueError(f"unknown activation code {code} in checkpoint")
-    shapes = list(zip(sizes[1:], sizes[:-1]))  # (fan_out, fan_in) per layer
-    body = 8 * sum(fan_out * fan_in + fan_out for fan_out, fan_in in shapes)
+    body = 8 * sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
     if len(blob) - pos != body:
         raise ValueError(
             f"checkpoint body has {len(blob) - pos} bytes, its header needs {body}"
         )
     net = Mlp(list(sizes), [ACTIVATIONS[c] for c in codes], seed=0)
-    values = np.frombuffer(blob, dtype="<f8", offset=pos)
-    for i, (fan_out, fan_in) in enumerate(shapes):
-        w, values = values[: fan_out * fan_in], values[fan_out * fan_in :]
-        net.weights[i] = w.reshape(fan_out, fan_in).copy()
-        b, values = values[:fan_out], values[fan_out:]
-        net.biases[i] = b.copy()
+    net.flat[:] = np.frombuffer(blob, dtype="<f8", offset=pos)
     if not net.all_finite():
         raise ValueError("checkpoint contains non-finite parameters")
     return net

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import datasets, judges, wire
-from .agent import RandomAgent, SacAgent, Transition, rollout
+from .agent import AgentError, RandomAgent, SacAgent, Transition, rollout
 from .datasets import SampleRecord
 from .prompts import build_caption_set
 from .scene import PlacementEnv, SceneSuite, builtin_suite, load_suite
@@ -256,7 +256,6 @@ def run_episode(
     iteration: int,
     prompt_rng: np.random.Generator,
     sample_id_start: int,
-    learn: bool = True,
     stochastic: bool = True,
 ) -> EpisodeResult:
     """Roll one episode to T0 valid samples (or the step cap), building caption
@@ -275,7 +274,7 @@ def run_episode(
         )
         if result.snapshot is not None:
             snapshots.append(result.snapshot)
-        if sac and learn:
+        if sac:
             agent.update()
         if result.done:
             break
@@ -391,7 +390,7 @@ class RunReport:
 
 
 # failures a run records in report.failure instead of raising
-_RUN_FAILURES = (OrchestratorError, judges.JudgeError, wire.WireError)
+_RUN_FAILURES = (OrchestratorError, AgentError, judges.JudgeError, wire.WireError)
 
 
 def run_loop(config: RunConfig, run_dir) -> RunReport:
@@ -414,13 +413,12 @@ def run_loop(config: RunConfig, run_dir) -> RunReport:
     test = resolve_suite(config.test_suite)
     report = RunReport(config_digest=config.digest(), seed=config.seed)
     try:
+        agent = make_agent(config, agent_seed)
         judge = make_judge(config, train.catalog_names, judge_seed)
     except _RUN_FAILURES as exc:
         report.failure = str(exc)
         return _write_report(report, run_dir)
     try:
-        agent = make_agent(config, agent_seed)
-
         report.validation_digest = datasets.generate_fixed_set(
             train, config.validation_count, config.validation_seed, run_dir / "validation.jsonl"
         )
@@ -521,8 +519,7 @@ def run_loop(config: RunConfig, run_dir) -> RunReport:
                     )
 
                     ck = run_dir / "checkpoints" / f"iter_{iteration:04d}"
-                    if hasattr(judge, "save"):
-                        judge.save(ck / "judge")
+                    judge.save(ck / "judge")
                     if isinstance(agent, SacAgent):
                         agent.save(ck / "agent")
 

@@ -159,6 +159,7 @@ def test_criterion_04_gradient_checks(train):
         net.forward(x, tape)
         analytic, _ = net.backward(weight, tape)
         params = net.params()
+        analytic = np.split(analytic, np.cumsum([p.size for p in params])[:-1])
         for _ in range(10):  # seeded coordinate probes per network
             pi = int(rng.integers(len(params)))
             flat = params[pi].reshape(-1)

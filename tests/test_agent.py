@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -191,6 +194,70 @@ def test_checkpoint_architecture_mismatch(tmp_path):
     other = make_agent(hidden=(32, 32))
     with pytest.raises(AgentError):
         other.load(tmp_path / "ck")
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda m: m["networks"].pop("q1"),
+        lambda m: m["networks"].pop("q2_target"),
+        lambda m: m["networks"].update(q3="q1.net"),
+        lambda m: m["networks"].update(actor="missing.net"),
+        lambda m: m.pop("networks"),
+        lambda m: m.update(alpha=-1.0),
+        lambda m: m.update(obs_scale=[1.0]),
+    ],
+    ids=["no-q1", "no-q2-target", "unknown-net", "missing-file", "no-networks",
+         "bad-alpha", "bad-obs-scale"],
+)
+def test_checkpoint_bad_manifest_raises_agent_error(tmp_path, edit):
+    ck = tmp_path / "ck"
+    make_agent(seed=3).save(ck)
+    manifest = json.loads((ck / "manifest.json").read_text())
+    edit(manifest)
+    (ck / "manifest.json").write_text(json.dumps(manifest))
+    agent = make_agent(seed=4)
+    before = {name: getattr(agent, name).digest() for name in ("actor", "q1", "q2_target")}
+    with pytest.raises(AgentError, match=str(ck)):
+        agent.load(ck)
+    assert {name: getattr(agent, name).digest() for name in before} == before
+
+
+def test_checkpoint_missing_or_unreadable_raises_agent_error(tmp_path):
+    with pytest.raises(AgentError, match="nowhere"):
+        make_agent().load(tmp_path / "nowhere")
+    ck = tmp_path / "ck"
+    make_agent().save(ck)
+    (ck / "q2.net").write_bytes(b"not a net")
+    with pytest.raises(AgentError, match="bad checkpoint magic"):
+        make_agent().load(ck)
+    (ck / "manifest.json").write_text("{")
+    with pytest.raises(AgentError, match=str(ck)):
+        make_agent().load(ck)
+
+
+# sha256 of each checkpoint file after a short seeded pretrain_intrinsic (warmup
+# 64, then 200 updates at minibatch 32): a change that moves any SAC update byte
+# changes one of them.
+GOLDEN_SAC_FILES = {
+    "actor.net": "7e8a01d07f256b96b7154455f79d10349c98cc738fccb13062e094a5d580194a",
+    "q1.net": "cb02bd4e5ab83d71e346b1f61e2a0fb6377f8dbc17bde965b6db812e4926d485",
+    "q2.net": "49b9d1d8ce4dd189631b27d4e681a2558672b94cef40664ab3a0589eb2454110",
+    "q1_target.net": "1b502d7353d102d7a0fb766663b47f6979a154ad97708f978c864c7b6610d927",
+    "q2_target.net": "f357de2dd9426535dd9ec729a1dd201137f871e9d76249c25c5aef72ce6816a9",
+}
+
+
+def test_sac_golden_digest(tmp_path):
+    env = PlacementEnv(builtin_suite("train"), 10, seed=3)
+    agent = SacAgent(seed=5, hidden=(32, 32), warmup=64, minibatch=32, buffer_capacity=512)
+    pretrain_intrinsic(agent, env, steps=263, checkpoint_dir=tmp_path / "agent")
+    assert agent.actor_opt.adam.step_count == 200
+    got = {
+        name: hashlib.sha256((tmp_path / "agent" / name).read_bytes()).hexdigest()
+        for name in GOLDEN_SAC_FILES
+    }
+    assert got == GOLDEN_SAC_FILES
 
 
 # --- random agent and env integration ---------------------------------------------------

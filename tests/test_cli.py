@@ -152,6 +152,35 @@ def test_judge_failure_writes_report_and_exits_2(tmp_path, monkeypatch, capsys):
     assert report["iterations_completed"] == 0
 
 
+def _checkpoint_without_q1(tmp_path):
+    ck = tmp_path / "agent"
+    orchestrator.make_sac_agent(orchestrator.RunConfig(), 0).save(ck)
+    manifest = json.loads((ck / "manifest.json").read_text())
+    del manifest["networks"]["q1"]
+    (ck / "manifest.json").write_text(json.dumps(manifest))
+    return ck
+
+
+@pytest.mark.parametrize(
+    "make_checkpoint, cause",
+    [
+        (lambda tmp_path: "/nonexistent", "No such file"),
+        (_checkpoint_without_q1, "manifest must name exactly the networks"),
+    ],
+    ids=["nonexistent", "manifest-without-q1"],
+)
+def test_agent_checkpoint_failure_writes_report(tmp_path, capsys, make_checkpoint, cause):
+    ck = make_checkpoint(tmp_path)
+    run_dir = tmp_path / "run"
+    argv = ["run", "--run-dir", str(run_dir), "--agent", "sac", *TINY_SETS]
+    assert run_cli(*argv, "--set", f"agent_checkpoint={ck}") == 2
+    report = json.loads((run_dir / "report.json").read_text())
+    assert f"cannot load agent checkpoint {ck}" in report["failure"]
+    assert cause in report["failure"]
+    assert report["failure"] in capsys.readouterr().err
+    assert report["iterations_completed"] == 0
+
+
 @pytest.mark.parametrize(
     "command, cause",
     [

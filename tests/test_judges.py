@@ -258,7 +258,7 @@ def any_judge(request, train):
     judge.close()
 
 
-def test_judge_contract(any_judge, records):
+def test_judge_contract(any_judge, records, tmp_path):
     batch = records[:10]
     verdicts, loss = any_judge.infer(batch)
     assert [v.sample_id for v in verdicts] == [r.id for r in batch]
@@ -267,6 +267,9 @@ def test_judge_contract(any_judge, records):
     assert j2 == loss**2
     assert type(any_judge.validation_metric(batch)) is float
     assert any_judge.metric_name in ("mean_rubric", "retrieval_accuracy", "neg_loss")
+    any_judge.save(tmp_path / "judge")
+    # an external judge's weights stay in its own process: it writes nothing
+    assert (tmp_path / "judge").exists() != isinstance(any_judge, ExternalJudge)
     any_judge.close()
     any_judge.close()  # a second close does nothing
 

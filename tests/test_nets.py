@@ -1,8 +1,10 @@
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 
+from rls3.agent import SacAgent, Transition
 from rls3.nets import (
     Adam,
     DimensionError,
@@ -60,10 +62,9 @@ def test_interleaved_tapes_match_sequential_passes(net):
         tape = []
         net.forward(x, tape)
         sequential.append(net.backward(g, tape))
-    for (grads, grad_in), (want, want_in) in zip(interleaved, sequential):
+    for (grad, grad_in), (want, want_in) in zip(interleaved, sequential):
         np.testing.assert_array_equal(grad_in, want_in)
-        for got, expected in zip(grads, want):
-            np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(grad, want)
 
 
 @pytest.mark.parametrize("activations", [None, ("relu", "relu", "identity")])
@@ -81,9 +82,10 @@ def test_gradients_match_finite_differences(activations):
         return 0.5 * float(np.sum((net.forward(x) - target) ** 2))
 
     tape = []
-    grads, _ = net.backward(net.forward(x, tape) - target, tape)
-    fd = finite_difference_gradients(loss, net.params())
-    for got, want in zip(grads, fd):
+    grad, _ = net.backward(net.forward(x, tape) - target, tape)
+    fd = finite_difference_gradients(loss, [net.flat])[0]
+    bounds = np.cumsum([p.size for p in net.params()])[:-1]  # per-array bound
+    for got, want in zip(np.split(grad, bounds), np.split(fd, bounds)):
         assert relative_error(got, want) < 1e-6
 
 
@@ -116,21 +118,55 @@ def test_adam_reduces_loss():
     for _ in range(200):
         tape = []
         err = net.forward(x, tape) - t
-        grads, _ = net.backward(2 * err / len(x), tape)
-        opt.step(grads)
+        grad, _ = net.backward(2 * err / len(x), tape)
+        opt.step(grad)
     assert loss() < 0.25 * before
 
 
 def test_adam_skips_nonfinite_gradients():
-    params = [np.zeros((2, 2))]
+    param = np.zeros(4)
     adam = Adam(lr=0.1)
-    bad = [np.full((2, 2), np.nan)]
-    assert adam.step(params, bad) is False
-    np.testing.assert_array_equal(params[0], 0.0)
+    assert adam.step(param, np.full(4, np.nan)) is False
+    np.testing.assert_array_equal(param, 0.0)
     assert adam.skipped == 1
-    good = [np.ones((2, 2))]
-    assert adam.step(params, good) is True
-    assert not np.allclose(params[0], 0.0)
+    assert adam.step(param, np.ones(4)) is True
+    assert not np.allclose(param, 0.0)
+    with pytest.raises(DimensionError):
+        adam.step(param, np.ones(3))
+
+
+def _assert_views_of_flat(net):
+    params = net.params()
+    assert all(np.shares_memory(p, net.flat) for p in params)
+    assert all(np.shares_memory(p, net.flat) for p in net.weights + net.biases)
+    np.testing.assert_array_equal(np.concatenate([p.reshape(-1) for p in params]), net.flat)
+    assert net.digest() == hashlib.sha256(net.flat.tobytes()).hexdigest()
+
+
+def test_params_are_views_of_flat(tmp_path, net):
+    _assert_views_of_flat(net)
+    _assert_views_of_flat(net.copy())
+    save_net(net, tmp_path / "net.net")
+    _assert_views_of_flat(load_net(tmp_path / "net.net"))
+
+    opt = NetOptimizer(net, lr=1e-2)
+    tape = []
+    grad, _ = net.backward(net.forward(np.ones((2, 4)), tape), tape)
+    assert grad.shape == net.flat.shape
+    before = net.flat.copy()
+    assert opt.step(grad)
+    assert not np.array_equal(net.flat, before)
+    _assert_views_of_flat(net)
+
+    agent = SacAgent(seed=0, hidden=(8,), warmup=4, minibatch=4, buffer_capacity=16)
+    rng = np.random.default_rng(0)
+    for _ in range(8):
+        agent.buffer.push(
+            Transition(rng.normal(size=32), rng.uniform(-1, 1, 3), 1.0, rng.normal(size=32), False)
+        )
+    assert agent.update().performed
+    for sac_net in (agent.actor, agent.q1, agent.q2, agent.q1_target, agent.q2_target):
+        _assert_views_of_flat(sac_net)
 
 
 def test_checkpoint_round_trip(tmp_path, net):

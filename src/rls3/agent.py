@@ -140,6 +140,10 @@ class SacAgent:
         self.buffer = ReplayBuffer(buffer_capacity, seed=s_buf, obs_dim=obs_dim)
         self.obs_scale = default_obs_scale(obs_dim)
         self._rng = np.random.default_rng(s_act)
+        # one tape per network, kept across updates so that each pass at the
+        # same minibatch writes into the arrays of the last one; a network's
+        # passes in update() run one after another, each read before the next
+        self._tapes = {name: [] for name in CHECKPOINT_NETWORKS}
 
     @property
     def alpha(self) -> float:
@@ -196,33 +200,34 @@ class SacAgent:
         obs = obs / self.obs_scale
         nxt = nxt / self.obs_scale
 
+        tapes = self._tapes
         # critic targets
-        a_next, logp_next, _ = self._sample_with_logp(nxt)
-        q1n = self.q1_target.forward(np.hstack([nxt, a_next]))[:, 0]
-        q2n = self.q2_target.forward(np.hstack([nxt, a_next]))[:, 0]
+        a_next, logp_next, _ = self._sample_with_logp(nxt, tapes["actor"])
+        sa_next = np.hstack([nxt, a_next])
+        q1n = self.q1_target.forward(sa_next, tapes["q1_target"])[:, 0]
+        q2n = self.q2_target.forward(sa_next, tapes["q2_target"])[:, 0]
         target = rew + self.gamma * (1.0 - term) * (
             np.minimum(q1n, q2n) - self.alpha * logp_next
         )
 
         critic_losses = []
         sa = np.hstack([obs, act])
-        for q, opt in ((self.q1, self.q1_opt), (self.q2, self.q2_opt)):
-            tape = []
+        critics = ((self.q1, self.q1_opt, tapes["q1"]), (self.q2, self.q2_opt, tapes["q2"]))
+        for q, opt, tape in critics:
             pred = q.forward(sa, tape)[:, 0]
             err = pred - target
             critic_losses.append(float(np.mean(err * err)))
-            grad, _ = q.backward((2.0 * err / batch)[:, None], tape)
+            grad, _ = q.backward((2.0 * err / batch)[:, None], tape, need="params")
             opt.step(grad)
 
-        # actor step (critic weights held fixed)
-        actor_tape = []
-        a, logp, (eps, std, sq_term, clamp_mask) = self._sample_with_logp(obs, actor_tape)
+        # actor step (critic weights held fixed: only their input gradients)
+        a, logp, (eps, std, sq_term, clamp_mask) = self._sample_with_logp(obs, tapes["actor"])
         sa_pi = np.hstack([obs, a])
-        q1_tape, q2_tape = [], []
-        q1v = self.q1.forward(sa_pi, q1_tape)[:, 0]
-        _, g1 = self.q1.backward(np.ones((batch, 1)), q1_tape)
-        q2v = self.q2.forward(sa_pi, q2_tape)[:, 0]
-        _, g2 = self.q2.backward(np.ones((batch, 1)), q2_tape)
+        ones = np.ones((batch, 1))
+        q1v = self.q1.forward(sa_pi, tapes["q1"])[:, 0]
+        _, g1 = self.q1.backward(ones, tapes["q1"], need="input")
+        q2v = self.q2.forward(sa_pi, tapes["q2"])[:, 0]
+        _, g2 = self.q2.backward(ones, tapes["q2"], need="input")
         use_q1 = (q1v <= q2v)[:, None]
         dq_da = np.where(use_q1, g1[:, self.obs_dim :], g2[:, self.obs_dim :])
         q_min = np.minimum(q1v, q2v)
@@ -236,7 +241,9 @@ class SacAgent:
         d_mean = dL_du
         d_log_std = dL_du * std * eps - (self.alpha / batch) * np.ones_like(std)
         d_log_std = np.where(clamp_mask, d_log_std, 0.0)
-        actor_grad, _ = self.actor.backward(np.hstack([d_mean, d_log_std]), actor_tape)
+        actor_grad, _ = self.actor.backward(
+            np.hstack([d_mean, d_log_std]), tapes["actor"], need="params"
+        )
         self.actor_opt.step(actor_grad)
 
         # polyak averaging of the target critics

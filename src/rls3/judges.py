@@ -346,7 +346,7 @@ class GenerativeJudge:
             )
             if not np.isfinite(loss):
                 raise JudgeError("non-finite fine-tuning loss")
-            grad, _ = self.net.backward((probs - t[idx]) / take, tape)
+            grad, _ = self.net.backward((probs - t[idx]) / take, tape, need="params")
             self.optimizer.step(grad)
             report.losses.append(loss)
         return report
@@ -479,8 +479,8 @@ class ContrastiveJudge:
                 )
                 if not np.isfinite(loss):
                     raise JudgeError("non-finite fine-tuning loss")
-                img_grad, _ = self.image_encoder.backward(grad_z, img_tape)
-                txt_grad, _ = self.text_encoder.backward(grad_w, txt_tape)
+                img_grad, _ = self.image_encoder.backward(grad_z, img_tape, need="params")
+                txt_grad, _ = self.text_encoder.backward(grad_w, txt_tape, need="params")
                 self.image_optimizer.step(img_grad)
                 self.text_optimizer.step(txt_grad)
                 epoch_losses.append(loss)

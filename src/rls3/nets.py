@@ -6,6 +6,15 @@ float64 parameters so that gradients can be validated against central finite
 differences. Each network holds its parameters in one vector, `Mlp.flat`, in
 checkpoint order; gradients, Adam moments, target averaging, digests and
 checkpoint bodies all work on vectors with that layout.
+
+A tape (a list the caller owns) holds one forward pass: the input and each
+layer's output, plus the scratch arrays of backward(). The next forward on the
+tape replaces that pass and, when the batch and layer sizes are unchanged,
+writes into the same arrays, so a training loop that keeps its tapes allocates
+no activation arrays after its first step. The output forward() returns is one
+of those arrays: the tape's next forward overwrites it. backward() computes
+only what its `need` argument asks for: the parameter gradient, the input
+gradient, or both.
 """
 
 from __future__ import annotations
@@ -29,24 +38,24 @@ class StaleCacheError(RuntimeError):
     """backward() called with a tape that holds no forward pass."""
 
 
-def _act(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "identity":
-        return z
-    if name == "tanh":
-        return np.tanh(z)
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    raise ValueError(f"unknown activation {name!r}")
+class _Pass:
+    """What a tape holds: the input and each layer's output of one forward
+    pass, and backward()'s scratch arrays. `shape` is (rows, *layer_sizes); a
+    forward of the same shape on the same tape reuses all of them."""
 
+    def __init__(self, shape: tuple[int, ...]):
+        rows, *sizes = shape
+        self.shape = shape
+        self.x: np.ndarray | None = None  # the caller's input, never written
+        self.single = False
+        self.outs = [np.empty((rows, n)) for n in sizes[1:]]
+        self._scratch: dict = {}
 
-def _act_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    if name == "identity":
-        return np.ones_like(z)
-    if name == "tanh":
-        return 1.0 - a * a
-    if name == "relu":
-        return (z > 0.0).astype(z.dtype)
-    raise ValueError(f"unknown activation {name!r}")
+    def scratch(self, key, shape: tuple[int, ...]) -> np.ndarray:
+        buf = self._scratch.get(key)
+        if buf is None:
+            buf = self._scratch[key] = np.empty(shape)
+        return buf
 
 
 class Mlp:
@@ -63,7 +72,10 @@ class Mlp:
         layer_sizes: list[int],
         activations: list[str] | None = None,
         seed: int | np.random.SeedSequence = 0,
+        flat: np.ndarray | None = None,
     ):
+        """Randomly initialised from `seed`, or, given `flat`, a copy of that
+        parameter vector with no random numbers drawn."""
         if len(layer_sizes) < 2 or any(int(s) <= 0 for s in layer_sizes):
             raise ValueError("layer_sizes must be >= 2 positive integers")
         self.layer_sizes = [int(s) for s in layer_sizes]
@@ -77,14 +89,17 @@ class Mlp:
                 raise ValueError(f"unknown activation {a!r}")
         self.activations = list(activations)
 
-        rng = np.random.default_rng(seed)
         pairs = list(zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
         self.flat = np.zeros(sum(fan_out * (fan_in + 1) for fan_in, fan_out in pairs))
         self.weights, self.biases = self._split(self.flat)
-        for w in self.weights:
-            # uniform fan-in scaling; biases start at zero
-            bound = 1.0 / np.sqrt(w.shape[1])
-            w[...] = rng.uniform(-bound, bound, size=w.shape)
+        if flat is not None:
+            self.flat[:] = flat
+        else:
+            rng = np.random.default_rng(seed)
+            for w in self.weights:
+                # uniform fan-in scaling; biases start at zero
+                bound = 1.0 / np.sqrt(w.shape[1])
+                w[...] = rng.uniform(-bound, bound, size=w.shape)
 
     def _split(self, vec: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Per-layer (weight, bias) views of a vector laid out like `flat`."""
@@ -111,8 +126,10 @@ class Mlp:
 
     def forward(self, x: np.ndarray, tape: list | None = None) -> np.ndarray:
         """Evaluate the network on a single input (n_in,) or a batch (B, n_in).
-        Pass a list as `tape` to record the activations backward() needs;
-        without one, each layer's intermediates are freed as the pass goes."""
+        Pass a list as `tape` to record the pass for backward(); the tape keeps
+        this pass only, and the returned array is overwritten by the tape's
+        next forward. Without a tape, each pass allocates its own arrays.
+        `x` is never modified."""
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
         if single:
@@ -121,54 +138,77 @@ class Mlp:
             raise DimensionError(
                 f"expected input width {self.n_in}, got shape {x.shape}"
             )
-        pre: list[np.ndarray] = []
-        post: list[np.ndarray] = [x]
-        h = x
-        for w, b, act in zip(self.weights, self.biases, self.activations):
-            z = h @ w.T + b
-            h = _act(act, z)
-            if tape is not None:
-                pre.append(z)
-                post.append(h)
+        outs = [None] * len(self.weights)
         if tape is not None:
-            tape.append((pre, post, single))
+            shape = (x.shape[0], *self.layer_sizes)
+            if not tape or tape[0].shape != shape:
+                tape[:] = [_Pass(shape)]
+            rec = tape[0]
+            rec.x, rec.single, outs = x, single, rec.outs
+        h = x
+        for w, b, act, out in zip(self.weights, self.biases, self.activations, outs):
+            h = np.matmul(h, w.T, out=out)
+            h += b
+            if act == "tanh":
+                np.tanh(h, out=h)
+            elif act == "relu":
+                np.maximum(h, 0.0, out=h)
         return h[0] if single else h
 
-    def backward(self, grad_out: np.ndarray, tape: list) -> tuple[np.ndarray, np.ndarray]:
-        """Backpropagate a loss gradient w.r.t. the output of the last forward()
+    def backward(
+        self, grad_out: np.ndarray, tape: list, need: str = "both"
+    ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """Backpropagate a loss gradient w.r.t. the output of the forward()
         recorded on `tape`.
 
-        Returns (parameter gradient, a vector laid out like `flat`; gradient
-        w.r.t. the input). Gradients are summed over the batch; scale grad_out
-        by 1/B for a mean loss.
+        `need` is "params", "input" or "both". Returns (parameter gradient, a
+        vector laid out like `flat`; gradient w.r.t. the input), with None for
+        the one not asked for. Both belong to the tape and are overwritten by
+        its next backward. Gradients are summed over the batch; scale grad_out
+        by 1/B for a mean loss. grad_out is never modified.
         """
+        if need not in ("params", "input", "both"):
+            raise ValueError(f"need must be 'params', 'input' or 'both', got {need!r}")
         if not tape:
             raise StaleCacheError("no forward pass recorded on the tape")
-        pre, post, single = tape[-1]
+        rec = tape[0]
         g = np.asarray(grad_out, dtype=np.float64)
-        if single:
+        if rec.single:
             g = g[None, :]
-        if g.shape != (post[-1].shape[0], self.n_out):
+        if g.shape != rec.outs[-1].shape:
             raise DimensionError(
-                f"expected gradient shape {(post[-1].shape[0], self.n_out)}, got {g.shape}"
+                f"expected gradient shape {rec.outs[-1].shape}, got {g.shape}"
             )
-        grad = np.empty_like(self.flat)
-        grad_w, grad_b = self._split(grad)
+        grad = None
+        if need != "input":
+            grad = rec.scratch("grad", self.flat.shape)
+            grad_w, grad_b = self._split(grad)
+        ins = [rec.x, *rec.outs[:-1]]
         for i in range(len(self.weights) - 1, -1, -1):
-            g = g * _act_grad(self.activations[i], pre[i], post[i + 1])
-            np.matmul(g.T, post[i], out=grad_w[i])
-            g.sum(axis=0, out=grad_b[i])
-            g = g @ self.weights[i]
-        grad_in = g[0] if single else g
-        return grad, grad_in
+            act, out = self.activations[i], rec.outs[i]
+            if act != "identity":
+                # the activation's derivative from its output: tanh 1 - a*a, relu a > 0
+                d = rec.scratch(("act", i), out.shape)
+                if act == "tanh":
+                    np.multiply(out, out, out=d)
+                    np.subtract(1.0, d, out=d)
+                else:
+                    np.greater(out, 0.0, out=d)
+                g = np.multiply(g, d, out=d)
+            if grad is not None:
+                np.matmul(g.T, ins[i], out=grad_w[i])
+                g.sum(axis=0, out=grad_b[i])
+            if i or need != "params":
+                g = np.matmul(g, self.weights[i], out=rec.scratch(("in", i), ins[i].shape))
+        if need == "params":
+            return grad, None
+        return grad, g[0] if rec.single else g
 
     def digest(self) -> str:
         return hashlib.sha256(self.flat.tobytes()).hexdigest()
 
     def copy(self) -> "Mlp":
-        other = Mlp(self.layer_sizes, self.activations, seed=0)
-        other.flat[:] = self.flat
-        return other
+        return Mlp(self.layer_sizes, self.activations, flat=self.flat)
 
     def all_finite(self) -> bool:
         return bool(np.isfinite(self.flat).all())
@@ -187,6 +227,7 @@ class Adam:
     skipped: int = 0
     _m: np.ndarray | None = None
     _v: np.ndarray | None = None
+    _scratch: np.ndarray | None = None  # two vectors for step()'s temporaries
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -199,6 +240,7 @@ class Adam:
         if self._m is None:
             self._m = np.zeros_like(param)
             self._v = np.zeros_like(param)
+            self._scratch = np.empty((2, *param.shape))
         elif self._m.shape != param.shape:
             raise DimensionError("optimizer moments do not mirror the parameters")
         if not np.isfinite(grad).all():
@@ -209,11 +251,23 @@ class Adam:
         c1 = 1.0 - self.beta1**t
         c2 = 1.0 - self.beta2**t
         m, v = self._m, self._v
+        a, b = self._scratch
+        # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+        # param -= lr*(m/c1) / (sqrt(v/c2) + eps), each in this order, in place
         m *= self.beta1
-        m += (1.0 - self.beta1) * grad
+        np.multiply(grad, 1.0 - self.beta1, out=a)
+        m += a
         v *= self.beta2
-        v += (1.0 - self.beta2) * grad * grad
-        param -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        np.multiply(grad, 1.0 - self.beta2, out=a)
+        a *= grad
+        v += a
+        np.divide(m, c1, out=a)
+        a *= self.lr
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        param -= a
         return True
 
 
@@ -272,8 +326,11 @@ def load_net(path) -> Mlp:
         raise ValueError(
             f"checkpoint body has {len(blob) - pos} bytes, its header needs {body}"
         )
-    net = Mlp(list(sizes), [ACTIVATIONS[c] for c in codes], seed=0)
-    net.flat[:] = np.frombuffer(blob, dtype="<f8", offset=pos)
+    net = Mlp(
+        list(sizes),
+        [ACTIVATIONS[c] for c in codes],
+        flat=np.frombuffer(blob, dtype="<f8", offset=pos),
+    )
     if not net.all_finite():
         raise ValueError("checkpoint contains non-finite parameters")
     return net

@@ -260,6 +260,82 @@ def test_sac_golden_digest(tmp_path):
     assert got == GOLDEN_SAC_FILES
 
 
+def _filled_agent(seed=6):
+    agent = SacAgent(seed=seed, hidden=(32, 32), warmup=48, minibatch=48, buffer_capacity=256)
+    rng = np.random.default_rng(21)
+    for _ in range(96):
+        agent.buffer.push(
+            random_transition(
+                rng, reward=float(rng.choice([-1.0, 1.0])), terminal=rng.random() < 0.1
+            )
+        )
+    return agent
+
+
+def _checkpoint_digests(agent, directory):
+    agent.save(directory)
+    return {
+        name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
+        for name in GOLDEN_SAC_FILES
+    }
+
+
+# the same digests after 40 updates at minibatch 48, 48, 20, 20, 48, ...: every
+# switch of batch size rebuilds the update's arrays, every repeat reuses them
+GOLDEN_ALTERNATING_FILES = {
+    "actor.net": "ab5618fb756cad26bc490bc53adc957dc9aee7fb850a931b2fc5894a724e6057",
+    "q1.net": "d7384dd4adde0774d93b8465bce3c84c862d6ebc9b3265863deaed32607b6cdf",
+    "q2.net": "7162a33fa508f2ecb83b71b6d1d025055f458750c1bd8578a1c98e10e4be81d4",
+    "q1_target.net": "9e92a295d3bc83b61b8d90cc780bed62d9b1d479178197ef4b9319cf7d1a6404",
+    "q2_target.net": "4910278f21881a696afa555aaac57eb08b8eb6b473eb197bdbb469ec9be4e4e8",
+}
+
+
+def test_sac_golden_digest_alternating_minibatch(tmp_path):
+    agent = _filled_agent()
+    for k in range(40):
+        assert agent.update(minibatch=(48, 20)[k // 2 % 2]).performed
+    assert _checkpoint_digests(agent, tmp_path / "agent") == GOLDEN_ALTERNATING_FILES
+
+
+def test_update_after_load_matches_a_fresh_agent(tmp_path):
+    ck = tmp_path / "ck"
+    _filled_agent(seed=2).save(ck)
+    warm, fresh = _filled_agent(), _filled_agent()
+    for _ in range(3):
+        warm.update()  # leaves arrays from its own passes behind
+    digests = []
+    for agent in (warm, fresh):
+        agent.load(ck)
+        agent._rng = np.random.default_rng(8)
+        agent.buffer._rng = np.random.default_rng(9)
+        for _ in range(2):
+            assert agent.update().performed
+        digests.append(_checkpoint_digests(agent, tmp_path / f"after{len(digests)}"))
+    assert digests[0] == digests[1]
+
+
+def test_updates_at_one_minibatch_reuse_their_arrays():
+    agent = _filled_agent()
+
+    def arrays():
+        passes = [tape[0] for tape in agent._tapes.values()]
+        optimizers = (agent.actor_opt, agent.q1_opt, agent.q2_opt)
+        return [
+            *(a for p in passes for a in (*p.outs, *p._scratch.values())),
+            *(opt.adam._scratch for opt in optimizers),
+        ]
+
+    agent.update()
+    first = arrays()
+    snapshot = [a.copy() for a in first]
+    agent.update()
+    second = arrays()
+    assert len(second) == len(first)
+    assert all(a is b for a, b in zip(first, second))
+    # the second update wrote into them
+    assert any(not np.array_equal(a, b) for a, b in zip(second, snapshot))
+
 # --- random agent and env integration ---------------------------------------------------
 
 

@@ -67,6 +67,64 @@ def test_interleaved_tapes_match_sequential_passes(net):
         np.testing.assert_array_equal(grad, want)
 
 
+ACTIVATION_SETS = {"tanh": None, "relu": ("relu", "relu", "identity")}
+
+
+def _bits(*arrays):
+    return [a.tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("rows", [None, 4], ids=["single", "batch"])
+@pytest.mark.parametrize("kind", ACTIVATION_SETS)
+def test_backward_need_returns_parts_of_the_full_backward(kind, rows):
+    net = Mlp([4, 8, 5, 3], ACTIVATION_SETS[kind], seed=7)
+    rng = np.random.default_rng(12)
+    lead = () if rows is None else (rows,)
+    x, g = rng.normal(size=(*lead, 4)), rng.normal(size=(*lead, 3))
+    x_before, g_before = x.copy(), g.copy()
+    tape = []
+    out = net.forward(x, tape)
+    out_before = out.copy()
+    full_grad, full_in = (a.copy() for a in net.backward(g, tape))
+    assert full_in.shape == x.shape
+
+    grad, no_input = net.backward(g, tape, need="params")
+    assert no_input is None
+    assert _bits(grad) == _bits(full_grad)
+    no_grad, grad_in = net.backward(g, tape, need="input")
+    assert no_grad is None
+    assert _bits(grad_in) == _bits(full_in)
+    with pytest.raises(ValueError):
+        net.backward(g, tape, need="weights")
+    # neither the caller's arrays nor the returned output are written
+    assert _bits(x, g, out) == _bits(x_before, g_before, out_before)
+
+
+@pytest.mark.parametrize("kind", ACTIVATION_SETS)
+def test_reused_tape_matches_fresh_tapes(kind):
+    net = Mlp([4, 8, 5, 3], ACTIVATION_SETS[kind], seed=7)
+    rng = np.random.default_rng(13)
+    tape = []
+    for rows in (3, 5, 5, 3):
+        x, g = rng.normal(size=(rows, 4)), rng.normal(size=(rows, 3))
+        got = [net.forward(x, tape).copy(), *(a.copy() for a in net.backward(g, tape))]
+        fresh = []
+        want = [net.forward(x, fresh), *net.backward(g, fresh)]
+        assert _bits(*got) == _bits(*want)
+
+
+def test_copy_and_load_draw_no_random_numbers(tmp_path, net, monkeypatch):
+    save_net(net, tmp_path / "net.net")
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("random initialisation drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    for other in (net.copy(), load_net(tmp_path / "net.net")):
+        assert _bits(other.flat) == _bits(net.flat)
+        assert not np.shares_memory(other.flat, net.flat)
+
+
 @pytest.mark.parametrize("activations", [None, ("relu", "relu", "identity")])
 def test_gradients_match_finite_differences(activations):
     rng = np.random.default_rng(3)

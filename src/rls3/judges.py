@@ -3,8 +3,10 @@
 Two trainable toy judges stand in for the real vision-language models: a
 generative term classifier scored against the answer rubric, and a bi-encoder
 contrastive judge trained with the symmetric InfoNCE loss over cosine
-similarities, with both hard negatives extending the text pool. Either can be
-replaced by an external process speaking the newline-delimited JSON protocol.
+similarities. Its text pool is always 3N captions for N samples: the positives,
+then the term-swapped negatives, then the object-swapped negatives, in training
+and in inference alike. Either judge can be replaced by an external process
+speaking the newline-delimited JSON protocol.
 
 Both judges consume world-frame coordinates plus the camera pose, so the
 camera-relative frame has to be learned; that is the manufactured initial
@@ -113,16 +115,14 @@ def _normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x / norms, norms
 
 
-def contrastive_loss_components(
-    image_embeddings: np.ndarray,
-    text_embeddings: np.ndarray,
-    temperature: float,
-    positive_index: np.ndarray | None = None,
-) -> tuple[float, float, float]:
-    """(total, image-to-text, text-to-image) symmetric InfoNCE over cosine
-    similarities. The first N texts are the positives unless positive_index
-    maps image i to its positive text; texts beyond N only widen the
-    image-to-text denominator.
+def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
+    hi = np.max(x, axis=axis, keepdims=True)
+    return (hi + np.log(np.sum(np.exp(x - hi), axis=axis, keepdims=True))).squeeze(axis)
+
+
+def _infonce(image_embeddings, text_embeddings, temperature):
+    """The symmetric InfoNCE forward: the (total, image-to-text, text-to-image)
+    losses, and the arrays contrastive_loss_and_grads differentiates through.
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
@@ -131,56 +131,45 @@ def contrastive_loss_components(
     n, m = z.shape[0], w.shape[0]
     if m < n:
         raise ValueError("text pool must be at least as large as the image batch")
-    pos = np.arange(n) if positive_index is None else np.asarray(positive_index)
-    zn, _ = _normalize_rows(z)
-    wn, _ = _normalize_rows(w)
+    zn, z_norms = _normalize_rows(z)
+    wn, w_norms = _normalize_rows(w)
     sims = zn @ wn.T / temperature  # (n, m)
-
     row_lse = _logsumexp(sims, axis=1)
-    l_i2t = float(np.mean(row_lse - sims[np.arange(n), pos]))
-
-    cols = sims[:, pos]  # (n images, n positive texts)
-    col_lse = _logsumexp(cols, axis=0)
-    l_t2i = float(np.mean(col_lse - cols[np.arange(n), np.arange(n)]))
-    return (l_i2t + l_t2i) / 2.0, l_i2t, l_t2i
-
-
-def contrastive_loss(
-    image_embeddings, text_embeddings, temperature, positive_index=None
-) -> float:
-    return contrastive_loss_components(
-        image_embeddings, text_embeddings, temperature, positive_index
-    )[0]
+    # over the view, not a copy: a copy's sums differ in the last bit
+    col_lse = _logsumexp(sims[:, :n], axis=0)
+    diag = sims[np.arange(n), np.arange(n)]
+    l_i2t = float(np.mean(row_lse - diag))
+    l_t2i = float(np.mean(col_lse - diag))
+    losses = ((l_i2t + l_t2i) / 2.0, l_i2t, l_t2i)
+    return losses, (zn, z_norms, wn, w_norms, sims, row_lse, col_lse)
 
 
-def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
-    hi = np.max(x, axis=axis, keepdims=True)
-    return (hi + np.log(np.sum(np.exp(x - hi), axis=axis, keepdims=True))).squeeze(axis)
+def contrastive_loss_components(
+    image_embeddings: np.ndarray, text_embeddings: np.ndarray, temperature: float
+) -> tuple[float, float, float]:
+    """(total, image-to-text, text-to-image) symmetric InfoNCE over cosine
+    similarities. Text i is image i's positive; texts beyond N only widen the
+    image-to-text denominator.
+    """
+    return _infonce(image_embeddings, text_embeddings, temperature)[0]
+
+
+def contrastive_loss(image_embeddings, text_embeddings, temperature) -> float:
+    return contrastive_loss_components(image_embeddings, text_embeddings, temperature)[0]
 
 
 def contrastive_loss_and_grads(
     image_embeddings: np.ndarray, text_embeddings: np.ndarray, temperature: float
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Loss plus gradients w.r.t. the raw (unnormalized) embeddings, with the
-    identity positive map. Used to backpropagate into the two encoders.
+    """Loss plus gradients w.r.t. the raw (unnormalized) embeddings. Used to
+    backpropagate into the two encoders.
     """
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    z = np.asarray(image_embeddings, dtype=float)
-    w = np.asarray(text_embeddings, dtype=float)
-    n, m = z.shape[0], w.shape[0]
-    zn, z_norms = _normalize_rows(z)
-    wn, w_norms = _normalize_rows(w)
-    sims = zn @ wn.T / temperature
-
-    row_lse = _logsumexp(sims, axis=1)
-    cols = sims[:, :n]
-    col_lse = _logsumexp(cols, axis=0)
-    diag = sims[np.arange(n), np.arange(n)]
-    loss = float(np.mean(row_lse - diag) + np.mean(col_lse - diag)) / 2.0
-
+    (loss, _, _), (zn, z_norms, wn, w_norms, sims, row_lse, col_lse) = _infonce(
+        image_embeddings, text_embeddings, temperature
+    )
+    n = zn.shape[0]
     p_row = np.exp(sims - row_lse[:, None])  # (n, m) row softmax
-    p_col = np.exp(cols - col_lse[None, :])  # (n, n) column softmax
+    p_col = np.exp(sims[:, :n] - col_lse[None, :])  # (n, n) column softmax
     grad_s = p_row / (2.0 * n)
     grad_s[:, :n] += p_col / (2.0 * n)
     grad_s[np.arange(n), np.arange(n)] -= 2.0 / (2.0 * n)
@@ -230,8 +219,7 @@ def text_features(caption: str, catalog_names: tuple[str, ...]) -> np.ndarray:
     names, the 6 spatial primitives, and 5 function words. Weighting a token
     by 1/(1+word index) keeps subject/reference order distinguishable.
     """
-    cleaned = "".join(c.lower() if c.isalnum() else " " for c in caption)
-    words = cleaned.split()
+    words = prompts.words(caption)
     name_words = [tuple(name.split()) for name in catalog_names]
     out = np.zeros(TEXT_FEATURE_DIM)
     i = 0
@@ -247,7 +235,7 @@ def text_features(caption: str, catalog_names: tuple[str, ...]) -> np.ndarray:
         if matched:
             continue
         w = words[i]
-        if w in ("front", "behind", "left", "right", "above", "below"):
+        if w in prompts.PRIMITIVES:
             out[9 + prompts.PRIMITIVES.index(w)] += weight
         elif w in _TEXT_FUNCTION_WORDS:
             out[15 + _TEXT_FUNCTION_WORDS.index(w)] += weight
@@ -371,8 +359,8 @@ class GenerativeJudge:
 
 
 class ContrastiveJudge:
-    """Bi-encoder over scene metadata and caption token bags; both hard
-    negatives extend the text pool during training and inference.
+    """Bi-encoder over scene metadata and caption token bags, trained and
+    scored against the 3N text pool.
     """
 
     metric_name = "retrieval_accuracy"
@@ -386,12 +374,9 @@ class ContrastiveJudge:
         seed: int | np.random.SeedSequence = 0,
         lr: float = 1e-3,
         minibatch: int = 256,
-        pool_negatives: str = "both",
     ):
         if temperature <= 0:
             raise ValueError("temperature must be positive")
-        if pool_negatives not in ("both", "term", "object"):
-            raise ValueError(f"bad negative pool mode {pool_negatives!r}")
         seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         img_seed, txt_seed, rng_seed = seq.spawn(3)
         self.catalog_names = tuple(catalog_names)
@@ -401,7 +386,6 @@ class ContrastiveJudge:
         self.text_optimizer = NetOptimizer(self.text_encoder, lr=lr)
         self.temperature = float(temperature)
         self.minibatch = minibatch
-        self.pool_negatives = pool_negatives
         self._rng = np.random.default_rng(rng_seed)
         # caption -> text_features row; a row depends only on the caption and
         # the fixed catalog, so entries never go stale
@@ -410,16 +394,13 @@ class ContrastiveJudge:
     def _image_batch(self, samples) -> np.ndarray:
         return np.stack([image_features(r, self.catalog_names) for r in samples])
 
-    def _text_pool(self, samples, negatives: str | None = None) -> np.ndarray:
-        """Positive captions plus hard negatives: a 3N pool with both kinds,
-        2N with just one ('term' or 'object').
+    def _text_pool(self, samples) -> np.ndarray:
+        """The 3N text pool: the positive captions, then the term-swapped
+        negatives, then the object-swapped negatives.
         """
-        negatives = negatives or self.pool_negatives
         captions = [r.caption for r in samples]
-        if negatives in ("both", "term"):
-            captions += [r.neg_term for r in samples]
-        if negatives in ("both", "object"):
-            captions += [r.neg_object for r in samples]
+        captions += [r.neg_term for r in samples]
+        captions += [r.neg_object for r in samples]
         cache = self._text_rows
         for caption in captions:
             if caption not in cache:
@@ -432,7 +413,7 @@ class ContrastiveJudge:
         """
         n = len(samples)
         z = self.image_encoder.forward(self._image_batch(samples))
-        w = self.text_encoder.forward(self._text_pool(samples, negatives="both"))
+        w = self.text_encoder.forward(self._text_pool(samples))
         zn, _ = _normalize_rows(z)
         wn, _ = _normalize_rows(w)
         sims = zn @ wn.T

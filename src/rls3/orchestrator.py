@@ -94,7 +94,6 @@ class RunConfig:
     threshold: float = 0.5
     generative_minibatch: int = 64
     contrastive_minibatch: int = 256
-    contrastive_pool: str = "both"  # both (3N) | term | object (2N)
     external_mode: str = "generative"
 
     def __post_init__(self):
@@ -210,7 +209,6 @@ class EpisodeResult:
     j1: float
     steps: int
     truncated: bool
-    j2: float = 0.0
 
 
 def early_stop(history: list[float], policy: EarlyStopPolicy) -> bool:
@@ -278,25 +276,23 @@ def run_episode(
             agent.update()
         if result.done:
             break
-    truncated = len(snapshots) < env.t0
-    if truncated:
-        if not snapshots:
-            raise OrchestratorError(
-                f"episode {episode_idx} produced no valid samples within {env.t_max} steps"
-            )
-        i = 0
-        while len(snapshots) < env.t0:  # pad from this episode's own snapshots
-            snapshots.append(snapshots[i])
-            i += 1
+    if not snapshots:
+        raise OrchestratorError(
+            f"episode {episode_idx} produced no valid samples within {env.t_max} steps"
+        )
+    i = 0
+    while len(snapshots) < env.t0:  # pad a truncated episode from its own snapshots
+        snapshots.append(snapshots[i])
+        i += 1
     records = []
-    for k, snap in enumerate(snapshots[: env.t0]):
+    for k, snap in enumerate(snapshots):
         captions = build_caption_set(snap, prompt_rng)
         records.append(
             datasets.record_from_snapshot(
                 snap, captions, sample_id_start + k, episode=episode_idx, iteration=iteration
             )
         )
-    return EpisodeResult(records, transitions, j1, len(transitions), truncated)
+    return EpisodeResult(records, transitions, j1, len(transitions), result.truncated)
 
 
 def make_judge(config: RunConfig, catalog_names: tuple[str, ...], seed):
@@ -317,7 +313,6 @@ def make_judge(config: RunConfig, catalog_names: tuple[str, ...], seed):
             seed=seed,
             lr=config.judge_lr,
             minibatch=config.contrastive_minibatch,
-            pool_negatives=config.contrastive_pool,
         )
     addr = config.judge.split(":", 1)[1]
     client = wire.client_for_address(addr)
@@ -445,7 +440,6 @@ def run_loop(config: RunConfig, run_dir) -> RunReport:
                     "cumulative_valid",
                     "cumulative_attempts",
                     "val_metric",
-                    "test_metric",
                     "mean_J2",
                     "batch_size",
                 ]
@@ -454,7 +448,7 @@ def run_loop(config: RunConfig, run_dir) -> RunReport:
             try:
                 report.initial_val_metric = judge.validation_metric(val_records)
                 metrics.writerow(
-                    [0, 0, 0, f"{report.initial_val_metric:.6f}", "", "", 0]
+                    [0, 0, 0, f"{report.initial_val_metric:.6f}", "", 0]
                 )
                 for iteration in range(1, config.iterations + 1):
                     batch: list[SampleRecord] = []  # cleared every iteration
@@ -478,16 +472,13 @@ def run_loop(config: RunConfig, run_dir) -> RunReport:
                         episode_counter += 1
                         sample_counter += len(ep.records)
                         verdicts, j2 = infer_and_reward(judge, ep.records)
-                        ep.j2 = j2
                         j2s.append(j2)
                         if isinstance(agent, SacAgent):
                             bonused = SacAgent.inject_terminal_bonus(
                                 ep.transitions, j2, config.reward_scale
                             )
                             agent.absorb_episode(bonused)
-                        report.cumulative_valid += min(
-                            config.samples_per_episode, len(ep.records)
-                        )
+                        report.cumulative_valid += len(ep.records)
                         report.cumulative_attempts += ep.steps
                         report.truncated_episodes += int(ep.truncated)
                         for rec in ep.records:
@@ -512,7 +503,6 @@ def run_loop(config: RunConfig, run_dir) -> RunReport:
                             report.cumulative_valid,
                             report.cumulative_attempts,
                             f"{val_metric:.6f}",
-                            "",
                             f"{float(np.mean(j2s)):.6f}",
                             len(batch),
                         ]

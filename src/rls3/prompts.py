@@ -225,22 +225,24 @@ def render_question(subject: str, reference: str) -> str:
 _FUNCTION_WORDS = {"the", "is", "a", "an", "and", "of", "to", "it", "relative"}
 
 
+def words(text: str) -> list[str]:
+    """The lower-cased alphanumeric runs of `text`; every other character splits."""
+    return "".join(c.lower() if c.isalnum() else " " for c in text).split()
+
+
 def parse_caption(text: str) -> ParsedCaption:
     """Extract the spatial primitive set by phrase matching; tolerates free text."""
-    cleaned = "".join(c.lower() if c.isalnum() else " " for c in text)
-    words = cleaned.split()
+    tokens = words(text)
     terms = set()
     unknown = 0
     i = 0
-    while i < len(words):
-        w = words[i]
-        if w == "in" and words[i + 1 : i + 2] == ["front"]:
+    while i < len(tokens):
+        w = tokens[i]
+        if w == "in" and tokens[i + 1 : i + 2] == ["front"]:
             terms.add("front")
             i += 2
             continue
-        if w == "front":
-            terms.add("front")
-        elif w in ("behind", "left", "right", "above", "below"):
+        if w in PRIMITIVES:
             terms.add(w)
         elif w not in _FUNCTION_WORDS:
             unknown += 1

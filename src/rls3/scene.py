@@ -149,12 +149,11 @@ def suite_from_dict(doc: dict) -> SceneSuite:
     names = [o.name for o in catalog]
     if len(set(names)) != len(names):
         raise SceneConfigError("catalog names must be unique")
-    from .prompts import PRIMITIVES  # prompts imports scene
+    from .prompts import PRIMITIVES, words  # prompts imports scene
 
     for name in names:
         # a spatial word in a name would add a term to every caption naming it
-        words = "".join(c.lower() if c.isalnum() else " " for c in name).split()
-        if set(words) & set(PRIMITIVES):
+        if set(words(name)) & set(PRIMITIVES):
             raise SceneConfigError(f"catalog name {name!r} contains a spatial word")
     for o in catalog:
         if any(h <= 0 for h in o.half_extents):
@@ -245,7 +244,6 @@ class PlacementEnv:
         dmax: float = DEFAULT_DMAX,
         snap_tol: float = DEFAULT_SNAP_TOL,
         p_swap: float = DEFAULT_P_SWAP,
-        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         max_steps: int | None = None,
     ):
         if samples_per_episode <= 0:
@@ -256,7 +254,6 @@ class PlacementEnv:
         self.dmax = float(dmax)
         self.snap_tol = float(snap_tol)
         self.p_swap = float(p_swap)
-        self.max_attempts = int(max_attempts)
         self.cycle_period = math.ceil(self.t0 / len(suite.scenes))
         self._rng = np.random.default_rng(seed)
         self._state: SceneState | None = None
@@ -272,14 +269,8 @@ class PlacementEnv:
     def _half(self, name: str) -> np.ndarray:
         return np.asarray(self.suite.spec(name).half_extents)
 
-    def scene(self, state: SceneState | None = None) -> SceneSpec:
-        state = state or self.state
-        return self.suite.scenes[state.scene_pos]
-
-    # -- placement sampling
-
-    def _sample_positions(self, scene: SceneSpec, names: list[str]) -> np.ndarray:
-        return sample_positions(self.suite, scene, names, self._rng, self.max_attempts)
+    def scene(self) -> SceneSpec:
+        return self.suite.scenes[self.state.scene_pos]
 
     # -- operations
 
@@ -290,7 +281,7 @@ class PlacementEnv:
         names = list(self.suite.catalog_names)
         active = [names[i] for i in order[:ACTIVE_COUNT]]
         container = [names[i] for i in order[ACTIVE_COUNT:]]
-        positions = self._sample_positions(scene, active)
+        positions = sample_positions(self.suite, scene, active, self._rng)
         yaws = self._rng.uniform(0.0, 360.0, size=ACTIVE_COUNT)
         self._state = SceneState(
             scene_pos=scene_pos,
@@ -303,10 +294,8 @@ class PlacementEnv:
         )
         return self.observe()
 
-    def check_placement(
-        self, slot: int, candidate_position: np.ndarray, state: SceneState | None = None
-    ) -> ValidityReport:
-        state = state or self.state
+    def check_placement(self, slot: int, candidate_position: np.ndarray) -> ValidityReport:
+        state = self.state
         if slot not in (0, 1, 2):
             raise ValueError("slot must be 0, 1, or 2")
         pos = np.asarray(candidate_position, dtype=float)
@@ -314,7 +303,7 @@ class PlacementEnv:
             return ValidityReport(False, "off_surface")
         half = self._half(state.active[slot])
         support = None
-        for surf in self.scene(state).surfaces:
+        for surf in self.scene().surfaces:
             if footprint_on_surface(pos, half, surf):
                 support = surf
                 break
@@ -334,9 +323,9 @@ class PlacementEnv:
                 return ValidityReport(False, "overlap")
         return ValidityReport(True, "ok")
 
-    def _snap(self, slot: int, pos: np.ndarray, state: SceneState) -> np.ndarray:
-        half = self._half(state.active[slot])
-        for surf in self.scene(state).surfaces:
+    def _snap(self, slot: int, pos: np.ndarray) -> np.ndarray:
+        half = self._half(self.state.active[slot])
+        for surf in self.scene().surfaces:
             if footprint_on_surface(pos, half, surf):
                 snapped = pos.copy()
                 snapped[1] = surf.top_y + half[1]
@@ -370,7 +359,7 @@ class PlacementEnv:
 
         snapshot = None
         if report.valid:
-            state.positions[slot] = self._snap(slot, candidate, state)
+            state.positions[slot] = self._snap(slot, candidate)
             state.valid_count += 1
             reward = 1.0
             snapshot = self.snapshot()
@@ -402,15 +391,15 @@ class PlacementEnv:
         scene = self.suite.scenes[state.scene_pos]
         state.camera = scene.camera
         try:
-            state.positions = self._sample_positions(scene, state.active)
+            state.positions = sample_positions(self.suite, scene, state.active, self._rng)
         except PlacementError as exc:
             raise EpisodeAborted(
                 f"re-placement failed on scene {scene.scene_id}: {exc}"
             ) from exc
 
-    def observe(self, state: SceneState | None = None) -> np.ndarray:
-        state = state or self.state
-        scene = self.scene(state)
+    def observe(self) -> np.ndarray:
+        state = self.state
+        scene = self.scene()
         parts = [float(state.moved_slot), float(scene.scene_id)]
         for surf in scene.surfaces:
             parts.extend(surf.top_center)
@@ -424,10 +413,10 @@ class PlacementEnv:
         assert obs.shape == (OBS_DIM,) and np.isfinite(obs).all()
         return obs
 
-    def snapshot(self, state: SceneState | None = None) -> SceneSnapshot:
-        state = state or self.state
+    def snapshot(self) -> SceneSnapshot:
+        state = self.state
         return SceneSnapshot(
-            scene_id=self.scene(state).scene_id,
+            scene_id=self.scene().scene_id,
             step_index=state.step_index,
             names=tuple(state.active),
             positions=tuple(tuple(float(v) for v in row) for row in state.positions),
@@ -491,13 +480,12 @@ def random_snapshot(
     suite: SceneSuite,
     scene_pos: int,
     rng: np.random.Generator,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
 ) -> SceneSnapshot:
     """One seeded random valid configuration, used for fixed dataset generation."""
     scene = suite.scenes[scene_pos % len(suite.scenes)]
     order = list(rng.permutation(CATALOG_SIZE))
     names = [suite.catalog_names[i] for i in order[:ACTIVE_COUNT]]
-    positions = sample_positions(suite, scene, names, rng, max_attempts)
+    positions = sample_positions(suite, scene, names, rng)
     yaws = rng.uniform(0.0, 360.0, size=ACTIVE_COUNT)
     return SceneSnapshot(
         scene_id=scene.scene_id,

@@ -19,7 +19,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["pretrain", "loop_generative"])
+@pytest.mark.parametrize("workload", ["pretrain", "loop_generative", "loop_contrastive"])
 def test_traced_worker_run_is_correct(tmp_path, workload):
     env = dict(
         os.environ,

@@ -130,10 +130,10 @@ def test_export_plot_data(tmp_path):
     }
     (run_dir / "report.json").write_text(json.dumps(report))
     (run_dir / "metrics.csv").write_text(
-        "iteration,cumulative_valid,cumulative_attempts,val_metric,test_metric,mean_J2,batch_size\n"
-        "0,0,0,2.000000,,,0\n"
-        "1,40,90,2.100000,,9.5,20\n"
-        "2,80,185,2.400000,,8.1,20\n"
+        "iteration,cumulative_valid,cumulative_attempts,val_metric,mean_J2,batch_size\n"
+        "0,0,0,2.000000,,0\n"
+        "1,40,90,2.100000,9.5,20\n"
+        "2,80,185,2.400000,8.1,20\n"
     )
     from rls3.datasets import export_plot_data
 

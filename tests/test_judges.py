@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import sys
 
@@ -322,40 +324,55 @@ def test_contrastive_save_load(tmp_path, train, records):
     assert la == lb
 
 
-def test_contrastive_pool_modes(train, records):
-    both = ContrastiveJudge(train.catalog_names, seed=4)
-    assert both._text_pool(records[:5]).shape[0] == 15
-    term = ContrastiveJudge(train.catalog_names, seed=4, pool_negatives="term")
-    assert term._text_pool(records[:5]).shape[0] == 10
-    # inference always scores against both negatives regardless of pool mode
-    verdicts, _ = term.infer(records[:5])
-    assert all(len(v.similarities) == 3 for v in verdicts)
-    term.finetune(records[:20], epochs=1)
-    with pytest.raises(ValueError):
-        ContrastiveJudge(train.catalog_names, pool_negatives="none")
+# bytes of a contrastive judge after 3 epochs over 40 records at minibatch 13
+# (chunks of 13, 13, 13 and a skipped 1), and of its later inference
+GOLDEN_CONTRASTIVE_FILES = {
+    "image.net": "97f7b77073ad08c36d34d8f5656745ff66ac1684745cb0ce9ad91e0cd6b733db",
+    "text.net": "fca1fe5fcfa7957a0ed12032ad2ae4dba5504b872117b2922f97ebf2e63a8227",
+}
+GOLDEN_CONTRASTIVE_LOSSES = [3.7508262358454707, 3.1887172904091994, 2.9945240893818124]
+GOLDEN_CONTRASTIVE_SIMILARITIES = (
+    "f492971482a11bf107843eea99358a0195a4008612b2c409217fad17fb88a9b4"
+)
 
 
-def _direct_pool(records, names, negatives):
+def test_contrastive_golden_digest(tmp_path, train, records):
+    judge = ContrastiveJudge(train.catalog_names, hidden=(32, 32), seed=11, minibatch=13)
+    assert judge.finetune(records[:40], epochs=3).losses == GOLDEN_CONTRASTIVE_LOSSES
+    judge.save(tmp_path)
+    got = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in GOLDEN_CONTRASTIVE_FILES
+    }
+    assert got == GOLDEN_CONTRASTIVE_FILES
+    verdicts, _ = judge.infer(records[40:50])
+    sims = json.dumps([v.similarities for v in verdicts]).encode()
+    assert hashlib.sha256(sims).hexdigest() == GOLDEN_CONTRASTIVE_SIMILARITIES
+
+
+def _direct_pool(records, names):
     captions = [r.caption for r in records]
-    if negatives in ("both", "term"):
-        captions += [r.neg_term for r in records]
-    if negatives in ("both", "object"):
-        captions += [r.neg_object for r in records]
+    captions += [r.neg_term for r in records]
+    captions += [r.neg_object for r in records]
     return np.stack([text_features(c, names) for c in captions])
 
 
-@pytest.mark.parametrize("negatives", ["both", "term", "object"])
-def test_text_pool_cache_matches_direct_features(train, records, negatives):
-    judge = ContrastiveJudge(train.catalog_names, seed=4, pool_negatives=negatives)
+def test_text_pool_is_3n(train, records):
+    judge = ContrastiveJudge(train.catalog_names, seed=4)
+    assert judge._text_pool(records[:5]).shape == (15, judges.TEXT_FEATURE_DIM)
+
+
+def test_text_pool_cache_matches_direct_features(train, records):
+    judge = ContrastiveJudge(train.catalog_names, seed=4)
     for batch in (records[:40], records[:40], records[20:80]):
-        expected = _direct_pool(batch, train.catalog_names, negatives)
+        expected = _direct_pool(batch, train.catalog_names)
         assert np.array_equal(judge._text_pool(batch), expected)
 
 
 def test_text_pool_is_a_fresh_array(train, records):
     judge = ContrastiveJudge(train.catalog_names, seed=4)
     judge._text_pool(records[:10])[:] = 7.0
-    expected = _direct_pool(records[:10], train.catalog_names, "both")
+    expected = _direct_pool(records[:10], train.catalog_names)
     assert np.array_equal(judge._text_pool(records[:10]), expected)
 
 
@@ -368,6 +385,7 @@ def test_contrastive_validation_metric_computes_no_loss(train, records, monkeypa
 
     monkeypatch.setattr(judges, "contrastive_loss", no_loss)
     monkeypatch.setattr(judges, "contrastive_loss_components", no_loss)
+    monkeypatch.setattr(judges, "_infonce", no_loss)
     got = judge.validation_metric(records)
     assert got == float(np.mean([v.ranked_correct for v in verdicts]))
 

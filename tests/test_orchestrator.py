@@ -230,7 +230,16 @@ def test_loop_sample_and_verdict_counts(tiny_run):
 def test_loop_metrics_rows(tiny_run):
     cfg, run_dir, report = tiny_run
     with open(run_dir / "metrics.csv") as f:
-        rows = list(csv.DictReader(f))
+        reader = csv.DictReader(f)
+        rows = list(reader)
+    assert reader.fieldnames == [
+        "iteration",
+        "cumulative_valid",
+        "cumulative_attempts",
+        "val_metric",
+        "mean_J2",
+        "batch_size",
+    ]
     assert len(rows) == 3  # iteration 0 baseline + two iterations
     assert rows[0]["iteration"] == "0"
     assert float(rows[0]["val_metric"]) == pytest.approx(report.initial_val_metric)

@@ -231,7 +231,7 @@ def replay_verify(records) -> tuple[int, str] | None:
 @dataclass(frozen=True)
 class BreakdownRow:
     key: str
-    mean_score: float
+    mean_score: float | None  # None when no sample was scored
     count: int
 
 
@@ -259,7 +259,7 @@ def per_term_breakdown(verdicts, samples) -> BreakdownTable:
     rows = []
     for term in prompts.PRIMITIVES:
         scores = [v.rubric for v, rec in joined if term in rec.truth_terms()]
-        mean = float(np.mean(scores)) if scores else float("nan")
+        mean = float(np.mean(scores)) if scores else None
         rows.append(BreakdownRow(term, mean, len(scores)))
     return BreakdownTable("term", tuple(rows))
 
@@ -269,7 +269,7 @@ def complexity_breakdown(verdicts, samples) -> BreakdownTable:
     rows = []
     for level in (1, 2, 3):
         scores = [v.rubric for v, rec in joined if rec.relation.complexity == level]
-        mean = float(np.mean(scores)) if scores else float("nan")
+        mean = float(np.mean(scores)) if scores else None
         rows.append(BreakdownRow(str(level), mean, len(scores)))
     return BreakdownTable("complexity", tuple(rows))
 

@@ -377,6 +377,8 @@ class ContrastiveJudge:
     ):
         if temperature <= 0:
             raise ValueError("temperature must be positive")
+        if minibatch < 2:
+            raise ValueError("minibatch must be at least 2: InfoNCE needs negatives")
         seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         img_seed, txt_seed, rng_seed = seq.spawn(3)
         self.catalog_names = tuple(catalog_names)
@@ -440,15 +442,17 @@ class ContrastiveJudge:
         return retrieval_accuracy(verdicts)
 
     def finetune(self, samples: list[SampleRecord], epochs: int) -> FineTuneReport:
-        if not samples:
-            raise JudgeError("empty fine-tuning batch")
+        if len(samples) < 2:
+            raise JudgeError(
+                f"contrastive fine-tuning needs at least 2 samples, got {len(samples)}"
+            )
         report = FineTuneReport()
         for _ in range(epochs):
             order = self._rng.permutation(len(samples))
             epoch_losses = []
             for start in range(0, len(order), self.minibatch):
                 chunk = [samples[i] for i in order[start : start + self.minibatch]]
-                if len(chunk) < 2:
+                if len(chunk) < 2:  # a trailing single sample has no negatives
                     continue
                 x_img = self._image_batch(chunk)
                 x_txt = self._text_pool(chunk)

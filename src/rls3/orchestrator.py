@@ -107,6 +107,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be positive")
         if not 0.0 < self.sampling_rate <= 1.0:
             raise ConfigError("sampling_rate must be in (0, 1]")
+        if self.contrastive_minibatch < 2:
+            raise ConfigError("contrastive_minibatch must be at least 2")
         if self.agent not in ("sac", "random"):
             raise ConfigError(f"unknown agent kind {self.agent!r}")
         if self.judge not in ("generative", "contrastive") and not self.judge.startswith(
@@ -151,15 +153,20 @@ _CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
 def config_from_dict(doc: dict) -> RunConfig:
     kwargs = {}
-    for key, value in doc.items():
-        if key not in _CONFIG_FIELDS:
-            raise ConfigError(f"unknown config key {key!r}")
-        if key == "early_stop" and value is not None:
-            value = EarlyStopPolicy(**value)
-        if key in ("agent_hidden", "judge_hidden"):
-            value = tuple(int(v) for v in value)
-        kwargs[key] = value
-    return RunConfig(**kwargs)
+    try:
+        for key, value in doc.items():
+            if key not in _CONFIG_FIELDS:
+                raise ConfigError(f"unknown config key {key!r}")
+            if key == "early_stop" and value is not None:
+                value = EarlyStopPolicy(**value)
+            if key in ("agent_hidden", "judge_hidden"):
+                value = tuple(int(v) for v in value)
+            kwargs[key] = value
+        return RunConfig(**kwargs)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:  # a value of the wrong type or shape
+        raise ConfigError(f"invalid config value: {exc}") from exc
 
 
 def apply_overrides(doc: dict, overrides: dict[str, str]) -> dict:

@@ -4,8 +4,8 @@ Scenes are pairs of rectangular support surfaces plus a fixed camera. Three of
 the nine catalog objects are active at a time (axis-aligned boxes); the rest
 wait in a container and get swapped in. A step displaces the round-robin slot
 object; valid placements (fully on a surface, base snapped to the top, no box
-interpenetration) pay +1 and emit a metadata snapshot, invalid ones pay -1 and
-revert.
+interpenetration) pay +1 and emit a metadata snapshot, invalid ones pay -1.
+A step checks its candidate first and changes the scene only when it is valid.
 """
 
 from __future__ import annotations
@@ -99,7 +99,6 @@ class ValidityReport:
 @dataclass(frozen=True)
 class SceneSnapshot:
     scene_id: int
-    step_index: int
     names: tuple[str, str, str]
     positions: tuple[tuple[float, float, float], ...]
     yaws: tuple[float, float, float]
@@ -113,8 +112,7 @@ class SceneState:
     positions: np.ndarray  # (3, 3) object centers
     yaws: np.ndarray  # (3,) degrees
     container: list[str]
-    moved_slot: int
-    camera: CameraPose
+    moved_slot: int = 0
     step_index: int = 0
     valid_count: int = 0
 
@@ -276,42 +274,37 @@ class PlacementEnv:
 
     def reset_episode(self, episode_idx: int) -> np.ndarray:
         scene_pos = episode_idx % len(self.suite.scenes)
-        scene = self.suite.scenes[scene_pos]
-        order = list(self._rng.permutation(CATALOG_SIZE))
-        names = list(self.suite.catalog_names)
-        active = [names[i] for i in order[:ACTIVE_COUNT]]
-        container = [names[i] for i in order[ACTIVE_COUNT:]]
-        positions = sample_positions(self.suite, scene, active, self._rng)
-        yaws = self._rng.uniform(0.0, 360.0, size=ACTIVE_COUNT)
+        names, positions, yaws = _draw_configuration(
+            self.suite, self.suite.scenes[scene_pos], self._rng
+        )
         self._state = SceneState(
             scene_pos=scene_pos,
-            active=active,
+            active=names[:ACTIVE_COUNT],
             positions=positions,
             yaws=yaws,
-            container=container,
-            moved_slot=0,
-            camera=scene.camera,
+            container=names[ACTIVE_COUNT:],
         )
         return self.observe()
 
-    def check_placement(self, slot: int, candidate_position: np.ndarray) -> ValidityReport:
+    def check_placement(
+        self, slot: int, name: str, candidate_position: np.ndarray
+    ) -> tuple[ValidityReport, np.ndarray | None]:
+        """Validity of object `name` in `slot` at a position, and that position snapped."""
         state = self.state
         if slot not in (0, 1, 2):
             raise ValueError("slot must be 0, 1, or 2")
         pos = np.asarray(candidate_position, dtype=float)
         if pos.shape != (3,) or not np.isfinite(pos).all():
-            return ValidityReport(False, "off_surface")
-        half = self._half(state.active[slot])
-        support = None
-        for surf in self.scene().surfaces:
-            if footprint_on_surface(pos, half, surf):
-                support = surf
+            return ValidityReport(False, "off_surface"), None
+        half = self._half(name)
+        for support in self.scene().surfaces:
+            if footprint_on_surface(pos, half, support):
                 break
-        if support is None:
-            return ValidityReport(False, "off_surface")
+        else:
+            return ValidityReport(False, "off_surface"), None
         base = pos[1] - half[1]
         if abs(base - support.top_y) > self.snap_tol:
-            return ValidityReport(False, "no_support")
+            return ValidityReport(False, "no_support"), None
         snapped = pos.copy()
         snapped[1] = support.top_y + half[1]
         for other in range(ACTIVE_COUNT):
@@ -320,76 +313,52 @@ class PlacementEnv:
             if boxes_interpenetrate(
                 snapped, half, state.positions[other], self._half(state.active[other])
             ):
-                return ValidityReport(False, "overlap")
-        return ValidityReport(True, "ok")
-
-    def _snap(self, slot: int, pos: np.ndarray) -> np.ndarray:
-        half = self._half(self.state.active[slot])
-        for surf in self.scene().surfaces:
-            if footprint_on_surface(pos, half, surf):
-                snapped = pos.copy()
-                snapped[1] = surf.top_y + half[1]
-                return snapped
-        raise AssertionError("snap called for an unsupported position")
+                return ValidityReport(False, "overlap"), None
+        return ValidityReport(True, "ok"), snapped
 
     def step(self, action) -> StepResult:
         state = self.state
         slot = state.moved_slot
         action = np.asarray(action, dtype=float)
-        finite = action.shape == (3,) and bool(np.isfinite(action).all())
+        name = state.active[slot]
+        candidate = state.positions[slot].copy()
 
-        # Swap decision is drawn before validity is known; reverted on failure.
+        # The swap is drawn before validity is known and written only on a valid move.
         swapped_with = None
-        old_y = state.positions[slot][1]
         if self._rng.random() < self.p_swap:
             swapped_with = int(self._rng.integers(len(state.container)))
-            incoming = state.container[swapped_with]
-            outgoing = state.active[slot]
-            base = old_y - self._half(outgoing)[1]
-            state.active[slot] = incoming
-            state.container[swapped_with] = outgoing
-            state.positions[slot][1] = base + self._half(incoming)[1]
+            base = candidate[1] - self._half(name)[1]
+            name = state.container[swapped_with]
+            candidate[1] = base + self._half(name)[1]
 
-        if finite:
-            displacement = np.clip(action, -1.0, 1.0) * self.dmax
-            candidate = state.positions[slot] + displacement
-            report = self.check_placement(slot, candidate)
-        else:
-            report = ValidityReport(False, "off_surface")
+        # np.clip maps inf to +-1, so a non-finite action becomes a non-finite
+        # candidate, which check_placement rejects as off_surface.
+        finite = action.shape == (3,) and np.isfinite(action).all()
+        candidate += np.clip(action, -1.0, 1.0) * self.dmax if finite else np.inf
+        report, snapped = self.check_placement(slot, name, candidate)
 
         snapshot = None
         if report.valid:
-            state.positions[slot] = self._snap(slot, candidate)
-            state.valid_count += 1
-            reward = 1.0
-            snapshot = self.snapshot()
-        else:
-            reward = -1.0
             if swapped_with is not None:
-                incoming = state.active[slot]
-                outgoing = state.container[swapped_with]
-                state.active[slot] = outgoing
-                state.container[swapped_with] = incoming
-                state.positions[slot][1] = old_y
+                state.container[swapped_with] = state.active[slot]
+                state.active[slot] = name
+            state.positions[slot] = snapped
+            state.valid_count += 1
+            snapshot = self.snapshot()
 
         state.step_index += 1
         state.moved_slot = (slot + 1) % ACTIVE_COUNT
         done = state.valid_count >= self.t0 or state.step_index >= self.t_max
         truncated = done and state.valid_count < self.t0
-        if (
-            report.valid
-            and not done
-            and state.valid_count % self.cycle_period == 0
-            and len(self.suite.scenes) > 1
-        ):
+        if report.valid and not done and state.valid_count % self.cycle_period == 0:
             self.advance_scene()
+        reward = 1.0 if report.valid else -1.0
         return StepResult(self.observe(), reward, done, snapshot, report, truncated)
 
     def advance_scene(self) -> None:
         state = self.state
         state.scene_pos = (state.scene_pos + 1) % len(self.suite.scenes)
         scene = self.suite.scenes[state.scene_pos]
-        state.camera = scene.camera
         try:
             state.positions = sample_positions(self.suite, scene, state.active, self._rng)
         except PlacementError as exc:
@@ -404,33 +373,35 @@ class PlacementEnv:
         for surf in scene.surfaces:
             parts.extend(surf.top_center)
             parts.extend((surf.half_extent_x, 0.0, surf.half_extent_z))
-        for i in range(ACTIVE_COUNT):
-            parts.extend(state.positions[i])
+        parts.extend(state.positions.ravel())
         parts.extend(state.yaws)
-        parts.extend(state.camera.position)
-        parts.extend((state.camera.yaw, state.camera.pitch, state.camera.roll))
+        parts.extend(scene.camera.position)
+        parts.extend((scene.camera.yaw, scene.camera.pitch, scene.camera.roll))
         obs = np.asarray(parts, dtype=np.float64)
         assert obs.shape == (OBS_DIM,) and np.isfinite(obs).all()
         return obs
 
     def snapshot(self) -> SceneSnapshot:
         state = self.state
-        return SceneSnapshot(
-            scene_id=self.scene().scene_id,
-            step_index=state.step_index,
-            names=tuple(state.active),
-            positions=tuple(tuple(float(v) for v in row) for row in state.positions),
-            yaws=tuple(float(v) for v in state.yaws),
-            camera=state.camera,
-        )
+        return _snapshot(self.scene(), state.active, state.positions, state.yaws)
 
 
-def decode_positions(observation: np.ndarray) -> np.ndarray:
-    """Inverse of the object-position block of observe(); (3, 3) centers."""
-    obs = np.asarray(observation, dtype=float)
-    if obs.shape != (OBS_DIM,):
-        raise ValueError(f"expected a {OBS_DIM}-vector")
-    return obs[14:23].reshape(3, 3).copy()
+def _draw_configuration(suite: SceneSuite, scene: SceneSpec, rng: np.random.Generator):
+    """Seeded catalog order, and positions and yaws for its first ACTIVE_COUNT names."""
+    names = [suite.catalog[i].name for i in rng.permutation(CATALOG_SIZE)]
+    positions = sample_positions(suite, scene, names[:ACTIVE_COUNT], rng)
+    yaws = rng.uniform(0.0, 360.0, size=ACTIVE_COUNT)
+    return names, positions, yaws
+
+
+def _snapshot(scene: SceneSpec, names, positions, yaws) -> SceneSnapshot:
+    return SceneSnapshot(
+        scene_id=scene.scene_id,
+        names=tuple(names),
+        positions=tuple(tuple(float(v) for v in row) for row in positions),
+        yaws=tuple(float(v) for v in yaws),
+        camera=scene.camera,
+    )
 
 
 def sample_positions(
@@ -483,15 +454,5 @@ def random_snapshot(
 ) -> SceneSnapshot:
     """One seeded random valid configuration, used for fixed dataset generation."""
     scene = suite.scenes[scene_pos % len(suite.scenes)]
-    order = list(rng.permutation(CATALOG_SIZE))
-    names = [suite.catalog_names[i] for i in order[:ACTIVE_COUNT]]
-    positions = sample_positions(suite, scene, names, rng)
-    yaws = rng.uniform(0.0, 360.0, size=ACTIVE_COUNT)
-    return SceneSnapshot(
-        scene_id=scene.scene_id,
-        step_index=0,
-        names=tuple(names),
-        positions=tuple(tuple(float(v) for v in row) for row in positions),
-        yaws=tuple(float(v) for v in yaws),
-        camera=scene.camera,
-    )
+    names, positions, yaws = _draw_configuration(suite, scene, rng)
+    return _snapshot(scene, names[:ACTIVE_COUNT], positions, yaws)

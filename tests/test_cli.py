@@ -251,6 +251,50 @@ def test_eval_summary_keys(tmp_path, capsys, judge, extra, metric):
         assert summary["loss"] == 6.0 - summary["mean_rubric"]
 
 
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_contrastive_eval_json_is_strict_json(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert run_cli("gen-fixed-set", "--count", "12", "--run-dir", str(run_dir)) == 0
+    assert run_cli("eval", "--run-dir", str(run_dir), "--samples",
+                   str(run_dir / "fixed_set.jsonl"), "--judge", "contrastive") == 0
+    doc = _strict_json((run_dir / "eval.json").read_text())
+    rows = doc["per_term"]["rows"] + doc["per_complexity"]["rows"]
+    # contrastive verdicts carry no rubric, so no row has a scored sample
+    assert rows and all(r["count"] == 0 and r["mean_score"] is None for r in rows)
+
+
+def test_one_sample_contrastive_finetune_fails_the_run(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    argv = ["run", "--run-dir", str(run_dir), "--agent", "random", "--judge", "contrastive",
+            "--set", "iterations=1", "--set", "episodes_per_iteration=1",
+            "--set", "samples_per_episode=2", "--set", "validation_count=20",
+            "--set", "test_count=20"]
+    assert run_cli(*argv) == 2
+    report = _strict_json((run_dir / "report.json").read_text())
+    assert "at least 2 samples" in report["failure"]
+    assert report["finetune_losses"] == []
+
+
+@pytest.mark.parametrize(
+    "override",
+    ["iterations=abc", "agent_hidden=5", "early_stop=3", "early_stop.patience=3",
+     "sampling_rate=[1]"],
+)
+def test_mistyped_config_value_is_usage_error(tmp_path, capsys, override):
+    run_dir = tmp_path / "run"
+    assert run_cli("run", "--run-dir", str(run_dir), "--agent", "random",
+                   "--set", override) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not run_dir.exists()
+
+
 def test_seed_flag_changes_run_digest(tmp_path, capsys):
     out = {}
     for seed in ("1", "2"):

@@ -302,6 +302,15 @@ def test_contrastive_finetune_reduces_loss(train, records):
     assert acc_after > acc_before
 
 
+def test_contrastive_rejects_batches_without_negatives(train, records):
+    with pytest.raises(ValueError, match="minibatch"):
+        ContrastiveJudge(train.catalog_names, minibatch=1)
+    judge = ContrastiveJudge(train.catalog_names, seed=2)
+    for batch in ([], records[:1]):
+        with pytest.raises(JudgeError, match="at least 2 samples"):
+            judge.finetune(batch, epochs=1)
+
+
 def test_contrastive_digest_and_inference_purity(train, records):
     judge = ContrastiveJudge(train.catalog_names, seed=2)
     d0 = judge.digest()

@@ -76,6 +76,8 @@ def test_config_validation():
         RunConfig(judge="psychic")
     with pytest.raises(ConfigError):
         RunConfig(agent="psychic")
+    with pytest.raises(ConfigError):
+        RunConfig(contrastive_minibatch=1)
 
 
 def test_config_digest_pure():

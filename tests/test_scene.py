@@ -10,7 +10,6 @@ from rls3.scene import (
     SceneConfigError,
     boxes_interpenetrate,
     builtin_suite,
-    decode_positions,
     footprint_on_surface,
     random_snapshot,
     sample_positions,
@@ -144,8 +143,9 @@ def test_initial_placements_valid(train):
         env.reset_episode(ep)
         st = env.state
         for slot in range(3):
-            report = env.check_placement(slot, st.positions[slot])
+            report, snapped = env.check_placement(slot, st.active[slot], st.positions[slot])
             assert report.valid, report.reason
+            np.testing.assert_array_equal(snapped, st.positions[slot])
 
 
 def test_observation_layout(train):
@@ -155,9 +155,9 @@ def test_observation_layout(train):
     st = env.state
     assert obs[0] == st.moved_slot
     assert obs[1] == env.scene().scene_id
-    np.testing.assert_allclose(decode_positions(obs), st.positions)
-    np.testing.assert_allclose(obs[26:29], st.camera.position)
-    assert obs[29] == st.camera.yaw
+    np.testing.assert_allclose(obs[14:23].reshape(3, 3), st.positions)
+    np.testing.assert_allclose(obs[26:29], env.scene().camera.position)
+    assert obs[29] == env.scene().camera.yaw
 
 
 def test_step_valid_and_invalid_rewards(train):
@@ -174,16 +174,58 @@ def test_step_valid_and_invalid_rewards(train):
     assert res.reward == -1.0 and res.snapshot is None and res.report.reason == "off_surface"
 
 
-def test_invalid_step_reverts_swap_and_position(train):
-    env = make_env(train, seed=5, p_swap=1.0)
-    env.reset_episode(0)
+def _overlap_action(env):
+    """Action moving the slot object onto another object on the same surface."""
     st = env.state
-    active_before = list(st.active)
-    pos_before = st.positions.copy()
-    res = env.step(np.array([np.inf, 0.0, 0.0]))
-    assert res.reward == -1.0
-    assert env.state.active == active_before
-    np.testing.assert_array_equal(env.state.positions, pos_before)
+    slot = st.moved_slot
+    base = st.positions[slot][1] - env.suite.spec(st.active[slot]).half_extents[1]
+    for other in range(3):
+        half_y = env.suite.spec(st.active[other]).half_extents[1]
+        if other != slot and abs(st.positions[other][1] - half_y - base) < 1e-9:
+            delta = st.positions[other] - st.positions[slot]
+            return np.array([delta[0], 0.0, delta[2]]) / env.dmax
+    raise AssertionError("no other object shares the slot object's surface")
+
+
+def test_invalid_step_reverts_swap_and_position(train):
+    cases = [
+        (lambda env: np.array([np.inf, 0.0, 0.0]), "off_surface"),
+        (lambda env: np.array([1.0, 0.0, 0.0]), "off_surface"),  # finite, 10 units away
+        (_overlap_action, "overlap"),
+    ]
+    for action, reason in cases:
+        env = make_env(train, seed=0, p_swap=1.0, dmax=10.0)
+        env.reset_episode(0)
+        st = env.state
+        active_before = list(st.active)
+        container_before = list(st.container)
+        pos_before = st.positions.copy()
+        res = env.step(action(env))
+        assert res.reward == -1.0 and res.report.reason == reason
+        assert env.state.active == active_before
+        assert env.state.container == container_before
+        np.testing.assert_array_equal(env.state.positions, pos_before)
+
+
+def test_valid_swap_puts_outgoing_where_incoming_was(train):
+    env = make_env(train, seed=11, p_swap=1.0)
+    env.reset_episode(0)
+    swaps = 0
+    for _ in range(30):
+        st = env.state
+        slot = st.moved_slot
+        outgoing = st.active[slot]
+        container_before = list(st.container)
+        res = env.step(np.zeros(3))
+        if not res.report.valid:
+            continue
+        changed = [k for k, n in enumerate(st.container) if n != container_before[k]]
+        assert len(changed) == 1
+        k = changed[0]
+        assert st.container[k] == outgoing
+        assert st.active[slot] == container_before[k]
+        swaps += 1
+    assert swaps > 0
 
 
 def test_swap_preserves_base_height(train):

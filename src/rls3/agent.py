@@ -63,11 +63,10 @@ class ReplayBuffer:
         capacity: int = 100_000,
         seed: int | np.random.SeedSequence = 0,
         obs_dim: int = OBS_DIM,
-        action_dim: int = ACTION_DIM,
     ):
         self.capacity = int(capacity)
         self._obs = np.zeros((capacity, obs_dim))
-        self._act = np.zeros((capacity, action_dim))
+        self._act = np.zeros((capacity, ACTION_DIM))
         self._rew = np.zeros(capacity)
         self._next = np.zeros((capacity, obs_dim))
         self._term = np.zeros(capacity)
@@ -284,8 +283,9 @@ class SacAgent:
         )
         return transitions[:-1] + [patched]
 
-    def absorb_episode(self, transitions: list[Transition]) -> None:
-        for tr in transitions:
+    def absorb_episode(self, transitions: list[Transition], j2: float, beta: float) -> None:
+        """Push a finished episode, beta*J2 added to its terminal reward."""
+        for tr in self.inject_terminal_bonus(transitions, j2, beta):
             self.buffer.push(tr)
 
     # -- persistence
@@ -348,6 +348,15 @@ class RandomAgent:
 
     def select_action(self, observation=None, stochastic: bool = True) -> np.ndarray:
         return self._rng.uniform(-1.0, 1.0, size=ACTION_DIM)
+
+    def update(self) -> UpdateInfo:
+        return UpdateInfo(performed=False)
+
+    def absorb_episode(self, transitions: list[Transition], j2: float, beta: float) -> None:
+        """Keeps nothing: a random agent does not learn."""
+
+    def save(self, directory) -> None:
+        """Writes nothing and creates no directory: there are no weights."""
 
 
 def rollout(agent, env: PlacementEnv, episode: int = 0, stochastic: bool = True):

@@ -131,7 +131,7 @@ def record_from_dict(doc: dict) -> SampleRecord:
         episode=int(doc["episode"]),
         iteration=int(doc["iteration"]),
     )
-    if prompts.parse_caption(rec.caption).terms != rec.truth_terms():
+    if prompts.parse_caption(rec.caption) != rec.truth_terms():
         raise ValueError(
             f"record {rec.id}: caption {rec.caption!r} disagrees with its stored relation"
         )
@@ -244,18 +244,15 @@ class BreakdownTable:
 def _join(verdicts, samples):
     by_id = {rec.id: rec for rec in samples}
     joined = []
-    skipped = 0
     for v in verdicts:
         rec = by_id.get(v.sample_id)
-        if rec is None or v.flagged or v.rubric is None:
-            skipped += 1
-            continue
-        joined.append((v, rec))
-    return joined, skipped
+        if rec is not None and not v.flagged and v.rubric is not None:
+            joined.append((v, rec))
+    return joined
 
 
 def per_term_breakdown(verdicts, samples) -> BreakdownTable:
-    joined, _ = _join(verdicts, samples)
+    joined = _join(verdicts, samples)
     rows = []
     for term in prompts.PRIMITIVES:
         scores = [v.rubric for v, rec in joined if term in rec.truth_terms()]
@@ -265,7 +262,7 @@ def per_term_breakdown(verdicts, samples) -> BreakdownTable:
 
 
 def complexity_breakdown(verdicts, samples) -> BreakdownTable:
-    joined, _ = _join(verdicts, samples)
+    joined = _join(verdicts, samples)
     rows = []
     for level in (1, 2, 3):
         scores = [v.rubric for v, rec in joined if rec.relation.complexity == level]

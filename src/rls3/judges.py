@@ -15,7 +15,6 @@ weakness the loop exploits.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,7 +30,7 @@ RUBRIC_MAX = 5
 GENERATIVE_FEATURE_DIM = 28
 IMAGE_FEATURE_DIM = 40
 TEXT_FEATURE_DIM = 20
-DEFAULT_EMBED_DIM = 32
+EMBED_DIM = 32
 DEFAULT_TEMPERATURE = 0.07
 
 _TEXT_FUNCTION_WORDS = ("the", "is", "of", "and", "to")
@@ -86,6 +85,22 @@ def rubric_score(predicted: frozenset[str] | set[str], truth: frozenset[str] | s
     if len(predicted) > len(truth):
         score -= 1
     return max(score, RUBRIC_MIN)
+
+
+def _rubric_verdicts(samples: list[SampleRecord], predicted_sets) -> list[JudgeVerdict]:
+    """One verdict per sample: its predicted term set scored against the
+    sample's truth terms, or flagged and left unscored when the set holds a
+    word outside PRIMITIVES.
+    """
+    verdicts = []
+    for rec, predicted in zip(samples, predicted_sets):
+        predicted = frozenset(predicted)
+        if not predicted <= set(prompts.PRIMITIVES):
+            verdicts.append(JudgeVerdict(rec.id, flagged=True))
+            continue
+        rubric = rubric_score(predicted, rec.truth_terms())
+        verdicts.append(JudgeVerdict(rec.id, predicted_terms=predicted, rubric=rubric))
+    return verdicts
 
 
 def _mean_rubric(verdicts: list[JudgeVerdict]) -> np.floating:
@@ -296,11 +311,7 @@ class GenerativeJudge:
 
     def infer(self, samples: list[SampleRecord]) -> tuple[list[JudgeVerdict], float]:
         """Verdicts plus the rubric batch loss; no weight updates."""
-        verdicts = [
-            JudgeVerdict(rec.id, predicted_terms=predicted,
-                         rubric=rubric_score(predicted, rec.truth_terms()))
-            for rec, predicted in zip(samples, self.predict_terms(samples))
-        ]
+        verdicts = _rubric_verdicts(samples, self.predict_terms(samples))
         return verdicts, _rubric_loss(verdicts)
 
     def validation_metric(self, samples: list[SampleRecord]) -> float:
@@ -339,9 +350,6 @@ class GenerativeJudge:
             report.losses.append(loss)
         return report
 
-    def digest(self) -> str:
-        return self.net.digest()
-
     def save(self, directory) -> None:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -369,7 +377,6 @@ class ContrastiveJudge:
         self,
         catalog_names: tuple[str, ...],
         hidden: tuple[int, ...] = (64, 64),
-        embed_dim: int = DEFAULT_EMBED_DIM,
         temperature: float = DEFAULT_TEMPERATURE,
         seed: int | np.random.SeedSequence = 0,
         lr: float = 1e-3,
@@ -382,8 +389,8 @@ class ContrastiveJudge:
         seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         img_seed, txt_seed, rng_seed = seq.spawn(3)
         self.catalog_names = tuple(catalog_names)
-        self.image_encoder = Mlp([IMAGE_FEATURE_DIM, *hidden, embed_dim], seed=img_seed)
-        self.text_encoder = Mlp([TEXT_FEATURE_DIM, *hidden, embed_dim], seed=txt_seed)
+        self.image_encoder = Mlp([IMAGE_FEATURE_DIM, *hidden, EMBED_DIM], seed=img_seed)
+        self.text_encoder = Mlp([TEXT_FEATURE_DIM, *hidden, EMBED_DIM], seed=txt_seed)
         self.image_optimizer = NetOptimizer(self.image_encoder, lr=lr)
         self.text_optimizer = NetOptimizer(self.text_encoder, lr=lr)
         self.temperature = float(temperature)
@@ -472,12 +479,6 @@ class ContrastiveJudge:
             report.losses.append(float(np.mean(epoch_losses)))
         return report
 
-    def digest(self) -> str:
-        h = hashlib.sha256()
-        h.update(self.image_encoder.digest().encode())
-        h.update(self.text_encoder.digest().encode())
-        return h.hexdigest()
-
     def save(self, directory) -> None:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -527,19 +528,7 @@ class ExternalJudge:
             terms = resp.get("terms")
             if not isinstance(terms, list) or len(terms) != len(samples):
                 raise JudgeError("external judge returned a malformed terms list")
-            verdicts = []
-            for rec, t in zip(samples, terms):
-                predicted = frozenset(t)
-                if not predicted <= set(prompts.PRIMITIVES):
-                    verdicts.append(JudgeVerdict(rec.id, flagged=True))
-                    continue
-                verdicts.append(
-                    JudgeVerdict(
-                        rec.id,
-                        predicted_terms=predicted,
-                        rubric=rubric_score(predicted, rec.truth_terms()),
-                    )
-                )
+            verdicts = _rubric_verdicts(samples, terms)
             return verdicts, _rubric_loss(verdicts)
         loss = resp.get("loss")
         if not isinstance(loss, (int, float)):

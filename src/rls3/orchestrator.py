@@ -105,6 +105,8 @@ class RunConfig:
         ):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if not 0.0 < self.sampling_rate <= 1.0:
             raise ConfigError("sampling_rate must be in (0, 1]")
         if self.contrastive_minibatch < 2:
@@ -116,16 +118,11 @@ class RunConfig:
         ):
             raise ConfigError(f"unknown judge kind {self.judge!r}")
 
-    @property
-    def judge_kind(self) -> str:
-        if self.judge.startswith("external:"):
-            return self.external_mode
-        return self.judge
-
     def resolved_early_stop(self) -> EarlyStopPolicy:
         if self.early_stop is not None:
             return self.early_stop
-        if self.judge_kind == "contrastive":
+        external = self.judge.startswith("external:")
+        if (self.external_mode if external else self.judge) == "contrastive":
             return CONTRASTIVE_EARLY_STOP
         return GENERATIVE_EARLY_STOP
 
@@ -148,7 +145,20 @@ class RunConfig:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
+_CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+# the Python types each scalar field annotation admits; bool, a subclass of
+# int, is admitted only where the annotation says bool
+_SCALAR_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
+
+
+def _check_type(key: str, value) -> None:
+    annotation = _CONFIG_FIELDS[key]
+    base, _, optional = annotation.partition(" | ")
+    types = _SCALAR_TYPES.get(base)
+    if types is None or (optional == "None" and value is None):
+        return  # early_stop and the hidden sizes are converted, not checked
+    if not isinstance(value, types) or isinstance(value, bool) != (base == "bool"):
+        raise ConfigError(f"config key {key!r} must be {annotation}, got {value!r}")
 
 
 def config_from_dict(doc: dict) -> RunConfig:
@@ -157,6 +167,7 @@ def config_from_dict(doc: dict) -> RunConfig:
         for key, value in doc.items():
             if key not in _CONFIG_FIELDS:
                 raise ConfigError(f"unknown config key {key!r}")
+            _check_type(key, value)
             if key == "early_stop" and value is not None:
                 value = EarlyStopPolicy(**value)
             if key in ("agent_hidden", "judge_hidden"):
@@ -264,11 +275,10 @@ def run_episode(
     stochastic: bool = True,
 ) -> EpisodeResult:
     """Roll one episode to T0 valid samples (or the step cap), building caption
-    sets for every snapshot. SAC updates happen every step from previously
-    absorbed episodes; the fresh transitions stay out of the buffer until the
+    sets for every snapshot. The agent updates every step from previously
+    absorbed episodes; the fresh transitions stay out of its buffer until the
     terminal bonus is injected.
     """
-    sac = isinstance(agent, SacAgent)
     transitions: list[Transition] = []
     snapshots = []
     j1 = 0.0
@@ -279,8 +289,7 @@ def run_episode(
         )
         if result.snapshot is not None:
             snapshots.append(result.snapshot)
-        if sac:
-            agent.update()
+        agent.update()
         if result.done:
             break
     if not snapshots:
@@ -355,8 +364,6 @@ def make_agent(config: RunConfig, seed):
     if config.agent == "random":
         return RandomAgent(seed=seed)
     agent = make_sac_agent(config, seed)
-    if config.agent_checkpoint is None:
-        raise ConfigError("agent=sac requires a pretrained agent_checkpoint")
     agent.load(config.agent_checkpoint)
     return agent
 
@@ -396,6 +403,8 @@ _RUN_FAILURES = (OrchestratorError, AgentError, judges.JudgeError, wire.WireErro
 
 
 def run_loop(config: RunConfig, run_dir) -> RunReport:
+    if config.agent == "sac" and config.agent_checkpoint is None:
+        raise ConfigError("agent=sac requires a pretrained agent_checkpoint")
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "checkpoints").mkdir(exist_ok=True)
@@ -480,11 +489,7 @@ def run_loop(config: RunConfig, run_dir) -> RunReport:
                         sample_counter += len(ep.records)
                         verdicts, j2 = infer_and_reward(judge, ep.records)
                         j2s.append(j2)
-                        if isinstance(agent, SacAgent):
-                            bonused = SacAgent.inject_terminal_bonus(
-                                ep.transitions, j2, config.reward_scale
-                            )
-                            agent.absorb_episode(bonused)
+                        agent.absorb_episode(ep.transitions, j2, config.reward_scale)
                         report.cumulative_valid += len(ep.records)
                         report.cumulative_attempts += ep.steps
                         report.truncated_episodes += int(ep.truncated)
@@ -517,8 +522,7 @@ def run_loop(config: RunConfig, run_dir) -> RunReport:
 
                     ck = run_dir / "checkpoints" / f"iter_{iteration:04d}"
                     judge.save(ck / "judge")
-                    if isinstance(agent, SacAgent):
-                        agent.save(ck / "agent")
+                    agent.save(ck / "agent")
 
                     if early_stop(report.validation_history, policy):
                         report.early_stop_iteration = iteration

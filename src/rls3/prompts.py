@@ -103,13 +103,6 @@ class CaptionSet:
     object_swapped: str
 
 
-@dataclass(frozen=True)
-class ParsedCaption:
-    terms: frozenset[str]
-    unknown_words: int
-    flagged: bool  # no recognizable primitive
-
-
 # --- geometry ----------------------------------------------------------------
 
 
@@ -222,32 +215,14 @@ def render_question(subject: str, reference: str) -> str:
     return f"What is the position of the {subject} relative to the {reference}?"
 
 
-_FUNCTION_WORDS = {"the", "is", "a", "an", "and", "of", "to", "it", "relative"}
-
-
 def words(text: str) -> list[str]:
     """The lower-cased alphanumeric runs of `text`; every other character splits."""
     return "".join(c.lower() if c.isalnum() else " " for c in text).split()
 
 
-def parse_caption(text: str) -> ParsedCaption:
-    """Extract the spatial primitive set by phrase matching; tolerates free text."""
-    tokens = words(text)
-    terms = set()
-    unknown = 0
-    i = 0
-    while i < len(tokens):
-        w = tokens[i]
-        if w == "in" and tokens[i + 1 : i + 2] == ["front"]:
-            terms.add("front")
-            i += 2
-            continue
-        if w in PRIMITIVES:
-            terms.add(w)
-        elif w not in _FUNCTION_WORDS:
-            unknown += 1
-        i += 1
-    return ParsedCaption(frozenset(terms), unknown, flagged=not terms)
+def parse_caption(text: str) -> frozenset[str]:
+    """The spatial primitives `text` names, each matched as a word."""
+    return frozenset(w for w in words(text) if w in PRIMITIVES)
 
 
 def make_negatives(

@@ -168,6 +168,19 @@ def test_inject_rejects_bad_inputs():
         SacAgent.inject_terminal_bonus([random_transition(rng)], j2=-0.1, beta=10.0)
 
 
+def test_absorb_episode_bonuses_the_terminal_reward_only():
+    agent = make_agent()
+    rng = np.random.default_rng(7)
+    eps = [random_transition(rng, reward=r) for r in (1.0, -1.0, 1.0)]
+    with pytest.raises(AgentError):
+        agent.absorb_episode(eps, j2=-0.1, beta=10.0)
+    assert len(agent.buffer) == 0
+    agent.absorb_episode(eps, j2=2.5, beta=10.0)
+    obs, _, rew, _, _ = agent.buffer.sample(3)
+    by_obs = {o.tobytes(): r for o, r in zip(obs, rew)}
+    assert [by_obs[t.observation.tobytes()] for t in eps] == [1.0, -1.0, 26.0]
+
+
 # --- persistence ----------------------------------------------------------------------
 
 
@@ -345,6 +358,20 @@ def test_random_agent_uniform():
     assert np.all(np.abs(actions) <= 1.0)
     assert np.max(np.abs(actions.mean(axis=0))) < 0.05
     assert np.all(np.abs(actions.std(axis=0) - np.sqrt(1 / 3)) < 0.05)
+
+
+def test_random_agent_loop_interface_changes_nothing(tmp_path):
+    plain, driven = RandomAgent(seed=3), RandomAgent(seed=3)
+    episode = [random_transition(np.random.default_rng(8))]
+    a, b = [], []
+    for _ in range(5):
+        a.append(plain.select_action())
+        b.append(driven.select_action())
+        assert not driven.update().performed
+        driven.absorb_episode(episode, j2=1.0, beta=10.0)
+        driven.save(tmp_path / "agent")
+    assert np.array_equal(a, b)
+    assert not (tmp_path / "agent").exists()
 
 
 def test_pretrain_intrinsic_smoke():

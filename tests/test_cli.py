@@ -284,7 +284,9 @@ def test_one_sample_contrastive_finetune_fails_the_run(tmp_path, capsys):
 @pytest.mark.parametrize(
     "override",
     ["iterations=abc", "agent_hidden=5", "early_stop=3", "early_stop.patience=3",
-     "sampling_rate=[1]"],
+     "sampling_rate=[1]", "seed=abc", "seed=1.5", "judge=5", "iterations=1.5", "seed=-1",
+     'p_swap="x"', "warmup=abc", "budget=1.5", "agent_checkpoint=5", "sampling_rate=true",
+     "agent=sac"],
 )
 def test_mistyped_config_value_is_usage_error(tmp_path, capsys, override):
     run_dir = tmp_path / "run"

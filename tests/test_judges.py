@@ -197,12 +197,12 @@ def test_generative_finetune_improves(train, records):
 
 def test_generative_digest_tracks_weights(train, records):
     judge = GenerativeJudge(train.catalog_names, seed=2)
-    d0 = judge.digest()
-    assert judge.digest() == d0  # inference must not change weights
+    d0 = judge.net.digest()
+    assert judge.net.digest() == d0  # inference must not change weights
     judge.infer(records[:5])
-    assert judge.digest() == d0
+    assert judge.net.digest() == d0
     judge.finetune(records[:20], steps=1)
-    assert judge.digest() != d0
+    assert judge.net.digest() != d0
 
 
 def test_generative_reward_from_rubric(train, records):
@@ -229,7 +229,7 @@ def test_generative_save_load(tmp_path, train, records):
     judge.save(tmp_path)
     other = GenerativeJudge(train.catalog_names, seed=99)
     other.load(tmp_path)
-    assert other.digest() == judge.digest()
+    assert other.net.digest() == judge.net.digest()
     a = [v.rubric for v in judge.infer(records[:10])[0]]
     b = [v.rubric for v in other.infer(records[:10])[0]]
     assert a == b
@@ -313,12 +313,16 @@ def test_contrastive_rejects_batches_without_negatives(train, records):
 
 def test_contrastive_digest_and_inference_purity(train, records):
     judge = ContrastiveJudge(train.catalog_names, seed=2)
-    d0 = judge.digest()
+
+    def digest(j):
+        return j.image_encoder.digest(), j.text_encoder.digest()
+
+    d0 = digest(judge)
     judge.infer(records[:8])
     judge.validation_metric(records[:8])
-    assert judge.digest() == d0
+    assert digest(judge) == d0
     judge.finetune(records[:16], epochs=1)
-    assert judge.digest() != d0
+    assert digest(judge) != d0
 
 
 def test_contrastive_save_load(tmp_path, train, records):
@@ -327,7 +331,8 @@ def test_contrastive_save_load(tmp_path, train, records):
     judge.save(tmp_path)
     other = ContrastiveJudge(train.catalog_names, seed=77)
     other.load(tmp_path)
-    assert other.digest() == judge.digest()
+    assert other.image_encoder.digest() == judge.image_encoder.digest()
+    assert other.text_encoder.digest() == judge.text_encoder.digest()
     _, la = judge.infer(records[:10])
     _, lb = other.infer(records[:10])
     assert la == lb

@@ -268,12 +268,9 @@ class SacAgent:
             raise AgentError("empty episode")
         if j2 < 0:
             raise AgentError("J2 must be non-negative")
-        last = transitions[-1]
-        for tr in transitions[:-1]:
-            if tr.reward not in (-1.0, 1.0):
-                raise AgentError("bonus already injected on this episode")
-        if last.reward not in (-1.0, 1.0):
+        if any(tr.reward not in (-1.0, 1.0) for tr in transitions):
             raise AgentError("bonus already injected on this episode")
+        last = transitions[-1]
         patched = Transition(
             last.observation,
             last.action,

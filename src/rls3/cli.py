@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import agent as agent_mod
-from . import datasets, orchestrator
+from . import datasets, judges, orchestrator
 from .orchestrator import ConfigError, RunConfig, apply_overrides, config_from_dict
 
 
@@ -44,7 +44,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="rls3", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
-    def common(p, run_dir=True):
+    def common(p):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="override config seed")
         p.add_argument(
@@ -58,12 +58,11 @@ def _build_parser() -> _Parser:
         p.add_argument("--judge", help="generative | contrastive | external:<addr>")
         p.add_argument("--agent", choices=("sac", "random"))
         p.add_argument("--budget", type=int, help="generation-attempt cap")
-        if run_dir:
-            p.add_argument(
-                "--run-dir",
-                default=os.environ.get("RLS3_RUN_DIR"),
-                help="output directory (default: $RLS3_RUN_DIR)",
-            )
+        p.add_argument(
+            "--run-dir",
+            default=os.environ.get("RLS3_RUN_DIR"),
+            help="output directory (default: $RLS3_RUN_DIR)",
+        )
 
     p = sub.add_parser("pretrain", help="intrinsic-only agent pretraining")
     common(p)
@@ -131,7 +130,8 @@ def _cmd_pretrain(args) -> int:
     steps = args.steps if args.steps is not None else config.pretrain_steps
     seq = np.random.SeedSequence(config.seed)
     env_seed, agent_seed = seq.spawn(2)
-    env = orchestrator.make_env(config, env_seed)
+    suite = orchestrator.resolve_suite(config.train_suite)
+    env = orchestrator.make_env(config, suite, env_seed)
     agent = orchestrator.make_sac_agent(config, agent_seed)
     stats = agent_mod.pretrain_intrinsic(
         agent, env, steps, update_every=config.pretrain_update_every
@@ -176,13 +176,11 @@ def _cmd_eval(args) -> int:
                 raise UsageError("external judges do not take local checkpoints")
             judge.load(args.judge_checkpoint)
         verdicts, loss = judge.infer(records)
-        summary = {"loss": loss, judge.metric_name: judge.validation_metric(records)}
+        summary = {"loss": loss, judge.metric_name: judges.mean_score(verdicts)}
     doc = {
         "metric": summary,
-        "per_term": datasets.breakdown_to_dict(datasets.per_term_breakdown(verdicts, records)),
-        "per_complexity": datasets.breakdown_to_dict(
-            datasets.complexity_breakdown(verdicts, records)
-        ),
+        "per_term": datasets.breakdown(verdicts, records, "term"),
+        "per_complexity": datasets.breakdown(verdicts, records, "complexity"),
     }
     with open(run_dir / "eval.json", "w", encoding="utf-8") as f:
         json.dump(doc, f, sort_keys=True, indent=2)
@@ -230,12 +228,7 @@ def dispatch(argv=None) -> int:
     except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (
-        OSError,
-        json.JSONDecodeError,
-        ValueError,
-        RuntimeError,
-    ) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

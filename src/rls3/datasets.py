@@ -228,57 +228,26 @@ def replay_verify(records) -> tuple[int, str] | None:
 # --- breakdowns ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BreakdownRow:
-    key: str
-    mean_score: float | None  # None when no sample was scored
-    count: int
-
-
-@dataclass(frozen=True)
-class BreakdownTable:
-    kind: str  # term | complexity
-    rows: tuple[BreakdownRow, ...]
-
-
-def _join(verdicts, samples):
+def breakdown(verdicts, samples, kind: str) -> dict:
+    """Mean verdict score and count per answer term (kind "term", a sample
+    counting once for each of its truth terms) or per relation complexity
+    (kind "complexity"). Unscored verdicts are left out; a row with no scored
+    sample has mean_score None.
+    """
+    keys = prompts.PRIMITIVES if kind == "term" else ("1", "2", "3")
+    scores: dict[str, list[float]] = {key: [] for key in keys}
     by_id = {rec.id: rec for rec in samples}
-    joined = []
     for v in verdicts:
         rec = by_id.get(v.sample_id)
-        if rec is not None and not v.flagged and v.rubric is not None:
-            joined.append((v, rec))
-    return joined
-
-
-def per_term_breakdown(verdicts, samples) -> BreakdownTable:
-    joined = _join(verdicts, samples)
-    rows = []
-    for term in prompts.PRIMITIVES:
-        scores = [v.rubric for v, rec in joined if term in rec.truth_terms()]
-        mean = float(np.mean(scores)) if scores else None
-        rows.append(BreakdownRow(term, mean, len(scores)))
-    return BreakdownTable("term", tuple(rows))
-
-
-def complexity_breakdown(verdicts, samples) -> BreakdownTable:
-    joined = _join(verdicts, samples)
-    rows = []
-    for level in (1, 2, 3):
-        scores = [v.rubric for v, rec in joined if rec.relation.complexity == level]
-        mean = float(np.mean(scores)) if scores else None
-        rows.append(BreakdownRow(str(level), mean, len(scores)))
-    return BreakdownTable("complexity", tuple(rows))
-
-
-def breakdown_to_dict(table: BreakdownTable) -> dict:
-    return {
-        "kind": table.kind,
-        "rows": [
-            {"key": r.key, "mean_score": r.mean_score, "count": r.count}
-            for r in table.rows
-        ],
-    }
+        if rec is None or v.score is None:
+            continue
+        for key in rec.truth_terms() if kind == "term" else (str(rec.relation.complexity),):
+            scores[key].append(v.score)
+    rows = [
+        {"key": key, "mean_score": float(np.mean(s)) if s else None, "count": len(s)}
+        for key, s in scores.items()
+    ]
+    return {"kind": kind, "rows": rows}
 
 
 # --- plot export -----------------------------------------------------------------
@@ -306,40 +275,30 @@ def export_plot_data(run_dir) -> list[Path]:
     if metrics_path.exists():
         with open(metrics_path, "r", encoding="utf-8") as f:
             metrics = list(csv.DictReader(f))
-        path = out_dir / "score_vs_samples.csv"
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["cumulative_valid", "cumulative_attempts", "val_metric"])
-            for row in metrics:
-                if int(row["iteration"]) == 0:
-                    continue
-                w.writerow(
-                    [row["cumulative_valid"], row["cumulative_attempts"], row["val_metric"]]
-                )
-        written.append(path)
+        keys = ["cumulative_valid", "cumulative_attempts", "val_metric"]
+        rows = [[row[k] for k in keys] for row in metrics if int(row["iteration"]) != 0]
+        written.append(_write_csv(out_dir / "score_vs_samples.csv", keys, rows))
 
     loss_series = report.get("finetune_losses", [])
     if loss_series:
-        path = out_dir / "finetune_loss.csv"
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["global_step", "iteration", "step", "loss", "iteration_start"])
-            g = 0
-            for it, losses in enumerate(loss_series, start=1):
-                for k, loss in enumerate(losses):
-                    w.writerow([g, it, k, loss, 1 if k == 0 else 0])
-                    g += 1
-        written.append(path)
+        points = [(it, k, x) for it, xs in enumerate(loss_series, start=1) for k, x in enumerate(xs)]
+        rows = [[g, it, k, x, int(k == 0)] for g, (it, k, x) in enumerate(points)]
+        header = ["global_step", "iteration", "step", "loss", "iteration_start"]
+        written.append(_write_csv(out_dir / "finetune_loss.csv", header, rows))
 
     history = report.get("validation_history", [])
     if history:
-        path = out_dir / "validation.csv"
         stop = report.get("early_stop_iteration")
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["iteration", "val_metric", "early_stop"])
-            for i, v in enumerate(history, start=1):
-                w.writerow([i, v, 1 if stop == i else 0])
-        written.append(path)
+        rows = [[i, v, 1 if stop == i else 0] for i, v in enumerate(history, start=1)]
+        header = ["iteration", "val_metric", "early_stop"]
+        written.append(_write_csv(out_dir / "validation.csv", header, rows))
 
     return written
+
+
+def _write_csv(path: Path, header: list[str], rows) -> Path:
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
+    return path

@@ -1,10 +1,16 @@
 """Reference external judge speaking the NDJSON wire protocol.
 
 Useful for wiring tests and as a template for hooking up a real model server.
+An infer request is {"id", "op": "infer", "mode", "samples"}; the reply is
+{"id", "terms": [[term, ...] per sample]} in generative mode and
+{"id", "similarities": [[positive, term-swapped, object-swapped] per sample],
+"loss"} in contrastive mode. A finetune request gets {"id", "ok": true}.
 Behaviors:
-  all_correct  -- answers every sample with its true terms (rubric 5)
-  echo         -- acknowledges requests without scoring (empty term sets)
-  fixed_loss   -- contrastive mode, always returns --loss
+  all_correct  -- generative: every sample's true terms (rubric 5);
+                  contrastive: the positive ranked first, [1, 0, 0] (accuracy 1)
+  echo         -- generative: empty term sets (rubric 1);
+                  contrastive: three equal similarities, [0, 0, 0] (accuracy 0)
+In contrastive mode every behavior reports --loss as the batch loss.
 
 Run on stdin/stdout (default) or as a TCP server with --listen PORT.
 """
@@ -32,6 +38,8 @@ def handle_request(req: dict, behavior: str, loss: float) -> dict:
     samples = req.get("samples", [])
     if op == "infer":
         if req.get("mode") == "contrastive":
+            triple = [1.0, 0.0, 0.0] if behavior == "all_correct" else [0.0, 0.0, 0.0]
+            resp["similarities"] = [triple for _ in samples]
             resp["loss"] = loss
         elif behavior == "all_correct":
             resp["terms"] = [_truth_terms(s) for s in samples]
@@ -57,9 +65,7 @@ def serve_stream(rfile, wfile, behavior: str, loss: float) -> None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--behavior", choices=("all_correct", "echo", "fixed_loss"), default="all_correct"
-    )
+    parser.add_argument("--behavior", choices=("all_correct", "echo"), default="all_correct")
     parser.add_argument("--loss", type=float, default=0.5)
     parser.add_argument("--listen", type=int, metavar="PORT", default=None)
     args = parser.parse_args(argv)

@@ -15,6 +15,7 @@ weakness the loop exploits.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -48,6 +49,16 @@ class JudgeVerdict:
     similarities: tuple[float, float, float] | None = None  # positive, neg_term, neg_object
     ranked_correct: bool | None = None
     flagged: bool = False
+
+    @property
+    def score(self) -> float | None:
+        """The rubric, or 1.0/0.0 for a ranking that does or does not put the
+        positive first; None for a flagged verdict, which carries neither."""
+        if self.rubric is not None:
+            return float(self.rubric)
+        if self.ranked_correct is not None:
+            return float(self.ranked_correct)
+        return None
 
 
 @dataclass
@@ -103,21 +114,29 @@ def _rubric_verdicts(samples: list[SampleRecord], predicted_sets) -> list[JudgeV
     return verdicts
 
 
-def _mean_rubric(verdicts: list[JudgeVerdict]) -> np.floating:
-    scores = [v.rubric for v in verdicts if v.rubric is not None]
+def _ranking_verdicts(samples: list[SampleRecord], similarities) -> list[JudgeVerdict]:
+    """One verdict per sample from its (positive, term-swapped, object-swapped)
+    similarity triple, ranked correct when the positive beats both negatives.
+    """
+    verdicts = []
+    for rec, triple in zip(samples, similarities):
+        pos, neg_t, neg_o = sims = tuple(float(s) for s in triple)
+        ranked = pos > neg_t and pos > neg_o
+        verdicts.append(JudgeVerdict(rec.id, similarities=sims, ranked_correct=ranked))
+    return verdicts
+
+
+def mean_score(verdicts: list[JudgeVerdict]) -> float:
+    """Mean verdict score: the validation metric of every judge."""
+    scores = [s for s in (v.score for v in verdicts) if s is not None]
     if not scores:
         raise JudgeError("no scored verdicts")
-    return np.mean(scores)
+    return float(np.mean(scores))
 
 
 def _rubric_loss(verdicts: list[JudgeVerdict]) -> float:
     """Batch loss of a rubric-scored batch: 6 - mean rubric, 1 when all correct."""
-    return float(6.0 - _mean_rubric(verdicts))
-
-
-def retrieval_accuracy(verdicts: list[JudgeVerdict]) -> float:
-    """Share of contrastive verdicts that rank the positive caption first."""
-    return float(np.mean([v.ranked_correct for v in verdicts]))
+    return 6.0 - mean_score(verdicts)
 
 
 # --- contrastive loss ------------------------------------------------------------
@@ -298,16 +317,10 @@ class GenerativeJudge:
     def predict_terms(self, samples: list[SampleRecord]) -> list[frozenset[str]]:
         logits = self.net.forward(self.features(samples))
         probs = 1.0 / (1.0 + np.exp(-logits))
-        out = []
-        for row in probs:
-            out.append(
-                frozenset(
-                    term
-                    for term, p in zip(prompts.PRIMITIVES, row)
-                    if p > self.threshold
-                )
-            )
-        return out
+        return [
+            frozenset(t for t, p in zip(prompts.PRIMITIVES, row) if p > self.threshold)
+            for row in probs
+        ]
 
     def infer(self, samples: list[SampleRecord]) -> tuple[list[JudgeVerdict], float]:
         """Verdicts plus the rubric batch loss; no weight updates."""
@@ -316,7 +329,7 @@ class GenerativeJudge:
 
     def validation_metric(self, samples: list[SampleRecord]) -> float:
         verdicts, _ = self.infer(samples)
-        return float(_mean_rubric(verdicts))
+        return mean_score(verdicts)
 
     def finetune(self, samples: list[SampleRecord], steps: int) -> FineTuneReport:
         """Optimizer steps of multi-label cross-entropy on seeded minibatches;
@@ -426,17 +439,9 @@ class ContrastiveJudge:
         zn, _ = _normalize_rows(z)
         wn, _ = _normalize_rows(w)
         sims = zn @ wn.T
-        verdicts = []
-        for i, rec in enumerate(samples):
-            pos, neg_t, neg_o = sims[i, i], sims[i, n + i], sims[i, 2 * n + i]
-            verdicts.append(
-                JudgeVerdict(
-                    rec.id,
-                    similarities=(float(pos), float(neg_t), float(neg_o)),
-                    ranked_correct=bool(pos > neg_t and pos > neg_o),
-                )
-            )
-        return verdicts, z, w
+        # sample i's positive and its two negatives sit at columns i, n + i, 2n + i
+        triples = [np.diagonal(sims[:, k * n : (k + 1) * n]).tolist() for k in range(3)]
+        return _ranking_verdicts(samples, zip(*triples)), z, w
 
     def infer(self, samples: list[SampleRecord]) -> tuple[list[JudgeVerdict], float]:
         """Verdicts plus the batch loss over the 3N text pool; no weight updates."""
@@ -444,9 +449,9 @@ class ContrastiveJudge:
         return verdicts, contrastive_loss(z, w, self.temperature)
 
     def validation_metric(self, samples: list[SampleRecord]) -> float:
-        """Retrieval accuracy: the share of samples ranking the positive first."""
+        """Retrieval accuracy, the mean ranking score; the loss is not built."""
         verdicts, _, _ = self._score(samples)
-        return retrieval_accuracy(verdicts)
+        return mean_score(verdicts)
 
     def finetune(self, samples: list[SampleRecord], epochs: int) -> FineTuneReport:
         if len(samples) < 2:
@@ -499,11 +504,18 @@ class ContrastiveJudge:
 # --- external judge -----------------------------------------------------------------------
 
 
+def _finite(value) -> bool:
+    """A JSON number (an int or float, not a bool) that converts to a finite float."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
 class ExternalJudge:
     """Adapter forwarding infer/finetune over the NDJSON wire protocol.
 
-    No rankings come over the wire in contrastive mode, so its validation
-    metric is the negated loss.
+    An infer reply carries `terms`, one term list per sample (generative
+    mode), or `similarities`, one [positive, term-swapped, object-swapped]
+    triple per sample, and `loss` (contrastive mode). Replies are checked,
+    then scored as the matching local judge scores its own.
     """
 
     def __init__(self, client, mode: str = "generative"):
@@ -511,7 +523,8 @@ class ExternalJudge:
             raise ValueError(f"bad external judge mode {mode!r}")
         self.client = client
         self.mode = mode
-        self.metric_name = "mean_rubric" if mode == "generative" else "neg_loss"
+        local = GenerativeJudge if mode == "generative" else ContrastiveJudge
+        self.metric_name = local.metric_name
 
     def _request(self, op: str, samples: list[SampleRecord]) -> dict:
         """Send one op over the wire; a peer's `error` reply raises JudgeError."""
@@ -530,17 +543,21 @@ class ExternalJudge:
                 raise JudgeError("external judge returned a malformed terms list")
             verdicts = _rubric_verdicts(samples, terms)
             return verdicts, _rubric_loss(verdicts)
+        sims = resp.get("similarities")
+        if not (
+            isinstance(sims, list)
+            and len(sims) == len(samples)
+            and all(isinstance(t, list) and len(t) == 3 and all(map(_finite, t)) for t in sims)
+        ):
+            raise JudgeError("external judge returned a malformed similarities list")
         loss = resp.get("loss")
-        if not isinstance(loss, (int, float)):
+        if not _finite(loss):
             raise JudgeError("external judge returned a malformed loss")
-        verdicts = [JudgeVerdict(rec.id) for rec in samples]
-        return verdicts, float(loss)
+        return _ranking_verdicts(samples, sims), float(loss)
 
     def validation_metric(self, samples: list[SampleRecord]) -> float:
-        verdicts, loss = self.infer(samples)
-        if self.mode == "generative":
-            return float(_mean_rubric(verdicts))
-        return -loss  # lower loss is better; keep "higher is better" orientation
+        verdicts, _ = self.infer(samples)
+        return mean_score(verdicts)
 
     def finetune(self, samples, steps) -> FineTuneReport:
         resp = self._request("finetune", samples)

@@ -126,16 +126,9 @@ class RunConfig:
             return CONTRASTIVE_EARLY_STOP
         return GENERATIVE_EARLY_STOP
 
-    def batch_size(self) -> int:
-        return self.episodes_per_iteration * round(
-            self.sampling_rate * self.samples_per_episode
-        )
-
     def to_dict(self) -> dict:
         doc = dataclasses.asdict(self)
-        doc["early_stop"] = (
-            dataclasses.asdict(self.resolved_early_stop())
-        )
+        doc["early_stop"] = dataclasses.asdict(self.resolved_early_stop())
         doc["agent_hidden"] = list(self.agent_hidden)
         doc["judge_hidden"] = list(self.judge_hidden)
         return doc
@@ -146,18 +139,26 @@ class RunConfig:
 
 
 _CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+_EARLY_STOP_FIELDS = {f.name: f.type for f in dataclasses.fields(EarlyStopPolicy)}
 # the Python types each scalar field annotation admits; bool, a subclass of
 # int, is admitted only where the annotation says bool
 _SCALAR_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
 
 
-def _check_type(key: str, value) -> None:
-    annotation = _CONFIG_FIELDS[key]
+def _is_scalar(value, base: str) -> bool:
+    return isinstance(value, _SCALAR_TYPES[base]) and isinstance(value, bool) == (base == "bool")
+
+
+def _check_type(key: str, value, annotation: str) -> None:
     base, _, optional = annotation.partition(" | ")
-    types = _SCALAR_TYPES.get(base)
-    if types is None or (optional == "None" and value is None):
-        return  # early_stop and the hidden sizes are converted, not checked
-    if not isinstance(value, types) or isinstance(value, bool) != (base == "bool"):
+    if optional == "None" and value is None:
+        return
+    if base == "tuple[int, ...]":  # hidden sizes
+        annotation = "a list of positive ints"
+        ok = isinstance(value, (list, tuple)) and all(_is_scalar(v, "int") and v > 0 for v in value)
+    else:  # early_stop passes; config_from_dict checks its fields one by one
+        ok = base not in _SCALAR_TYPES or _is_scalar(value, base)
+    if not ok:
         raise ConfigError(f"config key {key!r} must be {annotation}, got {value!r}")
 
 
@@ -167,11 +168,16 @@ def config_from_dict(doc: dict) -> RunConfig:
         for key, value in doc.items():
             if key not in _CONFIG_FIELDS:
                 raise ConfigError(f"unknown config key {key!r}")
-            _check_type(key, value)
+            _check_type(key, value, _CONFIG_FIELDS[key])
             if key == "early_stop" and value is not None:
-                value = EarlyStopPolicy(**value)
+                if not isinstance(value, dict):
+                    raise ConfigError(f"config key 'early_stop' must be an object, got {value!r}")
+                for sub, annotation in _EARLY_STOP_FIELDS.items():
+                    if sub in value:
+                        _check_type(f"early_stop.{sub}", value[sub], annotation)
+                value = EarlyStopPolicy(**value)  # a missing or unknown field: TypeError
             if key in ("agent_hidden", "judge_hidden"):
-                value = tuple(int(v) for v in value)
+                value = tuple(value)
             kwargs[key] = value
         return RunConfig(**kwargs)
     except ConfigError:
@@ -335,9 +341,9 @@ def make_judge(config: RunConfig, catalog_names: tuple[str, ...], seed):
     return judges.ExternalJudge(client, mode=config.external_mode)
 
 
-def make_env(config: RunConfig, seed) -> PlacementEnv:
+def make_env(config: RunConfig, suite: SceneSuite, seed) -> PlacementEnv:
     return PlacementEnv(
-        resolve_suite(config.train_suite),
+        suite,
         config.samples_per_episode,
         seed=seed,
         dmax=config.dmax,
@@ -398,6 +404,9 @@ class RunReport:
         return dataclasses.asdict(self)
 
 
+_METRICS_COLUMNS = (
+    "iteration", "cumulative_valid", "cumulative_attempts", "val_metric", "mean_J2", "batch_size"
+)
 # failures a run records in report.failure instead of raising
 _RUN_FAILURES = (OrchestratorError, AgentError, judges.JudgeError, wire.WireError)
 
@@ -405,6 +414,9 @@ _RUN_FAILURES = (OrchestratorError, AgentError, judges.JudgeError, wire.WireErro
 def run_loop(config: RunConfig, run_dir) -> RunReport:
     if config.agent == "sac" and config.agent_checkpoint is None:
         raise ConfigError("agent=sac requires a pretrained agent_checkpoint")
+    # a suite that cannot be read fails the run before anything is written
+    train = resolve_suite(config.train_suite)
+    test = resolve_suite(config.test_suite)
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "checkpoints").mkdir(exist_ok=True)
@@ -419,9 +431,7 @@ def run_loop(config: RunConfig, run_dir) -> RunReport:
     prompt_rng = np.random.default_rng(prompt_seed)
     sampling_rng = np.random.default_rng(sampling_seed)
 
-    env = make_env(config, env_seed)
-    train = env.suite
-    test = resolve_suite(config.test_suite)
+    env = make_env(config, train, env_seed)
     report = RunReport(config_digest=config.digest(), seed=config.seed)
     try:
         agent = make_agent(config, agent_seed)
@@ -450,16 +460,7 @@ def run_loop(config: RunConfig, run_dir) -> RunReport:
             verdicts_path, "w", encoding="utf-8", newline="\n"
         ) as verdicts_f, open(metrics_path, "w", newline="") as metrics_f:
             metrics = csv.writer(metrics_f)
-            metrics.writerow(
-                [
-                    "iteration",
-                    "cumulative_valid",
-                    "cumulative_attempts",
-                    "val_metric",
-                    "mean_J2",
-                    "batch_size",
-                ]
-            )
+            metrics.writerow(_METRICS_COLUMNS)
 
             try:
                 report.initial_val_metric = judge.validation_metric(val_records)
@@ -505,8 +506,9 @@ def run_loop(config: RunConfig, run_dir) -> RunReport:
 
                     ft = judge.finetune(batch, config.finetune_steps)
                     val_metric = judge.validation_metric(val_records)
+                    mean_j2 = float(np.mean(j2s))
                     report.validation_history.append(val_metric)
-                    report.mean_j2_per_iteration.append(float(np.mean(j2s)))
+                    report.mean_j2_per_iteration.append(mean_j2)
                     report.finetune_losses.append([float(x) for x in ft.losses])
                     report.iterations_completed = iteration
                     metrics.writerow(
@@ -515,7 +517,7 @@ def run_loop(config: RunConfig, run_dir) -> RunReport:
                             report.cumulative_valid,
                             report.cumulative_attempts,
                             f"{val_metric:.6f}",
-                            f"{float(np.mean(j2s)):.6f}",
+                            f"{mean_j2:.6f}",
                             len(batch),
                         ]
                     )

@@ -29,6 +29,7 @@ OPPOSITES = {
     "below": "above",
 }
 
+# caption phrases in caption term order: vertical, then depth, then lateral
 PHRASES = {
     "above": "above",
     "below": "below",
@@ -37,9 +38,6 @@ PHRASES = {
     "left": "to the left of",
     "right": "to the right of",
 }
-
-# caption term order: vertical, then depth, then lateral
-_TERM_ORDER = ("above", "below", "behind", "front", "left", "right")
 
 MIXED_ELEVATION_DEG = 20.0
 VERTICAL_ONLY_ELEVATION_DEG = 75.0
@@ -200,10 +198,9 @@ def build_relation(
 
 
 def render_caption(subject: str, reference: str, relation: SpatialRelation) -> str:
-    terms = [t for t in _TERM_ORDER if t in relation.primitives]
-    if not terms:
+    phrases = [phrase for t, phrase in PHRASES.items() if t in relation.primitives]
+    if not phrases:
         raise EmptyRelationError("relation has no primitives")
-    phrases = [PHRASES[t] for t in terms]
     if len(phrases) == 1:
         joined = phrases[0]
     else:

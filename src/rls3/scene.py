@@ -137,11 +137,33 @@ def _surfaces_overlap_plan(a: Surface, b: Surface) -> bool:
     )
 
 
+def _number(value) -> float:
+    if type(value) not in (int, float) or not math.isfinite(value):  # a bool is no number
+        raise TypeError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _vec3(values) -> tuple[float, float, float]:
+    x, y, z = map(_number, values)
+    return x, y, z
+
+
 def suite_from_dict(doc: dict) -> SceneSuite:
-    catalog = tuple(
-        ObjectSpec(o["name"], tuple(float(v) for v in o["half_extents"]))
-        for o in doc["catalog"]
-    )
+    """Build a suite from its JSON form; a missing key, a value of the wrong
+    type or an inconsistent layout raises SceneConfigError.
+    """
+    try:
+        return _suite_from_dict(doc)
+    except SceneConfigError:
+        raise
+    except KeyError as exc:
+        raise SceneConfigError(f"suite is missing key {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SceneConfigError(f"malformed suite: {exc}") from exc
+
+
+def _suite_from_dict(doc: dict) -> SceneSuite:
+    catalog = tuple(ObjectSpec(o["name"], _vec3(o["half_extents"])) for o in doc["catalog"])
     if len(catalog) != CATALOG_SIZE:
         raise SceneConfigError(f"catalog must have {CATALOG_SIZE} entries")
     names = [o.name for o in catalog]
@@ -161,9 +183,9 @@ def suite_from_dict(doc: dict) -> SceneSuite:
     for s in doc["scenes"]:
         surfaces = tuple(
             Surface(
-                tuple(float(v) for v in surf["top_center"]),
-                float(surf["half_extent_x"]),
-                float(surf["half_extent_z"]),
+                _vec3(surf["top_center"]),
+                _number(surf["half_extent_x"]),
+                _number(surf["half_extent_z"]),
             )
             for surf in s["surfaces"]
         )
@@ -176,10 +198,10 @@ def suite_from_dict(doc: dict) -> SceneSuite:
             raise SceneConfigError("surfaces overlap in plan view")
         cam = s["camera"]
         camera = CameraPose(
-            tuple(float(v) for v in cam["position"]),
-            float(cam["yaw"]),
-            float(cam["pitch"]),
-            float(cam["roll"]),
+            _vec3(cam["position"]),
+            _number(cam["yaw"]),
+            _number(cam["pitch"]),
+            _number(cam["roll"]),
         )
         for surf in surfaces:
             cx, cy, cz = camera.position

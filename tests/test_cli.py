@@ -1,4 +1,5 @@
 import json
+import shlex
 import sys
 
 import pytest
@@ -218,10 +219,11 @@ def test_eval_contrastive_metric(tmp_path, capsys):
         "retrieval_accuracy": judge.validation_metric(records),
     }
 
-    stub = f"{sys.executable} -m rls3.external_stub --behavior fixed_loss --loss 0.8"
-    assert run_cli("eval", "--run-dir", str(run_dir), "--samples", str(samples),
-                   "--judge", f"external:{stub}", "--set", "external_mode=contrastive") == 0
-    assert json.loads(capsys.readouterr().out) == {"loss": 0.8, "neg_loss": -0.8}
+    for behavior, accuracy in (("all_correct", 1.0), ("echo", 0.0)):
+        stub = f"{sys.executable} -m rls3.external_stub --behavior {behavior} --loss 0.8"
+        assert run_cli("eval", "--run-dir", str(run_dir), "--samples", str(samples),
+                       "--judge", f"external:{stub}", "--set", "external_mode=contrastive") == 0
+        assert json.loads(capsys.readouterr().out) == {"loss": 0.8, "retrieval_accuracy": accuracy}
 
 
 STUB_COMMAND = f"{sys.executable} -m rls3.external_stub"
@@ -233,8 +235,8 @@ STUB_COMMAND = f"{sys.executable} -m rls3.external_stub"
         ("generative", [], "mean_rubric"),
         ("contrastive", [], "retrieval_accuracy"),
         (f"external:{STUB_COMMAND} --behavior all_correct", [], "mean_rubric"),
-        (f"external:{STUB_COMMAND} --behavior fixed_loss",
-         ["--set", "external_mode=contrastive"], "neg_loss"),
+        (f"external:{STUB_COMMAND} --behavior echo",
+         ["--set", "external_mode=contrastive"], "retrieval_accuracy"),
     ],
     ids=["generative", "contrastive", "external-generative", "external-contrastive"],
 )
@@ -264,9 +266,73 @@ def test_contrastive_eval_json_is_strict_json(tmp_path, capsys):
     assert run_cli("eval", "--run-dir", str(run_dir), "--samples",
                    str(run_dir / "fixed_set.jsonl"), "--judge", "contrastive") == 0
     doc = _strict_json((run_dir / "eval.json").read_text())
-    rows = doc["per_term"]["rows"] + doc["per_complexity"]["rows"]
-    # contrastive verdicts carry no rubric, so no row has a scored sample
-    assert rows and all(r["count"] == 0 and r["mean_score"] is None for r in rows)
+    # every contrastive verdict is scored, so each sample counts in one complexity row
+    assert sum(r["count"] for r in doc["per_complexity"]["rows"]) == 12
+    for r in doc["per_term"]["rows"] + doc["per_complexity"]["rows"]:
+        assert (r["mean_score"] is None) == (r["count"] == 0)
+
+
+@pytest.mark.parametrize(
+    "judge, extra",
+    [
+        ("contrastive", []),
+        (f"external:{STUB_COMMAND} --behavior all_correct", ["--set", "external_mode=contrastive"]),
+    ],
+    ids=["contrastive", "external-contrastive"],
+)
+def test_contrastive_eval_rows_are_ranking_shares(tmp_path, capsys, judge, extra):
+    run_dir = tmp_path / "run"
+    assert run_cli("gen-fixed-set", "--count", "30", "--run-dir", str(run_dir)) == 0
+    samples = run_dir / "fixed_set.jsonl"
+    assert run_cli("eval", "--run-dir", str(run_dir), "--samples", str(samples),
+                   "--judge", judge, *extra) == 0
+    capsys.readouterr()
+    doc = json.loads((run_dir / "eval.json").read_text())
+    records = read_samples(samples)
+    if judge == "contrastive":
+        config = orchestrator.config_from_dict({"judge": "contrastive"})
+        names = orchestrator.resolve_suite(config.train_suite).catalog_names
+        verdicts, _ = orchestrator.make_judge(config, names, config.seed).infer(records)
+        ranked = {v.sample_id: v.ranked_correct for v in verdicts}
+    else:
+        ranked = {rec.id: True for rec in records}  # the stub ranks every positive first
+    filled = [r for r in doc["per_term"]["rows"] if r["count"] > 0]
+    assert filled
+    for row in filled:
+        shares = [ranked[rec.id] for rec in records if row["key"] in rec.truth_terms()]
+        assert row["count"] == len(shares)
+        assert row["mean_score"] == sum(shares) / len(shares)
+
+
+# An external contrastive judge whose infer replies are malformed as each
+# case says; every other request is acknowledged.
+BAD_SIMILARITIES = {
+    "missing": "{'loss': 0.5}",
+    "wrong-length": "{'loss': 0.5, 'similarities': [[1.0, 0.0, 0.0]] * (n + 1)}",
+    "short-triple": "{'loss': 0.5, 'similarities': [[1.0, 0.0]] * n}",
+    "non-finite": "{'loss': 0.5, 'similarities': [[float('nan'), 0.0, 0.0]] * n}",
+    "bool": "{'loss': 0.5, 'similarities': [[True, False, False]] * n}",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SIMILARITIES))
+def test_malformed_similarities_fail_the_run(tmp_path, capsys, case):
+    code = (
+        "import sys, json\n"
+        "for line in sys.stdin:\n"
+        "    req = json.loads(line)\n"
+        "    n = len(req['samples'])\n"
+        f"    resp = {BAD_SIMILARITIES[case]} if req['op'] == 'infer' else {{'ok': True}}\n"
+        "    print(json.dumps({**resp, 'id': req['id']}), flush=True)\n"
+    )
+    run_dir = tmp_path / "run"
+    judge = f"external:{shlex.quote(sys.executable)} -c {shlex.quote(code)}"
+    assert run_cli("run", "--run-dir", str(run_dir), "--agent", "random", "--judge", judge,
+                   "--set", "external_mode=contrastive", *TINY_SETS) == 2
+    report = json.loads((run_dir / "report.json").read_text())
+    assert report["failure"] == "external judge returned a malformed similarities list"
+    assert report["failure"] in capsys.readouterr().err
+    assert report["test_metric"] is None
 
 
 def test_one_sample_contrastive_finetune_fails_the_run(tmp_path, capsys):
@@ -286,7 +352,10 @@ def test_one_sample_contrastive_finetune_fails_the_run(tmp_path, capsys):
     ["iterations=abc", "agent_hidden=5", "early_stop=3", "early_stop.patience=3",
      "sampling_rate=[1]", "seed=abc", "seed=1.5", "judge=5", "iterations=1.5", "seed=-1",
      'p_swap="x"', "warmup=abc", "budget=1.5", "agent_checkpoint=5", "sampling_rate=true",
-     "agent=sac"],
+     "agent=sac", "agent_hidden=[1.5,2.9]", "judge_hidden=[64,0]",
+     'early_stop={"min_iterations":1,"patience":1.5,"epsilon":0.1}',
+     'early_stop={"min_iterations":"x","patience":1,"epsilon":0.1}',
+     'early_stop={"min_iterations":1,"patience":1,"epsilon":"x"}'],
 )
 def test_mistyped_config_value_is_usage_error(tmp_path, capsys, override):
     run_dir = tmp_path / "run"
@@ -294,6 +363,18 @@ def test_mistyped_config_value_is_usage_error(tmp_path, capsys, override):
                    "--set", override) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not run_dir.exists()
+
+
+@pytest.mark.parametrize("key", ["train_suite", "test_suite"])
+def test_bad_suite_file_writes_nothing(tmp_path, capsys, key):
+    suite = tmp_path / "bad.json"
+    suite.write_text(json.dumps({"scenes": []}))
+    run_dir = tmp_path / "run"
+    assert run_cli("run", "--run-dir", str(run_dir), "--agent", "random",
+                   "--set", f"{key}={json.dumps(str(suite))}", *TINY_SETS) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: suite is missing key 'catalog'"]
     assert not run_dir.exists()
 
 

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from rls3.datasets import (
-    complexity_breakdown,
+    breakdown,
     file_digest,
     generate_fixed_records,
     generate_fixed_set,
-    per_term_breakdown,
     read_samples,
     record_from_dict,
     record_line,
@@ -18,7 +17,7 @@ from rls3.datasets import (
     replay_verify,
     write_samples,
 )
-from rls3.judges import GenerativeJudge
+from rls3.judges import ContrastiveJudge, GenerativeJudge, JudgeVerdict
 from rls3.prompts import PRIMITIVES
 from rls3.scene import builtin_suite
 
@@ -109,15 +108,35 @@ def test_replay_detects_caption_edit(records):
 def test_breakdowns(train, records):
     judge = GenerativeJudge(train.catalog_names, seed=0)
     verdicts, _ = judge.infer(records)
-    table = per_term_breakdown(verdicts, records)
-    assert [r.key for r in table.rows] == list(PRIMITIVES)
-    assert sum(r.count for r in table.rows) >= len(records)  # terms overlap
-    for r in table.rows:
-        if r.count:
-            assert 1.0 <= r.mean_score <= 5.0
-    ctable = complexity_breakdown(verdicts, records)
-    assert [r.key for r in ctable.rows] == ["1", "2", "3"]
-    assert sum(r.count for r in ctable.rows) == len(records)
+    table = breakdown(verdicts, records, "term")
+    assert table["kind"] == "term"
+    assert [r["key"] for r in table["rows"]] == list(PRIMITIVES)
+    assert sum(r["count"] for r in table["rows"]) >= len(records)  # terms overlap
+    for r in table["rows"]:
+        if r["count"]:
+            assert 1.0 <= r["mean_score"] <= 5.0
+    ctable = breakdown(verdicts, records, "complexity")
+    assert ctable["kind"] == "complexity"
+    assert [r["key"] for r in ctable["rows"]] == ["1", "2", "3"]
+    assert sum(r["count"] for r in ctable["rows"]) == len(records)
+
+
+def test_breakdown_of_rankings_and_flags(train, records):
+    verdicts, _ = ContrastiveJudge(train.catalog_names, seed=0).infer(records)
+    rows = breakdown(verdicts, records, "complexity")["rows"]
+    for row in rows:
+        ranked = [
+            v.ranked_correct
+            for v, rec in zip(verdicts, records)
+            if str(rec.relation.complexity) == row["key"]
+        ]
+        assert row["count"] == len(ranked)
+        assert row["mean_score"] == (sum(ranked) / len(ranked) if ranked else None)
+    # flagged verdicts and verdicts of unknown samples are left out
+    flagged = [JudgeVerdict(rec.id, flagged=True) for rec in records]
+    stray = [JudgeVerdict(-1, rubric=5)]
+    for row in breakdown(flagged + stray, records, "term")["rows"]:
+        assert row == {"key": row["key"], "mean_score": None, "count": 0}
 
 
 def test_export_plot_data(tmp_path):

@@ -247,7 +247,7 @@ JUDGES = {
         mode="generative",
     ),
     "external-contrastive": lambda names: ExternalJudge(
-        NdjsonClient.spawn(STUB + ["--behavior", "fixed_loss", "--loss", "0.8"], timeout=10),
+        NdjsonClient.spawn(STUB + ["--behavior", "echo", "--loss", "0.8"], timeout=10),
         mode="contrastive",
     ),
 }
@@ -267,13 +267,26 @@ def test_judge_contract(any_judge, records, tmp_path):
     assert type(loss) is float and math.isfinite(loss)
     _, j2 = infer_and_reward(any_judge, batch)
     assert j2 == loss**2
-    assert type(any_judge.validation_metric(batch)) is float
-    assert any_judge.metric_name in ("mean_rubric", "retrieval_accuracy", "neg_loss")
+    metric = any_judge.validation_metric(batch)
+    assert type(metric) is float
+    # every judge's validation metric is its verdicts' mean score
+    assert metric == judges.mean_score(verdicts)
+    assert any_judge.metric_name in ("mean_rubric", "retrieval_accuracy")
+    assert (any_judge.metric_name == "mean_rubric") == (verdicts[0].rubric is not None)
     any_judge.save(tmp_path / "judge")
     # an external judge's weights stay in its own process: it writes nothing
     assert (tmp_path / "judge").exists() != isinstance(any_judge, ExternalJudge)
     any_judge.close()
     any_judge.close()  # a second close does nothing
+
+
+def test_verdict_score():
+    assert judges.JudgeVerdict(0, rubric=4).score == 4.0
+    assert judges.JudgeVerdict(0, ranked_correct=True).score == 1.0
+    assert judges.JudgeVerdict(0, ranked_correct=False).score == 0.0
+    assert judges.JudgeVerdict(0, flagged=True).score is None
+    with pytest.raises(JudgeError, match="no scored verdicts"):
+        judges.mean_score([judges.JudgeVerdict(0, flagged=True)])
 
 
 # --- contrastive judge ------------------------------------------------------------

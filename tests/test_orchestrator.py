@@ -27,6 +27,11 @@ from rls3.judges import ContrastiveJudge, GenerativeJudge
 from rls3.scene import PlacementEnv, builtin_suite
 
 
+def batch_size(cfg: RunConfig) -> int:
+    """Fine-tune batch of a full iteration: round(rate * T0) from each episode."""
+    return cfg.episodes_per_iteration * round(cfg.sampling_rate * cfg.samples_per_episode)
+
+
 TINY = dict(
     iterations=2,
     episodes_per_iteration=2,
@@ -50,7 +55,7 @@ def test_defaults_match_reference_scale():
     assert cfg.finetune_steps == 256
     assert cfg.pretrain_steps == 100_000
     assert cfg.validation_count == 500 and cfg.test_count == 1000
-    assert cfg.batch_size() == 20 * 100
+    assert batch_size(cfg) == 20 * 100
 
 
 def test_early_stop_policy_defaults():
@@ -65,6 +70,31 @@ def test_config_rejects_unknown_keys():
         config_from_dict({"iterations": 3, "bogus": 1})
     with pytest.raises(ConfigError):
         apply_overrides({}, {"bogus.deep": "1"})
+
+
+def test_config_checks_nested_values():
+    with pytest.raises(ConfigError, match="agent_hidden"):
+        config_from_dict({"agent_hidden": [1.5, 2.9]})
+    with pytest.raises(ConfigError, match="judge_hidden"):
+        config_from_dict({"judge_hidden": [64, 0]})
+    with pytest.raises(ConfigError, match="early_stop.patience"):
+        config_from_dict(
+            {"early_stop": {"min_iterations": 1, "patience": 1.5, "epsilon": 0.1}}
+        )
+    with pytest.raises(ConfigError, match="early_stop.min_iterations"):
+        config_from_dict({"early_stop": {"min_iterations": "x", "patience": 1, "epsilon": 0.1}})
+    with pytest.raises(ConfigError, match="agent_hidden"):  # the first bad key is named
+        config_from_dict(
+            {
+                "agent_hidden": [1.5, 2.9],
+                "early_stop": {"min_iterations": 1, "patience": 1.5, "epsilon": 0.1},
+            }
+        )
+    cfg = config_from_dict(
+        {"agent_hidden": [3, 4], "early_stop": {"min_iterations": 1, "patience": 2, "epsilon": 1}}
+    )
+    assert cfg.agent_hidden == (3, 4)
+    assert cfg.early_stop == EarlyStopPolicy(min_iterations=1, patience=2, epsilon=1)
 
 
 def test_config_validation():
@@ -248,15 +278,15 @@ def test_loop_metrics_rows(tiny_run):
     for row, val, j2 in zip(rows[1:], report.validation_history, report.mean_j2_per_iteration):
         assert float(row["val_metric"]) == pytest.approx(val, abs=1e-6)
         assert float(row["mean_J2"]) == pytest.approx(j2, abs=1e-6)
-        assert int(row["batch_size"]) == cfg.batch_size()
+        assert int(row["batch_size"]) == batch_size(cfg)
         assert int(row["cumulative_valid"]) <= int(row["cumulative_attempts"])
 
 
 def test_loop_batch_size_formula(tiny_run):
-    cfg, _, _ = tiny_run
-    assert cfg.batch_size() == cfg.episodes_per_iteration * round(
-        cfg.sampling_rate * cfg.samples_per_episode
-    )
+    cfg, run_dir, _ = tiny_run
+    with open(run_dir / "metrics.csv", newline="") as f:
+        sizes = [int(row["batch_size"]) for row in csv.DictReader(f)][1:]
+    assert sizes == [2 * round(0.5 * 6)] * 2 == [batch_size(cfg)] * 2
 
 
 def test_loop_report_has_no_timestamps(tiny_run):
@@ -316,6 +346,26 @@ def test_loop_contrastive_judge(tmp_path):
     assert report.failure is None
     assert all(j2 >= 0 for j2 in report.mean_j2_per_iteration)
     assert 0.0 <= report.test_metric <= 1.0
+
+
+@pytest.mark.parametrize("behavior, accuracy", [("all_correct", 1.0), ("echo", 0.0)])
+def test_loop_external_contrastive_judge(tmp_path, behavior, accuracy):
+    stub = f"{shlex.quote(sys.executable)} -m rls3.external_stub --behavior {behavior} --loss 0.8"
+    cfg = desk_config(**TINY, judge=f"external:{stub}", external_mode="contrastive")
+    run_dir = tmp_path / "run"
+    report = run_loop(cfg, run_dir)
+    assert report.failure is None
+    # the validation metric is retrieval accuracy over the stub's rankings
+    assert [report.initial_val_metric, *report.validation_history] == [accuracy] * 3
+    assert report.test_metric == accuracy
+    assert report.mean_j2_per_iteration == [pytest.approx(0.8**2)] * 2
+    sent = [1.0, 0.0, 0.0] if behavior == "all_correct" else [0.0, 0.0, 0.0]
+    verdicts = [json.loads(line) for line in (run_dir / "verdicts.jsonl").open()]
+    assert len(verdicts) == 2 * 2 * 6
+    for v in verdicts:
+        assert v["similarities"] == sent
+        assert v["ranked_correct"] is (accuracy == 1.0)
+        assert v["rubric"] is None and not v["flagged"]
 
 
 # An external judge that answers every request with an `error` reply.

@@ -81,6 +81,40 @@ def test_suite_rejects_spatial_words_in_names(name):
 # --- geometry primitives -------------------------------------------------------
 
 
+def _set_path(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    if value is KeyError:
+        del doc[path[-1]]
+    else:
+        doc[path[-1]] = value
+
+
+@pytest.mark.parametrize(
+    "path, value, match",
+    [
+        (("scenes",), KeyError, "missing key 'scenes'"),
+        (("catalog", 0, "half_extents"), KeyError, "missing key 'half_extents'"),
+        (("scenes", 0, "camera", "yaw"), KeyError, "missing key 'yaw'"),
+        (("scenes",), 5, "not iterable"),
+        (("catalog", 0), "mug", "string indices"),
+        (("catalog", 0, "half_extents"), [0.1, 0.1], "not enough values"),
+        (("catalog", 0, "half_extents", 1), "0.1", "expected a finite number"),
+        (("scenes", 0, "surfaces", 0, "half_extent_x"), None, "expected a finite number"),
+        (("scenes", 0, "surfaces", 0, "half_extent_x"), float("nan"), "expected a finite"),
+        (("scenes", 0, "camera", "position"), [0.0, 1.6, True], "expected a finite number"),
+        (("scenes", 0, "id"), "x", "invalid literal"),
+    ],
+)
+def test_suite_rejects_missing_keys_and_wrong_types(path, value, match):
+    doc = json.loads(resources.files("rls3.data").joinpath("scenes_train.json").read_text())
+    _set_path(doc, path, value)
+    with pytest.raises(SceneConfigError, match=match):
+        suite_from_dict(doc)
+    with pytest.raises(SceneConfigError, match="malformed suite"):
+        suite_from_dict([])
+
+
 def test_overlap_matches_interval_oracle():
     rng = np.random.default_rng(0)
     for _ in range(2000):

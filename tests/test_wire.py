@@ -55,13 +55,54 @@ def test_external_generative_judge_all_correct(records):
         assert report.losses == []
 
 
-def test_external_contrastive_judge_fixed_loss(records):
-    argv = STUB + ["--behavior", "fixed_loss", "--loss", "0.8"]
+@pytest.mark.parametrize(
+    "behavior, sent, accuracy",
+    [("all_correct", (1.0, 0.0, 0.0), 1.0), ("echo", (0.0, 0.0, 0.0), 0.0)],
+    ids=["all_correct", "echo"],
+)
+def test_external_contrastive_judge_rankings(records, behavior, sent, accuracy):
+    argv = STUB + ["--behavior", behavior, "--loss", "0.8"]
     with NdjsonClient.spawn(argv, timeout=10) as client:
         judge = ExternalJudge(client, mode="contrastive")
+        assert judge.metric_name == "retrieval_accuracy"
         verdicts, loss = judge.infer(records)
-        assert loss == 0.8 and len(verdicts) == len(records)
+        assert loss == 0.8 and [v.sample_id for v in verdicts] == [r.id for r in records]
+        assert all(v.similarities == sent and v.score == accuracy for v in verdicts)
+        assert judge.validation_metric(records) == accuracy
         assert infer_and_reward(judge, records)[1] == pytest.approx(0.64)
+
+
+class _ReplyClient:
+    """Answers every request with one fixed reply."""
+
+    def __init__(self, reply):
+        self.reply = reply
+
+    def request(self, payload):
+        return self.reply
+
+
+@pytest.mark.parametrize(
+    "similarities",
+    [None, "1 0 0", [[1.0, 0.0, 0.0]], [[1.0, 0.0]] * 2, [[1.0, 0.0, 0.0, 0.0]] * 2,
+     [[float("nan"), 0.0, 0.0]] * 2, [[1.0, float("inf"), 0.0]] * 2, [[1.0, 0.0, 10**400]] * 2,
+     [[True, False, False]] * 2, [["1", 0.0, 0.0]] * 2],
+)
+def test_external_contrastive_judge_rejects_malformed_similarities(records, similarities):
+    reply = {"loss": 0.5} if similarities is None else {"loss": 0.5, "similarities": similarities}
+    judge = ExternalJudge(_ReplyClient(reply), mode="contrastive")
+    with pytest.raises(JudgeError, match="malformed similarities list"):
+        judge.infer(records[:2])
+
+
+@pytest.mark.parametrize("loss", [None, "0.5", True, float("nan"), float("inf")])
+def test_external_contrastive_judge_rejects_malformed_loss(records, loss):
+    reply = {"loss": loss, "similarities": [[1.0, 0.0, 0.0]] * 2}
+    judge = ExternalJudge(_ReplyClient(reply), mode="contrastive")
+    with pytest.raises(JudgeError, match="malformed loss"):
+        judge.infer(records[:2])
+    reply["loss"] = 1  # an int is a JSON number too
+    assert judge.infer(records[:2])[1] == 1.0
 
 
 def test_tcp_transport(records):

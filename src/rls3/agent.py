@@ -3,7 +3,8 @@
 Actor outputs a tanh-squashed Gaussian over the 3-axis displacement; two Q
 critics with polyak-averaged targets. Rewards are the environment's +/-1
 feasibility signal; the judge-derived episode bonus is injected on the
-terminal transition before the episode enters the replay buffer.
+terminal transition before the episode enters the replay buffer. Observations
+are `scene.OBS_DIM` wide, scaled by `scene.OBS_SCALE` at the network boundary.
 """
 
 from __future__ import annotations
@@ -16,26 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from .nets import Mlp, NetOptimizer, load_net, save_net
-from .scene import OBS_DIM, PlacementEnv
+from .scene import OBS_DIM, OBS_SCALE, PlacementEnv
 
 ACTION_DIM = 3
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
 _TANH_EPS = 1e-6
-
-
-def default_obs_scale(obs_dim: int) -> np.ndarray:
-    """Per-feature divisors applied at the network boundary. The placement
-    observation mixes metres with degrees; the angular entries would otherwise
-    saturate the first tanh layer.
-    """
-    scale = np.ones(obs_dim)
-    if obs_dim == OBS_DIM:
-        scale[0] = 2.0  # moved slot 0..2
-        scale[1] = 7.0  # scene id
-        scale[23:26] = 180.0  # object yaws, degrees
-        scale[29:32] = 180.0  # camera yaw/pitch/roll, degrees
-    return scale
 
 
 class AgentError(RuntimeError):
@@ -58,17 +45,12 @@ class Transition:
 class ReplayBuffer:
     """Fixed-capacity ring with seeded uniform minibatch sampling."""
 
-    def __init__(
-        self,
-        capacity: int = 100_000,
-        seed: int | np.random.SeedSequence = 0,
-        obs_dim: int = OBS_DIM,
-    ):
+    def __init__(self, capacity: int = 100_000, seed: int | np.random.SeedSequence = 0):
         self.capacity = int(capacity)
-        self._obs = np.zeros((capacity, obs_dim))
+        self._obs = np.zeros((capacity, OBS_DIM))
         self._act = np.zeros((capacity, ACTION_DIM))
         self._rew = np.zeros(capacity)
-        self._next = np.zeros((capacity, obs_dim))
+        self._next = np.zeros((capacity, OBS_DIM))
         self._term = np.zeros(capacity)
         self._size = 0
         self._head = 0
@@ -118,14 +100,12 @@ class SacAgent:
         warmup: int = 1000,
         minibatch: int = 256,
         buffer_capacity: int = 100_000,
-        obs_dim: int = OBS_DIM,
     ):
         seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         s_actor, s_q1, s_q2, s_buf, s_act = seq.spawn(5)
-        self.obs_dim = obs_dim
-        self.actor = Mlp([obs_dim, *hidden, 2 * ACTION_DIM], seed=s_actor)
-        self.q1 = Mlp([obs_dim + ACTION_DIM, *hidden, 1], seed=s_q1)
-        self.q2 = Mlp([obs_dim + ACTION_DIM, *hidden, 1], seed=s_q2)
+        self.actor = Mlp([OBS_DIM, *hidden, 2 * ACTION_DIM], seed=s_actor)
+        self.q1 = Mlp([OBS_DIM + ACTION_DIM, *hidden, 1], seed=s_q1)
+        self.q2 = Mlp([OBS_DIM + ACTION_DIM, *hidden, 1], seed=s_q2)
         self.q1_target = self.q1.copy()
         self.q2_target = self.q2.copy()
         self.actor_opt = NetOptimizer(self.actor, lr=lr)
@@ -136,8 +116,8 @@ class SacAgent:
         self.log_alpha = float(np.log(alpha))
         self.warmup = warmup
         self.minibatch = minibatch
-        self.buffer = ReplayBuffer(buffer_capacity, seed=s_buf, obs_dim=obs_dim)
-        self.obs_scale = default_obs_scale(obs_dim)
+        self.buffer = ReplayBuffer(buffer_capacity, seed=s_buf)
+        self.obs_scale = OBS_SCALE
         self._rng = np.random.default_rng(s_act)
         # one tape per network, kept across updates so that each pass at the
         # same minibatch writes into the arrays of the last one; a network's
@@ -161,7 +141,7 @@ class SacAgent:
 
     def select_action(self, observation: np.ndarray, stochastic: bool = True) -> np.ndarray:
         obs = np.asarray(observation, dtype=float)
-        if obs.shape != (self.obs_dim,) or not np.isfinite(obs).all():
+        if obs.shape != (OBS_DIM,) or not np.isfinite(obs).all():
             raise AgentError("observation must be a finite vector of the right width")
         mean, log_std, _ = self._policy_params(obs / self.obs_scale)
         if not stochastic:
@@ -188,11 +168,11 @@ class SacAgent:
 
     # -- learning
 
-    def update(self, minibatch: int | None = None) -> UpdateInfo:
+    def update(self) -> UpdateInfo:
         """One gradient step for both critics and the actor, then polyak target
         averaging. No-op before the warmup fill is reached.
         """
-        batch = minibatch or self.minibatch
+        batch = self.minibatch
         if len(self.buffer) < max(self.warmup, batch):
             return UpdateInfo(performed=False, alpha=self.alpha)
         obs, act, rew, nxt, term = self.buffer.sample(batch)
@@ -228,7 +208,7 @@ class SacAgent:
         q2v = self.q2.forward(sa_pi, tapes["q2"])[:, 0]
         _, g2 = self.q2.backward(ones, tapes["q2"], need="input")
         use_q1 = (q1v <= q2v)[:, None]
-        dq_da = np.where(use_q1, g1[:, self.obs_dim :], g2[:, self.obs_dim :])
+        dq_da = np.where(use_q1, g1[:, OBS_DIM:], g2[:, OBS_DIM:])
         q_min = np.minimum(q1v, q2v)
         actor_loss = float(np.mean(self.alpha * logp - q_min))
 
@@ -324,7 +304,7 @@ class SacAgent:
             if not 0.0 < alpha < np.inf:
                 raise ValueError(f"alpha must be positive and finite, got {alpha}")
             scale = np.asarray(manifest.get("obs_scale", self.obs_scale), dtype=float)
-            if scale.shape != (self.obs_dim,) or not (np.isfinite(scale) & (scale > 0)).all():
+            if scale.shape != (OBS_DIM,) or not (np.isfinite(scale) & (scale > 0)).all():
                 raise ValueError("observation scale mismatch")
         except (OSError, ValueError, TypeError, KeyError) as exc:
             raise AgentError(f"cannot load agent checkpoint {directory}: {exc}") from exc

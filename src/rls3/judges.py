@@ -562,7 +562,9 @@ class ExternalJudge:
     def finetune(self, samples, steps) -> FineTuneReport:
         resp = self._request("finetune", samples)
         report = FineTuneReport()
-        if isinstance(resp.get("loss"), (int, float)):
+        if "loss" in resp:
+            if not _finite(resp["loss"]):
+                raise JudgeError("external judge returned a malformed fine-tuning loss")
             report.losses.append(float(resp["loss"]))
         elif resp.get("ok") is not True:
             raise JudgeError("external judge did not acknowledge fine-tuning")

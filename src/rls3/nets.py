@@ -3,7 +3,8 @@ binary checkpoint format.
 
 Shared by the SAC agent and both toy judges. Everything is plain numpy with
 float64 parameters so that gradients can be validated against central finite
-differences. Each network holds its parameters in one vector, `Mlp.flat`, in
+differences. Every network has tanh hidden layers and an identity output
+layer. Each network holds its parameters in one vector, `Mlp.flat`, in
 checkpoint order; gradients, Adam moments, target averaging, digests and
 checkpoint bodies all work on vectors with that layout.
 
@@ -24,8 +25,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-
-ACTIVATIONS = ("identity", "tanh", "relu")
 
 CHECKPOINT_MAGIC = b"RLS3NET1"
 
@@ -59,18 +58,18 @@ class _Pass:
 
 
 class Mlp:
-    """Fully connected network. Weights are (out, in) matrices, one activation
-    tag per layer. All parameters live in one float64 vector, `flat`: each
-    layer's weights row-major, then that layer's biases. `weights`, `biases`
-    and params() are views into it, so `flat` must only be written in place.
-    The net keeps no activations: a forward() that will be differentiated
-    records them on a tape its caller owns and hands to backward().
+    """Fully connected network: tanh hidden layers, an identity output layer.
+    Weights are (out, in) matrices. All parameters live in one float64 vector,
+    `flat`: each layer's weights row-major, then that layer's biases.
+    `weights`, `biases` and params() are views into it, so `flat` must only be
+    written in place. The net keeps no activations: a forward() that will be
+    differentiated records them on a tape its caller owns and hands to
+    backward().
     """
 
     def __init__(
         self,
         layer_sizes: list[int],
-        activations: list[str] | None = None,
         seed: int | np.random.SeedSequence = 0,
         flat: np.ndarray | None = None,
     ):
@@ -79,16 +78,6 @@ class Mlp:
         if len(layer_sizes) < 2 or any(int(s) <= 0 for s in layer_sizes):
             raise ValueError("layer_sizes must be >= 2 positive integers")
         self.layer_sizes = [int(s) for s in layer_sizes]
-        n_layers = len(self.layer_sizes) - 1
-        if activations is None:
-            activations = ["tanh"] * (n_layers - 1) + ["identity"]
-        if len(activations) != n_layers:
-            raise ValueError("need one activation per layer")
-        for a in activations:
-            if a not in ACTIVATIONS:
-                raise ValueError(f"unknown activation {a!r}")
-        self.activations = list(activations)
-
         pairs = list(zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
         self.flat = np.zeros(sum(fan_out * (fan_in + 1) for fan_in, fan_out in pairs))
         self.weights, self.biases = self._split(self.flat)
@@ -146,13 +135,11 @@ class Mlp:
             rec = tape[0]
             rec.x, rec.single, outs = x, single, rec.outs
         h = x
-        for w, b, act, out in zip(self.weights, self.biases, self.activations, outs):
+        for i, (w, b, out) in enumerate(zip(self.weights, self.biases, outs)):
+            if i:  # layer i-1 is a hidden layer: tanh its output
+                np.tanh(h, out=h)
             h = np.matmul(h, w.T, out=out)
             h += b
-            if act == "tanh":
-                np.tanh(h, out=h)
-            elif act == "relu":
-                np.maximum(h, 0.0, out=h)
         return h[0] if single else h
 
     def backward(
@@ -185,21 +172,17 @@ class Mlp:
             grad_w, grad_b = self._split(grad)
         ins = [rec.x, *rec.outs[:-1]]
         for i in range(len(self.weights) - 1, -1, -1):
-            act, out = self.activations[i], rec.outs[i]
-            if act != "identity":
-                # the activation's derivative from its output: tanh 1 - a*a, relu a > 0
-                d = rec.scratch(("act", i), out.shape)
-                if act == "tanh":
-                    np.multiply(out, out, out=d)
-                    np.subtract(1.0, d, out=d)
-                else:
-                    np.greater(out, 0.0, out=d)
-                g = np.multiply(g, d, out=d)
             if grad is not None:
                 np.matmul(g.T, ins[i], out=grad_w[i])
                 g.sum(axis=0, out=grad_b[i])
             if i or need != "params":
                 g = np.matmul(g, self.weights[i], out=rec.scratch(("in", i), ins[i].shape))
+            if i:
+                # back through hidden layer i-1's tanh, from its output a: 1 - a*a
+                d = rec.scratch(("act", i - 1), g.shape)
+                np.multiply(ins[i], ins[i], out=d)
+                np.subtract(1.0, d, out=d)
+                g = np.multiply(g, d, out=d)
         if need == "params":
             return grad, None
         return grad, g[0] if rec.single else g
@@ -208,10 +191,14 @@ class Mlp:
         return hashlib.sha256(self.flat.tobytes()).hexdigest()
 
     def copy(self) -> "Mlp":
-        return Mlp(self.layer_sizes, self.activations, flat=self.flat)
+        return Mlp(self.layer_sizes, flat=self.flat)
 
     def all_finite(self) -> bool:
         return bool(np.isfinite(self.flat).all())
+
+
+# Adam's moment decays and denominator guard: Kingma & Ba's defaults
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -220,9 +207,6 @@ class Adam:
     second moments are vectors of the same shape."""
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     skipped: int = 0
     _m: np.ndarray | None = None
@@ -248,24 +232,24 @@ class Adam:
             return False
         self.step_count += 1
         t = self.step_count
-        c1 = 1.0 - self.beta1**t
-        c2 = 1.0 - self.beta2**t
+        c1 = 1.0 - ADAM_BETA1**t
+        c2 = 1.0 - ADAM_BETA2**t
         m, v = self._m, self._v
         a, b = self._scratch
         # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
         # param -= lr*(m/c1) / (sqrt(v/c2) + eps), each in this order, in place
-        m *= self.beta1
-        np.multiply(grad, 1.0 - self.beta1, out=a)
+        m *= ADAM_BETA1
+        np.multiply(grad, 1.0 - ADAM_BETA1, out=a)
         m += a
-        v *= self.beta2
-        np.multiply(grad, 1.0 - self.beta2, out=a)
+        v *= ADAM_BETA2
+        np.multiply(grad, 1.0 - ADAM_BETA2, out=a)
         a *= grad
         v += a
         np.divide(m, c1, out=a)
         a *= self.lr
         np.divide(v, c2, out=b)
         np.sqrt(b, out=b)
-        b += self.eps
+        b += ADAM_EPS
         a /= b
         param -= a
         return True
@@ -274,9 +258,9 @@ class Adam:
 class NetOptimizer:
     """Adam bound to one Mlp's parameter vector."""
 
-    def __init__(self, net: Mlp, lr: float, **kwargs):
+    def __init__(self, net: Mlp, lr: float):
         self.net = net
-        self.adam = Adam(lr=lr, **kwargs)
+        self.adam = Adam(lr=lr)
 
     def step(self, grad: np.ndarray) -> bool:
         return self.adam.step(self.net.flat, grad)
@@ -284,15 +268,20 @@ class NetOptimizer:
 
 # --- checkpoint format -------------------------------------------------------
 # magic "RLS3NET1", then little-endian u64 fields:
-#   n_sizes, sizes..., activation codes (one per layer),
+#   n_sizes, sizes..., activation codes (one per layer: 1 tanh for each
+#   hidden layer, then 0 identity),
 # then the body: Mlp.flat as little-endian f64, i.e. per layer W row-major
 # then b.
 
-_ACT_CODES = {name: i for i, name in enumerate(ACTIVATIONS)}
+_IDENTITY, _TANH = 0, 1
+
+
+def _activation_codes(n_layers: int) -> tuple[int, ...]:
+    return (_TANH,) * (n_layers - 1) + (_IDENTITY,)
 
 
 def save_net(net: Mlp, path) -> None:
-    fields = [len(net.layer_sizes), *net.layer_sizes, *(_ACT_CODES[a] for a in net.activations)]
+    fields = [len(net.layer_sizes), *net.layer_sizes, *_activation_codes(len(net.weights))]
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack(f"<{len(fields)}Q", *fields))
@@ -319,18 +308,16 @@ def load_net(path) -> Mlp:
     pos += 8 * n_fields
     sizes, codes = fields[:n_sizes], fields[n_sizes:]
     for code in codes:
-        if code >= len(ACTIVATIONS):
+        if code > _TANH:
             raise ValueError(f"unknown activation code {code} in checkpoint")
+    if codes != _activation_codes(n_sizes - 1):
+        raise ValueError("checkpoint layers must be tanh with an identity output")
     body = 8 * sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
     if len(blob) - pos != body:
         raise ValueError(
             f"checkpoint body has {len(blob) - pos} bytes, its header needs {body}"
         )
-    net = Mlp(
-        list(sizes),
-        [ACTIVATIONS[c] for c in codes],
-        flat=np.frombuffer(blob, dtype="<f8", offset=pos),
-    )
+    net = Mlp(list(sizes), flat=np.frombuffer(blob, dtype="<f8", offset=pos))
     if not net.all_finite():
         raise ValueError("checkpoint contains non-finite parameters")
     return net

@@ -23,7 +23,9 @@ from . import datasets, judges, wire
 from .agent import AgentError, RandomAgent, SacAgent, Transition, rollout
 from .datasets import SampleRecord
 from .prompts import build_caption_set
-from .scene import PlacementEnv, SceneSuite, builtin_suite, load_suite
+from .scene import (
+    EpisodeAborted, PlacementEnv, PlacementError, SceneSuite, builtin_suite, load_suite
+)
 
 
 class OrchestratorError(RuntimeError):
@@ -408,7 +410,9 @@ _METRICS_COLUMNS = (
     "iteration", "cumulative_valid", "cumulative_attempts", "val_metric", "mean_J2", "batch_size"
 )
 # failures a run records in report.failure instead of raising
-_RUN_FAILURES = (OrchestratorError, AgentError, judges.JudgeError, wire.WireError)
+_RUN_FAILURES = (
+    OrchestratorError, AgentError, judges.JudgeError, wire.WireError, PlacementError, EpisodeAborted
+)
 
 
 def run_loop(config: RunConfig, run_dir) -> RunReport:
@@ -434,18 +438,18 @@ def run_loop(config: RunConfig, run_dir) -> RunReport:
     env = make_env(config, train, env_seed)
     report = RunReport(config_digest=config.digest(), seed=config.seed)
     try:
-        agent = make_agent(config, agent_seed)
-        judge = make_judge(config, train.catalog_names, judge_seed)
-    except _RUN_FAILURES as exc:
-        report.failure = str(exc)
-        return _write_report(report, run_dir)
-    try:
         report.validation_digest = datasets.generate_fixed_set(
             train, config.validation_count, config.validation_seed, run_dir / "validation.jsonl"
         )
         report.test_digest = datasets.generate_fixed_set(
             test, config.test_count, config.test_seed, run_dir / "test.jsonl"
         )
+        agent = make_agent(config, agent_seed)
+        judge = make_judge(config, train.catalog_names, judge_seed)
+    except _RUN_FAILURES as exc:
+        report.failure = str(exc)
+        return _write_report(report, run_dir)
+    try:
         val_records = datasets.read_samples(run_dir / "validation.jsonl")
         test_records = datasets.read_samples(run_dir / "test.jsonl")
         policy = config.resolved_early_stop()

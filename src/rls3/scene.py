@@ -252,6 +252,15 @@ def footprint_on_surface(center: np.ndarray, half: np.ndarray, surf: Surface) ->
 
 # --- environment -------------------------------------------------------------
 
+# Divisors of observe()'s features at the agent's network boundary: the
+# angular entries, in degrees, would otherwise saturate the first tanh layer.
+OBS_SCALE = np.ones(OBS_DIM)
+OBS_SCALE[0] = 2.0  # moved slot 0..2
+OBS_SCALE[1] = 7.0  # scene id
+OBS_SCALE[23:26] = 180.0  # object yaws, degrees
+OBS_SCALE[29:32] = 180.0  # camera yaw/pitch/roll, degrees
+OBS_SCALE.flags.writeable = False
+
 
 class PlacementEnv:
     """Owns one SceneState at a time; all randomness flows through one seeded rng."""
@@ -264,13 +273,12 @@ class PlacementEnv:
         dmax: float = DEFAULT_DMAX,
         snap_tol: float = DEFAULT_SNAP_TOL,
         p_swap: float = DEFAULT_P_SWAP,
-        max_steps: int | None = None,
     ):
         if samples_per_episode <= 0:
             raise ValueError("samples_per_episode must be positive")
         self.suite = suite
         self.t0 = int(samples_per_episode)
-        self.t_max = int(max_steps) if max_steps is not None else 4 * self.t0
+        self.t_max = 4 * self.t0
         self.dmax = float(dmax)
         self.snap_tol = float(snap_tol)
         self.p_swap = float(p_swap)

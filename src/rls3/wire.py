@@ -79,12 +79,6 @@ class NdjsonClient:
             self._sock.close()
             self._sock = None
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
     # -- transport
 
     def _send_line(self, line: bytes) -> None:

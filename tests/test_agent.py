@@ -1,5 +1,6 @@
 import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -22,12 +23,12 @@ def make_agent(**kw):
     return SacAgent(**defaults)
 
 
-def random_transition(rng, obs_dim=32, reward=1.0, terminal=False):
+def random_transition(rng, reward=1.0, terminal=False):
     return Transition(
-        rng.normal(size=obs_dim),
+        rng.normal(size=32),
         rng.uniform(-1, 1, size=3),
         reward,
-        rng.normal(size=obs_dim),
+        rng.normal(size=32),
         terminal,
     )
 
@@ -36,10 +37,9 @@ def random_transition(rng, obs_dim=32, reward=1.0, terminal=False):
 
 
 def test_buffer_ring_overwrite():
-    buf = ReplayBuffer(4, seed=0, obs_dim=3)
-    rng = np.random.default_rng(0)
+    buf = ReplayBuffer(4, seed=0)
     for i in range(6):
-        buf.push(Transition(np.full(3, float(i)), np.zeros(3), 1.0, np.zeros(3), False))
+        buf.push(Transition(np.full(32, float(i)), np.zeros(3), 1.0, np.zeros(32), False))
     assert len(buf) == 4
     obs, *_ = buf.sample(4)
     seen = sorted(set(obs[:, 0]))
@@ -47,9 +47,9 @@ def test_buffer_ring_overwrite():
 
 
 def test_buffer_sample_without_replacement():
-    buf = ReplayBuffer(16, seed=1, obs_dim=2)
+    buf = ReplayBuffer(16, seed=1)
     for i in range(16):
-        buf.push(Transition(np.full(2, float(i)), np.zeros(3), -1.0, np.zeros(2), False))
+        buf.push(Transition(np.full(32, float(i)), np.zeros(3), -1.0, np.zeros(32), False))
     obs, *_ = buf.sample(16)
     assert len(set(obs[:, 0])) == 16
 
@@ -244,6 +244,12 @@ def test_checkpoint_missing_or_unreadable_raises_agent_error(tmp_path):
     (ck / "q2.net").write_bytes(b"not a net")
     with pytest.raises(AgentError, match="bad checkpoint magic"):
         make_agent().load(ck)
+    # a critic whose first layer's activation code (offset 48) is 2, not tanh
+    critic = bytearray((ck / "q1.net").read_bytes())
+    critic[48:56] = struct.pack("<Q", 2)
+    (ck / "q2.net").write_bytes(bytes(critic))
+    with pytest.raises(AgentError, match="unknown activation code 2"):
+        make_agent().load(ck)
     (ck / "manifest.json").write_text("{")
     with pytest.raises(AgentError, match=str(ck)):
         make_agent().load(ck)
@@ -307,7 +313,8 @@ GOLDEN_ALTERNATING_FILES = {
 def test_sac_golden_digest_alternating_minibatch(tmp_path):
     agent = _filled_agent()
     for k in range(40):
-        assert agent.update(minibatch=(48, 20)[k // 2 % 2]).performed
+        agent.minibatch = (48, 20)[k // 2 % 2]
+        assert agent.update().performed
     assert _checkpoint_digests(agent, tmp_path / "agent") == GOLDEN_ALTERNATING_FILES
 
 

@@ -1,6 +1,7 @@
 import json
 import shlex
 import sys
+from importlib import resources
 
 import pytest
 
@@ -333,6 +334,60 @@ def test_malformed_similarities_fail_the_run(tmp_path, capsys, case):
     assert report["failure"] == "external judge returned a malformed similarities list"
     assert report["failure"] in capsys.readouterr().err
     assert report["test_metric"] is None
+
+
+@pytest.mark.parametrize("loss", ["float('nan')", "True"], ids=["nan", "bool"])
+def test_malformed_finetune_loss_fails_the_run(tmp_path, capsys, loss):
+    code = (
+        "import sys, json\n"
+        "for line in sys.stdin:\n"
+        "    req = json.loads(line)\n"
+        "    sims = [[1.0, 0.0, 0.0]] * len(req['samples'])\n"
+        f"    resp = {{'loss': 0.5, 'similarities': sims}} if req['op'] == 'infer' "
+        f"else {{'loss': {loss}}}\n"
+        "    print(json.dumps({**resp, 'id': req['id']}), flush=True)\n"
+    )
+    run_dir = tmp_path / "run"
+    judge = f"external:{shlex.quote(sys.executable)} -c {shlex.quote(code)}"
+    assert run_cli("run", "--run-dir", str(run_dir), "--agent", "random", "--judge", judge,
+                   "--set", "external_mode=contrastive", *TINY_SETS) == 2
+    report = _strict_json((run_dir / "report.json").read_text())
+    assert report["failure"] == "external judge returned a malformed fine-tuning loss"
+    assert report["failure"] in capsys.readouterr().err
+    assert report["finetune_losses"] == []
+
+
+def _suite_with_a_last_scene_that_fits_nothing(tmp_path):
+    doc = json.loads((resources.files("rls3") / "data" / "scenes_train.json").read_text())
+    for surface in doc["scenes"][-1]["surfaces"]:
+        surface["half_extent_x"] = surface["half_extent_z"] = 0.05
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize(
+    "overrides, fixed_sets_written",
+    [
+        ([], False),  # validation samples go round the scenes: the fifth fails
+        # four validation samples miss scene 4; the fifth episode starts there
+        (["validation_count=4", "iterations=1", "episodes_per_iteration=5"], True),
+    ],
+    ids=["fixed-set", "episode"],
+)
+def test_scene_placement_failure_writes_report(tmp_path, capsys, overrides, fixed_sets_written):
+    suite = _suite_with_a_last_scene_that_fits_nothing(tmp_path)
+    run_dir = tmp_path / "run"
+    argv = ["run", "--run-dir", str(run_dir), "--agent", "random", *TINY_SETS,
+            "--set", f"train_suite={json.dumps(str(suite))}"]
+    for override in overrides:
+        argv += ["--set", override]
+    assert run_cli(*argv) == 2
+    report = _strict_json((run_dir / "report.json").read_text())
+    assert "fits no surface of scene 4" in report["failure"]
+    assert report["failure"] in capsys.readouterr().err
+    assert (report["validation_digest"] is not None) == fixed_sets_written
+    assert report["iterations_completed"] == 0
 
 
 def test_one_sample_contrastive_finetune_fails_the_run(tmp_path, capsys):

@@ -184,12 +184,14 @@ def test_run_episode_yields_exactly_t0_records():
 
 
 def test_run_episode_truncation_pads():
-    # step cap below t0 forces padding from the episode's own snapshots
-    env = PlacementEnv(builtin_suite("train"), 8, seed=3, max_steps=10)
+    # a random agent places about one step in ten, short of the 20 valid in
+    # 4 * 20 steps that T0 = 20 needs, so the cap pads from the episode's own
+    # snapshots
+    env = PlacementEnv(builtin_suite("train"), 20, seed=3)
     agent = RandomAgent(seed=3)
     ep = run_episode(env, agent, 0, 1, np.random.default_rng(2), 0)
-    assert ep.truncated
-    assert len(ep.records) == 8
+    assert ep.truncated and ep.steps == env.t_max == 80
+    assert len(ep.records) == 20
 
 
 def test_infer_and_reward_dispatch():

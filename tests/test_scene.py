@@ -299,11 +299,12 @@ def test_episode_terminates_at_t0_valid(train):
 
 
 def test_truncation_at_step_cap(train):
-    env = make_env(train, t0=6, seed=2, max_steps=4)
+    env = make_env(train, t0=6, seed=2)
     env.reset_episode(0)
-    for _ in range(4):
-        res = env.step(np.array([np.nan, 0, 0]))
-    assert res.done and res.truncated
+    for _ in range(4 * 6 - 1):
+        assert not env.step(np.array([np.nan, 0, 0])).done
+    res = env.step(np.array([np.nan, 0, 0]))
+    assert res.done and res.truncated and env.t_max == 24
 
 
 def test_scene_cycles_within_episode(train):

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import shlex
 import socket
@@ -31,20 +32,24 @@ def records():
 
 
 def test_spawned_stub_round_trip():
-    with NdjsonClient.spawn(STUB + ["--behavior", "all_correct"], timeout=10) as client:
+    with contextlib.closing(
+        NdjsonClient.spawn(STUB + ["--behavior", "all_correct"], timeout=10)
+    ) as client:
         resp = client.request({"op": "finetune", "mode": "generative", "samples": []})
         assert resp["ok"] is True
 
 
 def test_request_ids_increment():
-    with NdjsonClient.spawn(STUB, timeout=10) as client:
+    with contextlib.closing(NdjsonClient.spawn(STUB, timeout=10)) as client:
         a = client.request({"op": "finetune", "samples": []})
         b = client.request({"op": "finetune", "samples": []})
         assert b["id"] == a["id"] + 1
 
 
 def test_external_generative_judge_all_correct(records):
-    with NdjsonClient.spawn(STUB + ["--behavior", "all_correct"], timeout=10) as client:
+    with contextlib.closing(
+        NdjsonClient.spawn(STUB + ["--behavior", "all_correct"], timeout=10)
+    ) as client:
         judge = ExternalJudge(client, mode="generative")
         verdicts, loss = judge.infer(records)
         assert all(v.rubric == 5 for v in verdicts)
@@ -62,7 +67,7 @@ def test_external_generative_judge_all_correct(records):
 )
 def test_external_contrastive_judge_rankings(records, behavior, sent, accuracy):
     argv = STUB + ["--behavior", behavior, "--loss", "0.8"]
-    with NdjsonClient.spawn(argv, timeout=10) as client:
+    with contextlib.closing(NdjsonClient.spawn(argv, timeout=10)) as client:
         judge = ExternalJudge(client, mode="contrastive")
         assert judge.metric_name == "retrieval_accuracy"
         verdicts, loss = judge.infer(records)
@@ -118,7 +123,7 @@ def test_tcp_transport(records):
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        with NdjsonClient.connect("127.0.0.1", port, timeout=10) as client:
+        with contextlib.closing(NdjsonClient.connect("127.0.0.1", port, timeout=10)) as client:
             judge = ExternalJudge(client, mode="generative")
             assert judge.validation_metric(records) == 5.0
     finally:
@@ -201,7 +206,7 @@ def test_client_for_address_dispatch():
 
 def test_client_for_address_splits_like_a_shell(records):
     command = f"{shlex.quote(sys.executable)} -m rls3.external_stub --behavior 'all_correct'"
-    with client_for_address(command, timeout=10) as client:
+    with contextlib.closing(client_for_address(command, timeout=10)) as client:
         resp = client.request(
             {"op": "infer", "mode": "generative",
              "samples": [record_to_dict(r) for r in records[:2]]}
@@ -219,7 +224,7 @@ def test_external_judge_rejects_malformed_terms(records):
         "    terms = [['sideways'], ['left']][:len(req['samples'])]\n"
         "    print(json.dumps({'id': req['id'], 'terms': terms}), flush=True)\n"
     )
-    with NdjsonClient.spawn([sys.executable, "-c", code], timeout=5) as client:
+    with contextlib.closing(NdjsonClient.spawn([sys.executable, "-c", code], timeout=5)) as client:
         judge = ExternalJudge(client, mode="generative")
         verdicts, _ = judge.infer(records[:2])
         assert verdicts[0].flagged and not verdicts[1].flagged
@@ -236,7 +241,7 @@ def test_external_judge_reports_peer_errors(records):
         "    req = json.loads(line)\n"
         "    print(json.dumps({'id': req['id'], 'error': 'no model loaded'}), flush=True)\n"
     )
-    with NdjsonClient.spawn([sys.executable, "-c", code], timeout=5) as client:
+    with contextlib.closing(NdjsonClient.spawn([sys.executable, "-c", code], timeout=5)) as client:
         for mode in ("generative", "contrastive"):
             judge = ExternalJudge(client, mode=mode)
             for op, call in (

@@ -9,7 +9,7 @@ from .agent import RandomAgent, SacAgent, Transition
 from .datasets import SampleRecord
 from .judges import ContrastiveJudge, ExternalJudge, GenerativeJudge
 from .orchestrator import RunConfig, desk_config, run_loop
-from .prompts import SpatialRelation, build_caption_set
+from .prompts import build_caption_set
 from .scene import PlacementEnv, SceneSuite, builtin_suite, load_suite
 
 __version__ = "0.1.0"
@@ -24,7 +24,6 @@ __all__ = [
     "SacAgent",
     "SampleRecord",
     "SceneSuite",
-    "SpatialRelation",
     "Transition",
     "build_caption_set",
     "builtin_suite",

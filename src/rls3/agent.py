@@ -117,7 +117,6 @@ class SacAgent:
         self.warmup = warmup
         self.minibatch = minibatch
         self.buffer = ReplayBuffer(buffer_capacity, seed=s_buf)
-        self.obs_scale = OBS_SCALE
         self._rng = np.random.default_rng(s_act)
         # one tape per network, kept across updates so that each pass at the
         # same minibatch writes into the arrays of the last one; a network's
@@ -143,7 +142,7 @@ class SacAgent:
         obs = np.asarray(observation, dtype=float)
         if obs.shape != (OBS_DIM,) or not np.isfinite(obs).all():
             raise AgentError("observation must be a finite vector of the right width")
-        mean, log_std, _ = self._policy_params(obs / self.obs_scale)
+        mean, log_std, _ = self._policy_params(obs / OBS_SCALE)
         if not stochastic:
             return np.tanh(mean)
         eps = self._rng.standard_normal(ACTION_DIM)
@@ -176,8 +175,8 @@ class SacAgent:
         if len(self.buffer) < max(self.warmup, batch):
             return UpdateInfo(performed=False, alpha=self.alpha)
         obs, act, rew, nxt, term = self.buffer.sample(batch)
-        obs = obs / self.obs_scale
-        nxt = nxt / self.obs_scale
+        obs = obs / OBS_SCALE
+        nxt = nxt / OBS_SCALE
 
         tapes = self._tapes
         # critic targets
@@ -278,16 +277,16 @@ class SacAgent:
             "alpha": self.alpha,
             "gamma": self.gamma,
             "polyak": self.polyak,
-            "obs_scale": self.obs_scale.tolist(),
+            "obs_scale": OBS_SCALE.tolist(),
         }
         with open(directory / "manifest.json", "w", encoding="utf-8") as f:
             json.dump(manifest, f, sort_keys=True, indent=2)
 
     def load(self, directory) -> None:
-        """Replace the networks, alpha and observation scale with a saved
-        checkpoint's. Raises AgentError naming the checkpoint if its manifest
-        or any of its files is missing, unreadable or does not fit this agent;
-        the agent is left unchanged then.
+        """Replace the networks and alpha with a saved checkpoint's. Raises
+        AgentError naming the checkpoint if its manifest or any of its files is
+        missing, unreadable or does not fit this agent, or if its observation
+        scale is not scene.OBS_SCALE; the agent is left unchanged then.
         """
         directory = Path(directory)
         try:
@@ -303,15 +302,13 @@ class SacAgent:
             alpha = float(manifest["alpha"])
             if not 0.0 < alpha < np.inf:
                 raise ValueError(f"alpha must be positive and finite, got {alpha}")
-            scale = np.asarray(manifest.get("obs_scale", self.obs_scale), dtype=float)
-            if scale.shape != (OBS_DIM,) or not (np.isfinite(scale) & (scale > 0)).all():
-                raise ValueError("observation scale mismatch")
+            if not np.array_equal(np.asarray(manifest["obs_scale"], dtype=float), OBS_SCALE):
+                raise ValueError("observation scale differs from scene.OBS_SCALE")
         except (OSError, ValueError, TypeError, KeyError) as exc:
             raise AgentError(f"cannot load agent checkpoint {directory}: {exc}") from exc
         for name, net in loaded.items():
             setattr(self, name, net)
         self.log_alpha = float(np.log(alpha))
-        self.obs_scale = scale
         self.actor_opt = NetOptimizer(self.actor, lr=self.actor_opt.adam.lr)
         self.q1_opt = NetOptimizer(self.q1, lr=self.q1_opt.adam.lr)
         self.q2_opt = NetOptimizer(self.q2, lr=self.q2_opt.adam.lr)

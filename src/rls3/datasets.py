@@ -16,7 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from . import prompts
-from .scene import CameraPose, SceneSnapshot, SceneSuite, random_snapshot
+from .scene import (
+    ACTIVE_COUNT, CameraPose, SceneSnapshot, SceneSuite, _number, _vec3, random_snapshot
+)
+
+# the stored relation lists its horizontal terms in this (sorted) order
+_HORIZONTAL = tuple(sorted(prompts.HORIZONTAL_PRIMITIVES))
 
 
 @dataclass(frozen=True)
@@ -27,7 +32,7 @@ class SampleRecord:
     camera: CameraPose
     subject: str
     reference: str
-    relation: prompts.SpatialRelation
+    terms: frozenset[str]  # the spatial primitives of the caption
     caption: str
     question: str
     neg_term: str
@@ -40,9 +45,6 @@ class SampleRecord:
             if obj_name == name:
                 return pos
         raise KeyError(name)
-
-    def truth_terms(self) -> frozenset[str]:
-        return self.relation.primitives
 
 
 def record_from_snapshot(
@@ -62,7 +64,7 @@ def record_from_snapshot(
         camera=snapshot.camera,
         subject=captions.subject,
         reference=captions.reference,
-        relation=captions.relation,
+        terms=captions.terms,
         caption=captions.positive,
         question=captions.question,
         neg_term=captions.term_swapped,
@@ -73,6 +75,7 @@ def record_from_snapshot(
 
 
 def record_to_dict(rec: SampleRecord) -> dict:
+    terms = rec.terms
     return {
         "id": rec.id,
         "scene_id": rec.scene_id,
@@ -89,8 +92,8 @@ def record_to_dict(rec: SampleRecord) -> dict:
         "subject": rec.subject,
         "reference": rec.reference,
         "relation": {
-            "horizontal": sorted(rec.relation.horizontal),
-            "vertical": rec.relation.vertical,
+            "horizontal": [t for t in _HORIZONTAL if t in terms],
+            "vertical": "above" if "above" in terms else "below" if "below" in terms else None,
         },
         "caption": rec.caption,
         "question": rec.question,
@@ -102,39 +105,55 @@ def record_to_dict(rec: SampleRecord) -> dict:
 
 
 def record_from_dict(doc: dict) -> SampleRecord:
-    """Rebuild a record; rejects one whose caption names other terms than its
-    stored relation, since judges score against the relation alone.
+    """Rebuild a record from its JSON form. A missing key, a value of the wrong
+    type, a vector of other than 3 finite numbers, a relation that is no valid
+    term set, or a caption that names other terms than the relation (judges
+    score against the relation alone) raises ValueError naming the record.
     """
-    cam = doc["camera"]
-    rec = SampleRecord(
-        id=int(doc["id"]),
-        scene_id=int(doc["scene_id"]),
-        objects=tuple(
-            (o["name"], tuple(float(v) for v in o["pos"]), float(o["yaw"]))
-            for o in doc["objects"]
-        ),
-        camera=CameraPose(
-            tuple(float(v) for v in cam["pos"]),
-            float(cam["yaw"]),
-            float(cam["pitch"]),
-            float(cam["roll"]),
-        ),
-        subject=doc["subject"],
-        reference=doc["reference"],
-        relation=prompts.SpatialRelation(
-            frozenset(doc["relation"]["horizontal"]), doc["relation"]["vertical"]
-        ),
-        caption=doc["caption"],
-        question=doc["question"],
-        neg_term=doc["neg_term"],
-        neg_object=doc["neg_object"],
-        episode=int(doc["episode"]),
-        iteration=int(doc["iteration"]),
+    try:
+        return _record_from_dict(doc)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        name = f"record {doc['id']!r}" if isinstance(doc, dict) and "id" in doc else "record"
+        cause = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"malformed sample {name}: {cause}") from exc
+
+
+def _typed(value, kind: type):
+    if type(value) is not kind:  # a bool is no int
+        raise TypeError(f"expected {kind.__name__}, got {value!r}")
+    return value
+
+
+def _record_from_dict(doc: dict) -> SampleRecord:
+    cam, relation = _typed(doc, dict)["camera"], doc["relation"]
+    horizontal = frozenset(_typed(relation["horizontal"], list))
+    vertical = relation["vertical"]
+    if not horizontal.issubset(_HORIZONTAL) or vertical not in (*prompts.VERTICAL_PRIMITIVES, None):
+        raise ValueError(f"relation {relation!r} puts a term in the wrong slot")
+    objects = tuple(
+        (_typed(o["name"], str), _vec3(o["pos"]), _number(o["yaw"])) for o in doc["objects"]
     )
-    if prompts.parse_caption(rec.caption) != rec.truth_terms():
-        raise ValueError(
-            f"record {rec.id}: caption {rec.caption!r} disagrees with its stored relation"
-        )
+    if len(objects) != ACTIVE_COUNT:
+        raise ValueError(f"expected {ACTIVE_COUNT} objects, got {len(objects)}")
+    rec = SampleRecord(
+        id=_typed(doc["id"], int),
+        scene_id=_typed(doc["scene_id"], int),
+        objects=objects,
+        camera=CameraPose(
+            _vec3(cam["pos"]), _number(cam["yaw"]), _number(cam["pitch"]), _number(cam["roll"])
+        ),
+        subject=_typed(doc["subject"], str),
+        reference=_typed(doc["reference"], str),
+        terms=prompts.check_terms(horizontal | {vertical} if vertical else horizontal),
+        caption=_typed(doc["caption"], str),
+        question=_typed(doc["question"], str),
+        neg_term=_typed(doc["neg_term"], str),
+        neg_object=_typed(doc["neg_object"], str),
+        episode=_typed(doc["episode"], int),
+        iteration=_typed(doc["iteration"], int),
+    )
+    if prompts.parse_caption(rec.caption) != rec.terms:
+        raise ValueError(f"caption {rec.caption!r} disagrees with its stored relation")
     return rec
 
 
@@ -202,13 +221,10 @@ def replay_check(rec: SampleRecord) -> str | None:
         pos_b = rec.position_of(rec.reference)
     except KeyError as exc:
         return f"subject/reference {exc} not among objects"
-    relation = prompts.relation_for_pair(pos_a, pos_b, rec.camera)
-    if relation != rec.relation:
-        return (
-            f"stored relation {sorted(rec.relation.primitives)} != "
-            f"recomputed {sorted(relation.primitives)}"
-        )
-    expected = prompts.render_caption(rec.subject, rec.reference, rec.relation)
+    terms = prompts.relation_for_pair(pos_a, pos_b, rec.camera)
+    if terms != rec.terms:
+        return f"stored relation {sorted(rec.terms)} != recomputed {sorted(terms)}"
+    expected = prompts.render_caption(rec.subject, rec.reference, rec.terms)
     if rec.caption != expected:
         return "caption inconsistent with relation"
     if prompts.render_question(rec.subject, rec.reference) != rec.question:
@@ -241,7 +257,7 @@ def breakdown(verdicts, samples, kind: str) -> dict:
         rec = by_id.get(v.sample_id)
         if rec is None or v.score is None:
             continue
-        for key in rec.truth_terms() if kind == "term" else (str(rec.relation.complexity),):
+        for key in rec.terms if kind == "term" else (str(len(rec.terms)),):
             scores[key].append(v.score)
     rows = [
         {"key": key, "mean_score": float(np.mean(s)) if s else None, "count": len(s)}

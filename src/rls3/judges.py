@@ -109,7 +109,7 @@ def _rubric_verdicts(samples: list[SampleRecord], predicted_sets) -> list[JudgeV
         if not predicted <= set(prompts.PRIMITIVES):
             verdicts.append(JudgeVerdict(rec.id, flagged=True))
             continue
-        rubric = rubric_score(predicted, rec.truth_terms())
+        rubric = rubric_score(predicted, rec.terms)
         verdicts.append(JudgeVerdict(rec.id, predicted_terms=predicted, rubric=rubric))
     return verdicts
 
@@ -310,7 +310,7 @@ class GenerativeJudge:
     def targets(self, samples: list[SampleRecord]) -> np.ndarray:
         t = np.zeros((len(samples), len(prompts.PRIMITIVES)))
         for i, rec in enumerate(samples):
-            for term in rec.truth_terms():
+            for term in rec.terms:
                 t[i, prompts.PRIMITIVES.index(term)] = 1.0
         return t
 

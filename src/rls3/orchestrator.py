@@ -119,6 +119,8 @@ class RunConfig:
             "external:"
         ):
             raise ConfigError(f"unknown judge kind {self.judge!r}")
+        if self.external_mode not in ("generative", "contrastive"):
+            raise ConfigError(f"unknown external_mode {self.external_mode!r}")
 
     def resolved_early_stop(self) -> EarlyStopPolicy:
         if self.early_stop is not None:

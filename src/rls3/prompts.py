@@ -51,50 +51,28 @@ class EmptyRelationError(ValueError):
     """A caption needs at least one spatial primitive."""
 
 
-@dataclass(frozen=True)
-class SpatialRelation:
-    horizontal: frozenset[str]
-    vertical: str | None
-
-    def __post_init__(self):
-        if not self.horizontal <= set(HORIZONTAL_PRIMITIVES):
-            raise ValueError(f"bad horizontal terms {self.horizontal}")
-        if len(self.horizontal) > 2:
-            raise ValueError("at most two horizontal terms")
-        for term in self.horizontal:
-            if OPPOSITES[term] in self.horizontal:
-                raise ValueError("horizontal terms contain an opposite pair")
-        if self.vertical is not None and self.vertical not in VERTICAL_PRIMITIVES:
-            raise ValueError(f"bad vertical term {self.vertical}")
-        if not self.horizontal and self.vertical is None:
-            raise ValueError("relation needs at least one primitive")
-
-    @property
-    def complexity(self) -> int:
-        return len(self.horizontal) + (1 if self.vertical else 0)
-
-    @property
-    def primitives(self) -> frozenset[str]:
-        extra = {self.vertical} if self.vertical else set()
-        return frozenset(self.horizontal | extra)
-
-
-def relation_from_primitives(terms) -> SpatialRelation:
-    terms = set(terms)
-    vertical = terms & set(VERTICAL_PRIMITIVES)
-    if len(vertical) > 1:
-        raise ValueError("both vertical terms present")
-    return SpatialRelation(
-        horizontal=frozenset(terms & set(HORIZONTAL_PRIMITIVES)),
-        vertical=next(iter(vertical), None),
-    )
+def check_terms(terms) -> frozenset[str]:
+    """`terms` as a relation: a non-empty set of primitives that holds no term
+    together with its opposite. The horizontal terms form two opposite pairs
+    and the vertical terms one, so a relation has at most two horizontal terms
+    and at most one vertical term.
+    """
+    terms = frozenset(terms)
+    if not terms:
+        raise EmptyRelationError("relation needs at least one primitive")
+    for term in terms:
+        if term not in OPPOSITES:
+            raise ValueError(f"unknown spatial term {term!r}")
+        if OPPOSITES[term] in terms:
+            raise ValueError(f"relation holds {term!r} and its opposite")
+    return terms
 
 
 @dataclass(frozen=True)
 class CaptionSet:
     subject: str
     reference: str
-    relation: SpatialRelation
+    terms: frozenset[str]
     positive: str
     question: str
     term_swapped: str
@@ -165,17 +143,17 @@ def classify_elevation(elevation: float) -> ElevationBand:
     return ElevationBand("vertical_only", vertical)
 
 
-def relation_for_pair(pos_a, pos_b, camera: CameraPose) -> SpatialRelation:
+def relation_for_pair(pos_a, pos_b, camera: CameraPose) -> frozenset[str]:
+    """The terms that place A relative to B."""
     azimuth, elevation = relative_geometry(pos_a, pos_b, camera)
     band = classify_elevation(elevation)
-    if band.kind == "vertical_only":
-        return SpatialRelation(frozenset(), band.vertical)
-    return SpatialRelation(classify_horizontal(azimuth), band.vertical)
+    horizontal = frozenset() if band.kind == "vertical_only" else classify_horizontal(azimuth)
+    return check_terms(horizontal | {band.vertical} if band.vertical else horizontal)
 
 
 def build_relation(
     snapshot: SceneSnapshot, rng: np.random.Generator
-) -> tuple[str, str, SpatialRelation]:
+) -> tuple[str, str, frozenset[str]]:
     """Draw subject A and reference B without replacement and classify A's
     position in B's camera-anchored frame.
     """
@@ -185,20 +163,20 @@ def build_relation(
     for _ in range(2):  # resample once on degenerate geometry
         i, j = rng.choice(n, size=2, replace=False)
         try:
-            relation = relation_for_pair(
+            terms = relation_for_pair(
                 snapshot.positions[i], snapshot.positions[j], snapshot.camera
             )
         except DegenerateGeometryError:
             continue
-        return snapshot.names[i], snapshot.names[j], relation
+        return snapshot.names[i], snapshot.names[j], terms
     raise DegenerateGeometryError("coincident centers after resampling")
 
 
 # --- text --------------------------------------------------------------------
 
 
-def render_caption(subject: str, reference: str, relation: SpatialRelation) -> str:
-    phrases = [phrase for t, phrase in PHRASES.items() if t in relation.primitives]
+def render_caption(subject: str, reference: str, terms: frozenset[str]) -> str:
+    phrases = [phrase for t, phrase in PHRASES.items() if t in terms]
     if not phrases:
         raise EmptyRelationError("relation has no primitives")
     if len(phrases) == 1:
@@ -225,29 +203,29 @@ def parse_caption(text: str) -> frozenset[str]:
 def make_negatives(
     subject: str,
     reference: str,
-    relation: SpatialRelation,
+    terms: frozenset[str],
     rng: np.random.Generator,
 ) -> tuple[str, str]:
     """(term-swapped, object-swapped) hard negatives for a rendered caption."""
-    terms = sorted(relation.primitives)
-    swap = terms[int(rng.integers(len(terms)))]
-    swapped = (relation.primitives - {swap}) | {OPPOSITES[swap]}
-    term_swapped = render_caption(subject, reference, relation_from_primitives(swapped))
-    object_swapped = render_caption(reference, subject, relation)
+    ordered = sorted(terms)
+    swap = ordered[int(rng.integers(len(ordered)))]
+    swapped = check_terms((terms - {swap}) | {OPPOSITES[swap]})
+    term_swapped = render_caption(subject, reference, swapped)
+    object_swapped = render_caption(reference, subject, terms)
     return term_swapped, object_swapped
 
 
 def build_caption_set(
     snapshot: SceneSnapshot, rng: np.random.Generator
 ) -> CaptionSet:
-    subject, reference, relation = build_relation(snapshot, rng)
-    positive = render_caption(subject, reference, relation)
+    subject, reference, terms = build_relation(snapshot, rng)
+    positive = render_caption(subject, reference, terms)
     question = render_question(subject, reference)
-    term_swapped, object_swapped = make_negatives(subject, reference, relation, rng)
+    term_swapped, object_swapped = make_negatives(subject, reference, terms, rng)
     return CaptionSet(
         subject=subject,
         reference=reference,
-        relation=relation,
+        terms=terms,
         positive=positive,
         question=question,
         term_swapped=term_swapped,

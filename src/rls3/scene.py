@@ -137,6 +137,11 @@ def _surfaces_overlap_plan(a: Surface, b: Surface) -> bool:
     )
 
 
+def _fitting(surfaces, half) -> list[Surface]:
+    """The surfaces an object of half extents `half` fits on, strictly inside."""
+    return [s for s in surfaces if s.half_extent_x > half[0] and s.half_extent_z > half[2]]
+
+
 def _number(value) -> float:
     if type(value) not in (int, float) or not math.isfinite(value):  # a bool is no number
         raise TypeError(f"expected a finite number, got {value!r}")
@@ -150,7 +155,8 @@ def _vec3(values) -> tuple[float, float, float]:
 
 def suite_from_dict(doc: dict) -> SceneSuite:
     """Build a suite from its JSON form; a missing key, a value of the wrong
-    type or an inconsistent layout raises SceneConfigError.
+    type, an inconsistent layout or a scene on which some catalog object fits
+    no surface raises SceneConfigError.
     """
     try:
         return _suite_from_dict(doc)
@@ -196,6 +202,10 @@ def _suite_from_dict(doc: dict) -> SceneSuite:
                 raise SceneConfigError("surface extents must be positive")
         if _surfaces_overlap_plan(*surfaces):
             raise SceneConfigError("surfaces overlap in plan view")
+        scene_id = int(s["id"])
+        for o in catalog:
+            if not _fitting(surfaces, o.half_extents):
+                raise SceneConfigError(f"{o.name} fits no surface of scene {scene_id}")
         cam = s["camera"]
         camera = CameraPose(
             _vec3(cam["position"]),
@@ -211,7 +221,7 @@ def _suite_from_dict(doc: dict) -> SceneSuite:
             )
             if inside_plan and cy <= surf.top_y:
                 raise SceneConfigError("camera inside a surface volume")
-        scenes.append(SceneSpec(int(s["id"]), surfaces, camera))
+        scenes.append(SceneSpec(scene_id, surfaces, camera))
     if not scenes:
         raise SceneConfigError("suite has no scenes")
     return SceneSuite(catalog, tuple(scenes))
@@ -447,11 +457,7 @@ def sample_positions(
     attempts = 0
     for i, name in enumerate(names):
         half = np.asarray(suite.spec(name).half_extents)
-        fitting = [
-            s
-            for s in scene.surfaces
-            if s.half_extent_x > half[0] and s.half_extent_z > half[2]
-        ]
+        fitting = _fitting(scene.surfaces, half)
         if not fitting:
             raise PlacementError(f"{name} fits no surface of scene {scene.scene_id}")
         while True:

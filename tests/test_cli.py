@@ -5,7 +5,7 @@ from importlib import resources
 
 import pytest
 
-from rls3 import cli, orchestrator
+from rls3 import cli, orchestrator, scene
 from rls3.datasets import read_samples, record_line
 from rls3.judges import GenerativeJudge, JudgeError
 from rls3.orchestrator import desk_config, run_loop
@@ -119,6 +119,27 @@ def test_replay_tamper_exits_2_and_names_record(tmp_path, capsys):
     assert run_cli("replay", "--run-dir", str(run_dir)) == 2
     err = capsys.readouterr().err
     assert str(tampered.id) in err
+
+
+@pytest.mark.parametrize("command", ["replay", "eval"])
+@pytest.mark.parametrize(
+    "edit",
+    [lambda d: {}, lambda d: [1], lambda d: {**d, "camera": {**d["camera"], "pos": [0.0, 1.6]}}],
+    ids=["empty", "list", "2d-camera"],
+)
+def test_malformed_sample_line_is_one_error(tmp_path, capsys, command, edit):
+    samples = tmp_path / "samples.jsonl"
+    assert run_cli("gen-fixed-set", "--run-dir", str(tmp_path), "--count", "3",
+                   "--out", samples.name) == 0
+    lines = samples.read_text().splitlines()
+    lines[1] = json.dumps(edit(json.loads(lines[1])))
+    samples.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli(command, "--run-dir", str(tmp_path / "out"), "--samples", str(samples)) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: malformed sample record"), err
+    assert captured.out == ""
 
 
 def test_runtime_error_exit_code(tmp_path):
@@ -300,7 +321,7 @@ def test_contrastive_eval_rows_are_ranking_shares(tmp_path, capsys, judge, extra
     filled = [r for r in doc["per_term"]["rows"] if r["count"] > 0]
     assert filled
     for row in filled:
-        shares = [ranked[rec.id] for rec in records if row["key"] in rec.truth_terms()]
+        shares = [ranked[rec.id] for rec in records if row["key"] in rec.terms]
         assert row["count"] == len(shares)
         assert row["mean_score"] == sum(shares) / len(shares)
 
@@ -357,34 +378,48 @@ def test_malformed_finetune_loss_fails_the_run(tmp_path, capsys, loss):
     assert report["finetune_losses"] == []
 
 
-def _suite_with_a_last_scene_that_fits_nothing(tmp_path):
+def test_suite_that_seats_nothing_writes_nothing(tmp_path, capsys):
     doc = json.loads((resources.files("rls3") / "data" / "scenes_train.json").read_text())
     for surface in doc["scenes"][-1]["surfaces"]:
         surface["half_extent_x"] = surface["half_extent_z"] = 0.05
-    path = tmp_path / "suite.json"
-    path.write_text(json.dumps(doc))
-    return path
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps(doc))
+    run_dir = tmp_path / "run"
+    assert run_cli("run", "--run-dir", str(run_dir), "--agent", "random", *TINY_SETS,
+                   "--set", f"train_suite={json.dumps(str(suite))}") == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: small pot fits no surface of scene 4"
+    ]
+    assert not run_dir.exists()
 
 
 @pytest.mark.parametrize(
     "overrides, fixed_sets_written",
     [
         ([], False),  # validation samples go round the scenes: the fifth fails
-        # four validation samples miss scene 4; the fifth episode starts there
+        # four validation samples miss scene 4; an episode reaches it later
         (["validation_count=4", "iterations=1", "episodes_per_iteration=5"], True),
     ],
     ids=["fixed-set", "episode"],
 )
-def test_scene_placement_failure_writes_report(tmp_path, capsys, overrides, fixed_sets_written):
-    suite = _suite_with_a_last_scene_that_fits_nothing(tmp_path)
+def test_scene_placement_failure_writes_report(
+    tmp_path, capsys, monkeypatch, overrides, fixed_sets_written
+):
+    place = scene.sample_positions
+
+    def place_nothing_on_scene_4(suite, spec, names, rng, *args):
+        if spec.scene_id == 4:
+            raise scene.PlacementError("no placement found on scene 4")
+        return place(suite, spec, names, rng, *args)
+
+    monkeypatch.setattr(scene, "sample_positions", place_nothing_on_scene_4)
     run_dir = tmp_path / "run"
-    argv = ["run", "--run-dir", str(run_dir), "--agent", "random", *TINY_SETS,
-            "--set", f"train_suite={json.dumps(str(suite))}"]
+    argv = ["run", "--run-dir", str(run_dir), "--agent", "random", *TINY_SETS]
     for override in overrides:
         argv += ["--set", override]
     assert run_cli(*argv) == 2
     report = _strict_json((run_dir / "report.json").read_text())
-    assert "fits no surface of scene 4" in report["failure"]
+    assert "no placement found on scene 4" in report["failure"]
     assert report["failure"] in capsys.readouterr().err
     assert (report["validation_digest"] is not None) == fixed_sets_written
     assert report["iterations_completed"] == 0
@@ -404,7 +439,7 @@ def test_one_sample_contrastive_finetune_fails_the_run(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "override",
-    ["iterations=abc", "agent_hidden=5", "early_stop=3", "early_stop.patience=3",
+    ["external_mode=contrastiv", "iterations=abc", "agent_hidden=5", "early_stop=3", "early_stop.patience=3",
      "sampling_rate=[1]", "seed=abc", "seed=1.5", "judge=5", "iterations=1.5", "seed=-1",
      'p_swap="x"', "warmup=abc", "budget=1.5", "agent_checkpoint=5", "sampling_rate=true",
      "agent=sac", "agent_hidden=[1.5,2.9]", "judge_hidden=[64,0]",

@@ -1,8 +1,11 @@
 import dataclasses
+import functools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rls3.datasets import (
     breakdown,
@@ -52,6 +55,88 @@ def test_record_round_trip(records):
     for rec in records:
         assert record_from_dict(record_to_dict(rec)) == rec
         assert record_from_dict(json.loads(record_line(rec))) == rec
+
+
+@functools.cache
+def _valid_line():
+    return record_line(generate_fixed_records(builtin_suite("train"), 1, seed=11)[0])
+
+
+def _valid_doc():
+    return json.loads(_valid_line())
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d.pop("camera"),
+        lambda d: d["camera"].update(pos=[0.0, 1.0]),
+        lambda d: d["camera"].update(yaw="0"),
+        lambda d: d["objects"][0].update(pos=[0.0, 1.0, float("nan")]),
+        lambda d: d["objects"][1].update(yaw=True),
+        lambda d: d["objects"].pop(),
+        lambda d: d.update(id=1.5),
+        lambda d: d.update(episode=True),
+        lambda d: d.update(caption=7),
+        lambda d: d["relation"].update(horizontal="left"),
+        lambda d: d["relation"].update(horizontal=["above"], vertical=None),
+        lambda d: d["relation"].update(vertical="left"),
+        lambda d: d["relation"].update(horizontal=["left", "right"]),
+    ],
+    ids=["no-camera", "2d-camera", "string-yaw", "nan-position", "bool-yaw", "two-objects",
+         "float-id", "bool-episode", "int-caption", "string-horizontal", "vertical-in-horizontal",
+         "horizontal-in-vertical", "opposites"],
+)
+def test_malformed_record_raises_value_error_naming_it(edit):
+    doc = _valid_doc()
+    edit(doc)
+    with pytest.raises(ValueError, match=f"malformed sample record {doc.get('id', 0)}"):
+        record_from_dict(doc)
+
+
+@pytest.mark.parametrize("doc", [{}, [1], None, "record", 3])
+def test_record_that_is_no_record_raises_value_error(doc):
+    with pytest.raises(ValueError, match="malformed sample record"):
+        record_from_dict(doc)
+
+
+_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats()
+    | st.text(max_size=8) | st.sampled_from(PRIMITIVES)
+)
+_JSON_VALUES = (
+    _SCALARS | st.lists(_SCALARS, max_size=4)
+    | st.dictionaries(st.text(max_size=4), _SCALARS, max_size=3)
+)
+
+
+def _paths(doc, prefix=()):
+    """The key path of every value inside a record document, nested ones included."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_mutated_record_is_read_back_or_rejected(data):
+    doc = _valid_doc()
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_paths(doc))))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if data.draw(st.booleans()):
+            parent.pop(path[-1])
+        else:
+            parent[path[-1]] = data.draw(_JSON_VALUES)
+    try:
+        rec = record_from_dict(doc)
+    except ValueError:
+        return
+    assert record_from_dict(json.loads(record_line(rec))) == rec
 
 
 def test_record_line_is_canonical(records):
@@ -128,7 +213,7 @@ def test_breakdown_of_rankings_and_flags(train, records):
         ranked = [
             v.ranked_correct
             for v, rec in zip(verdicts, records)
-            if str(rec.relation.complexity) == row["key"]
+            if str(len(rec.terms)) == row["key"]
         ]
         assert row["count"] == len(ranked)
         assert row["mean_score"] == (sum(ranked) / len(ranked) if ranked else None)

@@ -213,7 +213,7 @@ def test_generative_reward_from_rubric(train, records):
     _, j2 = infer_and_reward(judge, records[:16])
     assert math.isclose(j2, (6.0 - mean) ** 2)
     # perfect batch gives the minimum reward of 1
-    judge.predict_terms = lambda samples: [r.truth_terms() for r in samples]
+    judge.predict_terms = lambda samples: [r.terms for r in samples]
     assert infer_and_reward(judge, records[:16])[1] == 1.0
 
 
@@ -428,7 +428,7 @@ def test_untrained_generative_near_chance(train):
     rng = np.random.default_rng(123)
     sims = []
     for rec in records:
-        truth = rec.truth_terms()
+        truth = rec.terms
         # fresh random nets emit tiny logits, so sigmoid ~ 0.5 per term
         predicted = {t for t in oracles.PRIMITIVES if rng.random() > 0.5}
         sims.append(oracles.rubric_reference(predicted, set(truth)))

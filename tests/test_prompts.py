@@ -10,15 +10,14 @@ from rls3.prompts import (
     PRIMITIVES,
     DegenerateGeometryError,
     EmptyRelationError,
-    SpatialRelation,
     build_caption_set,
     camera_basis,
+    check_terms,
     classify_elevation,
     classify_horizontal,
     make_negatives,
     parse_caption,
     relation_for_pair,
-    relation_from_primitives,
     relative_geometry,
     render_caption,
     render_question,
@@ -119,33 +118,45 @@ def test_relation_terms_match_reference():
         cam = CameraPose((0, 0, 0), rng.uniform(0, 360), 0, 0)
         az, el = relative_geometry(a, b, cam)
         rel = relation_for_pair(a, b, cam)
-        assert set(rel.primitives) == oracles.relation_terms_reference(az, el)
+        assert rel == oracles.relation_terms_reference(az, el)
 
 
 def test_relation_complexity_range():
     rng = np.random.default_rng(3)
     for _ in range(500):
         rel = relation_for_pair(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3), CAMERA)
-        assert 1 <= rel.complexity <= 3
-        assert rel.complexity == len(rel.primitives)
+        assert 1 <= len(rel) <= 3
+        assert rel == check_terms(rel)
 
 
 def test_relation_validation():
-    with pytest.raises(ValueError):
-        SpatialRelation(frozenset({"left", "right"}), None)  # opposites
-    with pytest.raises(ValueError):
-        SpatialRelation(frozenset({"front", "behind"}), None)
-    with pytest.raises(ValueError):
-        SpatialRelation(frozenset(), None)  # empty relation
-    with pytest.raises(ValueError):
-        SpatialRelation(frozenset({"above"}), None)  # vertical in horizontal slot
+    for terms in (
+        {"left", "right"},  # opposites
+        {"front", "behind"},
+        {"above", "below"},
+        set(),  # empty relation
+        {"front", "left", "right"},  # three horizontal terms hold an opposite pair
+        {"up"},  # not a primitive
+        {"left", "Left"},
+    ):
+        with pytest.raises(ValueError):
+            check_terms(terms)
+
+
+def test_check_terms_accepts_every_valid_relation():
+    valid = [t for t in oracles.all_prediction_sets() if t and not any(OPPOSITES[x] in t for x in t)]
+    assert len(valid) == 26  # 9 horizontal choices x 3 vertical choices, less the empty one
+    for terms in valid:
+        assert check_terms(terms) == terms
+        assert sum(t in ("above", "below") for t in terms) <= 1
+        assert len(terms) <= 3
 
 
 # --- rendering and parsing ------------------------------------------------------
 
 
 def test_reference_sentence():
-    rel = relation_from_primitives({"above", "behind", "left"})
+    rel = check_terms({"above", "behind", "left"})
     assert (
         render_caption("small pot", "yellow bowl", rel)
         == "The small pot is above, behind and to the left of the yellow bowl."
@@ -160,13 +171,15 @@ def test_question_format():
 
 
 def test_single_term_caption():
-    rel = relation_from_primitives({"front"})
+    rel = check_terms({"front"})
     assert render_caption("mug", "plate", rel) == "The mug is in front of the plate."
 
 
 def test_empty_relation_rejected():
-    with pytest.raises((EmptyRelationError, ValueError)):
-        relation_from_primitives(set())
+    with pytest.raises(EmptyRelationError):
+        check_terms(set())
+    with pytest.raises(EmptyRelationError):
+        render_caption("mug", "plate", frozenset())
 
 
 def _relation_strategy():
@@ -187,7 +200,7 @@ def _relation_strategy():
     return (
         st.tuples(horizontals, verticals)
         .filter(lambda t: t[0] or t[1])
-        .map(lambda t: SpatialRelation(t[0], t[1]))
+        .map(lambda t: check_terms(t[0] | {t[1]} if t[1] else t[0]))
     )
 
 
@@ -195,7 +208,7 @@ def _relation_strategy():
 @settings(max_examples=200)
 def test_caption_round_trip(rel):
     caption = render_caption("mug", "plate", rel)
-    assert parse_caption(caption) == rel.primitives
+    assert parse_caption(caption) == rel
 
 
 @given(_relation_strategy(), st.integers(0, 2**32 - 1))
@@ -207,12 +220,12 @@ def test_negatives_properties(rel, seed):
     assert neg_term != pos
     # exactly one primitive flipped to its opposite
     terms = parse_caption(neg_term)
-    diff_out = rel.primitives - terms
-    diff_in = terms - rel.primitives
+    diff_out = rel - terms
+    diff_in = terms - rel
     assert len(diff_out) == 1 and len(diff_in) == 1
     assert OPPOSITES[next(iter(diff_out))] == next(iter(diff_in))
     # object swap keeps the terms, reverses the roles
-    assert parse_caption(neg_obj) == rel.primitives
+    assert parse_caption(neg_obj) == rel
     assert neg_obj.startswith("The plate is") and neg_obj.endswith("the mug.")
 
 
@@ -229,11 +242,11 @@ def test_round_trip_bulk():
     for i in range(10_000):
         snap = random_snapshot(suite, i % len(suite.scenes), rng)
         cs = build_caption_set(snap, rng)
-        assert parse_caption(cs.positive) == cs.relation.primitives
+        assert parse_caption(cs.positive) == cs.terms
         assert cs.subject != cs.reference
         assert cs.positive != cs.term_swapped
         assert cs.positive != cs.object_swapped
-        seen_complexities.add(cs.relation.complexity)
+        seen_complexities.add(len(cs.terms))
     assert seen_complexities == {1, 2, 3}
 
 

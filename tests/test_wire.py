@@ -211,7 +211,7 @@ def test_client_for_address_splits_like_a_shell(records):
             {"op": "infer", "mode": "generative",
              "samples": [record_to_dict(r) for r in records[:2]]}
         )
-        assert resp["terms"] == [sorted(r.truth_terms()) for r in records[:2]]
+        assert resp["terms"] == [sorted(r.terms) for r in records[:2]]
     with pytest.raises(WireError, match="cannot parse external judge command"):
         client_for_address(command + " '")
 
@@ -277,4 +277,4 @@ def test_stub_handles_sample_payload(records):
     }
     resp = handle_request(req, "all_correct", 0.5)
     for rec, terms in zip(records[:3], resp["terms"]):
-        assert set(terms) == set(rec.truth_terms())
+        assert set(terms) == set(rec.terms)

@@ -163,12 +163,30 @@ def _cmd_gen_fixed_set(args) -> int:
     return 0
 
 
+def _check_names(records, catalog_names) -> None:
+    """Raise ValueError naming the first record with an object outside the
+    catalog, or a subject or reference that is none of its objects. The
+    judges' features look names up in the catalog and the generative judge's
+    the subject and reference among the objects; `rls3 replay` rejects such
+    a record too."""
+    catalog = set(catalog_names)
+    for rec in records:
+        objects = [name for name, _pos, _yaw in rec.objects]
+        for name in objects:
+            if name not in catalog:
+                raise ValueError(f"record {rec.id} names {name!r}, which is not in the catalog")
+        for name in (rec.subject, rec.reference):
+            if name not in objects:
+                raise ValueError(f"record {rec.id} relates {name!r}, which is none of its objects")
+
+
 def _cmd_eval(args) -> int:
     config = _load_config(args)
     run_dir = _require_run_dir(args)
     run_dir.mkdir(parents=True, exist_ok=True)
     records = datasets.read_samples(args.samples)
     suite = orchestrator.resolve_suite(config.train_suite)
+    _check_names(records, suite.catalog_names)
     judge = orchestrator.make_judge(config, suite.catalog_names, config.seed)
     with contextlib.closing(judge):
         if args.judge_checkpoint:

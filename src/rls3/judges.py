@@ -103,10 +103,11 @@ def _rubric_verdicts(samples: list[SampleRecord], predicted_sets) -> list[JudgeV
     sample's truth terms, or flagged and left unscored when the set holds a
     word outside PRIMITIVES.
     """
+    primitives = frozenset(prompts.PRIMITIVES)
     verdicts = []
     for rec, predicted in zip(samples, predicted_sets):
         predicted = frozenset(predicted)
-        if not predicted <= set(prompts.PRIMITIVES):
+        if not predicted <= primitives:
             verdicts.append(JudgeVerdict(rec.id, flagged=True))
             continue
         rubric = rubric_score(predicted, rec.terms)
@@ -222,30 +223,29 @@ def generative_features(rec: SampleRecord, catalog_names: tuple[str, ...]) -> np
     """One-hot subject and reference types, their world positions, camera
     position and yaw; 28 values.
     """
-    idx = {name: i for i, name in enumerate(catalog_names)}
-    out = np.zeros(GENERATIVE_FEATURE_DIM)
-    out[idx[rec.subject]] = 1.0
-    out[9 + idx[rec.reference]] = 1.0
-    out[18:21] = rec.position_of(rec.subject)
-    out[21:24] = rec.position_of(rec.reference)
-    out[24:27] = rec.camera.position
-    out[27] = rec.camera.yaw
-    return out
+    out = [0.0] * 18
+    out[catalog_names.index(rec.subject)] = 1.0
+    out[9 + catalog_names.index(rec.reference)] = 1.0
+    out += rec.position_of(rec.subject)
+    out += rec.position_of(rec.reference)
+    out += rec.camera.position
+    out.append(rec.camera.yaw)
+    return np.array(out)
 
 
 def image_features(rec: SampleRecord, catalog_names: tuple[str, ...]) -> np.ndarray:
     """Full scene metadata: per active slot a type one-hot plus position, then
     camera position and yaw; 40 values.
     """
-    idx = {name: i for i, name in enumerate(catalog_names)}
-    out = np.zeros(IMAGE_FEATURE_DIM)
-    for slot, (name, pos, _yaw) in enumerate(rec.objects):
-        base = slot * 12
-        out[base + idx[name]] = 1.0
-        out[base + 9 : base + 12] = pos
-    out[36:39] = rec.camera.position
-    out[39] = rec.camera.yaw
-    return out
+    out = []
+    for name, pos, _yaw in rec.objects:
+        one_hot = [0.0] * 9
+        one_hot[catalog_names.index(name)] = 1.0
+        out += one_hot
+        out += pos
+    out += rec.camera.position
+    out.append(rec.camera.yaw)
+    return np.array(out)
 
 
 def text_features(caption: str, catalog_names: tuple[str, ...]) -> np.ndarray:
@@ -345,20 +345,21 @@ class GenerativeJudge:
             idx = self._rng.choice(len(samples), size=take, replace=False)
             tape = []
             logits = self.net.forward(x[idx], tape)
+            target = t[idx]
             probs = 1.0 / (1.0 + np.exp(-logits))
             eps = 1e-12
             loss = float(
                 -np.mean(
                     np.sum(
-                        t[idx] * np.log(probs + eps)
-                        + (1.0 - t[idx]) * np.log(1.0 - probs + eps),
+                        target * np.log(probs + eps)
+                        + (1.0 - target) * np.log(1.0 - probs + eps),
                         axis=1,
                     )
                 )
             )
             if not np.isfinite(loss):
                 raise JudgeError("non-finite fine-tuning loss")
-            grad, _ = self.net.backward((probs - t[idx]) / take, tape, need="params")
+            grad, _ = self.net.backward((probs - target) / take, tape, need="params")
             self.optimizer.step(grad)
             report.losses.append(loss)
         return report

@@ -96,34 +96,41 @@ def relative_geometry(
     """Azimuth [0, 360) and elevation [-90, 90] of A seen from B in the
     camera-yaw frame. Azimuth 0 points away from the camera ('behind'),
     increasing toward camera-right.
+
+    The projections stay numpy dot products: BLAS may fuse their multiplies
+    and adds, so the same sum in Python floats can differ in the last bit.
     """
-    d = np.asarray(pos_a, dtype=float) - np.asarray(pos_b, dtype=float)
-    if not np.any(d):
+    (ax, ay, az), (bx, by, bz) = pos_a, pos_b
+    dx, dy, dz = float(ax) - float(bx), float(ay) - float(by), float(az) - float(bz)
+    if not (dx or dy or dz):
         raise DegenerateGeometryError("coincident object centers")
+    d = np.array([dx, dy, dz])
     forward, right = camera_basis(camera.yaw)
     d_fwd = float(d @ forward)
     d_right = float(d @ right)
     azimuth = math.degrees(math.atan2(d_right, d_fwd)) % 360.0
-    elevation = math.degrees(math.atan2(d[1], math.hypot(d_fwd, d_right)))
+    elevation = math.degrees(math.atan2(dy, math.hypot(d_fwd, d_right)))
     return azimuth, elevation
+
+
+# the horizontal terms of the eight 45-degree regions; region k is centred on azimuth k*45
+_HORIZONTAL_REGIONS = (
+    frozenset({"behind"}),
+    frozenset({"behind", "right"}),
+    frozenset({"right"}),
+    frozenset({"front", "right"}),
+    frozenset({"front"}),
+    frozenset({"front", "left"}),
+    frozenset({"left"}),
+    frozenset({"behind", "left"}),
+)
 
 
 def classify_horizontal(azimuth: float) -> frozenset[str]:
     """Eight half-open 45-degree regions with boundaries at 22.5 + k*45."""
     if not 0.0 <= azimuth < 360.0:
         raise ValueError("azimuth must be in [0, 360)")
-    table = (
-        frozenset({"behind"}),
-        frozenset({"behind", "right"}),
-        frozenset({"right"}),
-        frozenset({"front", "right"}),
-        frozenset({"front"}),
-        frozenset({"front", "left"}),
-        frozenset({"left"}),
-        frozenset({"behind", "left"}),
-    )
-    region = int(((azimuth + 22.5) % 360.0) // 45.0)
-    return table[region]
+    return _HORIZONTAL_REGIONS[int(((azimuth + 22.5) % 360.0) // 45.0)]
 
 
 @dataclass(frozen=True)

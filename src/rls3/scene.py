@@ -243,17 +243,18 @@ def builtin_suite(name: str) -> SceneSuite:
 # --- geometry ----------------------------------------------------------------
 
 
-def boxes_interpenetrate(
-    center_a: np.ndarray,
-    half_a: np.ndarray,
-    center_b: np.ndarray,
-    half_b: np.ndarray,
-) -> bool:
+def boxes_interpenetrate(center_a, half_a, center_b, half_b) -> bool:
     """Strict-interior AABB intersection; boxes sharing a face plane do not count."""
-    return bool(np.all(np.abs(np.asarray(center_a) - np.asarray(center_b)) < half_a + half_b))
+    ax, ay, az = center_a
+    bx, by, bz = center_b
+    hax, hay, haz = half_a
+    hbx, hby, hbz = half_b
+    return bool(
+        abs(ax - bx) < hax + hbx and abs(ay - by) < hay + hby and abs(az - bz) < haz + hbz
+    )
 
 
-def footprint_on_surface(center: np.ndarray, half: np.ndarray, surf: Surface) -> bool:
+def footprint_on_surface(center, half, surf: Surface) -> bool:
     return (
         abs(center[0] - surf.top_center[0]) + half[0] <= surf.half_extent_x
         and abs(center[2] - surf.top_center[2]) + half[2] <= surf.half_extent_z
@@ -295,6 +296,7 @@ class PlacementEnv:
         self.cycle_period = math.ceil(self.t0 / len(suite.scenes))
         self._rng = np.random.default_rng(seed)
         self._state: SceneState | None = None
+        self._obs_fixed = [_fixed_observation(scene) for scene in suite.scenes]
 
     # -- state access
 
@@ -303,9 +305,6 @@ class PlacementEnv:
         if self._state is None:
             raise RuntimeError("environment not initialized; call reset_episode")
         return self._state
-
-    def _half(self, name: str) -> np.ndarray:
-        return np.asarray(self.suite.spec(name).half_extents)
 
     def scene(self) -> SceneSpec:
         return self.suite.scenes[self.state.scene_pos]
@@ -334,47 +333,53 @@ class PlacementEnv:
         if slot not in (0, 1, 2):
             raise ValueError("slot must be 0, 1, or 2")
         pos = np.asarray(candidate_position, dtype=float)
-        if pos.shape != (3,) or not np.isfinite(pos).all():
+        if pos.shape != (3,):
             return ValidityReport(False, "off_surface"), None
-        half = self._half(name)
+        pos = pos.tolist()
+        if not all(map(math.isfinite, pos)):
+            return ValidityReport(False, "off_surface"), None
+        half = self.suite.spec(name).half_extents
         for support in self.scene().surfaces:
             if footprint_on_surface(pos, half, support):
                 break
         else:
             return ValidityReport(False, "off_surface"), None
-        base = pos[1] - half[1]
-        if abs(base - support.top_y) > self.snap_tol:
+        x, y, z = pos
+        if abs((y - half[1]) - support.top_y) > self.snap_tol:
             return ValidityReport(False, "no_support"), None
-        snapped = pos.copy()
-        snapped[1] = support.top_y + half[1]
+        snapped = (x, support.top_y + half[1], z)
+        positions = state.positions.tolist()
         for other in range(ACTIVE_COUNT):
             if other == slot:
                 continue
-            if boxes_interpenetrate(
-                snapped, half, state.positions[other], self._half(state.active[other])
-            ):
+            other_half = self.suite.spec(state.active[other]).half_extents
+            if boxes_interpenetrate(snapped, half, positions[other], other_half):
                 return ValidityReport(False, "overlap"), None
-        return ValidityReport(True, "ok"), snapped
+        return ValidityReport(True, "ok"), np.array(snapped)
 
     def step(self, action) -> StepResult:
         state = self.state
         slot = state.moved_slot
         action = np.asarray(action, dtype=float)
         name = state.active[slot]
-        candidate = state.positions[slot].copy()
+        x, y, z = state.positions[slot].tolist()
 
         # The swap is drawn before validity is known and written only on a valid move.
         swapped_with = None
         if self._rng.random() < self.p_swap:
             swapped_with = int(self._rng.integers(len(state.container)))
-            base = candidate[1] - self._half(name)[1]
+            base = y - self.suite.spec(name).half_extents[1]
             name = state.container[swapped_with]
-            candidate[1] = base + self._half(name)[1]
+            y = base + self.suite.spec(name).half_extents[1]
 
-        # np.clip maps inf to +-1, so a non-finite action becomes a non-finite
-        # candidate, which check_placement rejects as off_surface.
-        finite = action.shape == (3,) and np.isfinite(action).all()
-        candidate += np.clip(action, -1.0, 1.0) * self.dmax if finite else np.inf
+        # A non-finite or wrong-shape action becomes a non-finite candidate,
+        # which check_placement rejects as off_surface.
+        moves = action.tolist() if action.shape == (3,) else [math.inf]
+        if all(map(math.isfinite, moves)):
+            dx, dy, dz = (min(max(a, -1.0), 1.0) * self.dmax for a in moves)
+            candidate = [x + dx, y + dy, z + dz]
+        else:
+            candidate = [math.inf] * 3
         report, snapped = self.check_placement(slot, name, candidate)
 
         snapshot = None
@@ -408,22 +413,33 @@ class PlacementEnv:
 
     def observe(self) -> np.ndarray:
         state = self.state
-        scene = self.scene()
-        parts = [float(state.moved_slot), float(scene.scene_id)]
-        for surf in scene.surfaces:
-            parts.extend(surf.top_center)
-            parts.extend((surf.half_extent_x, 0.0, surf.half_extent_z))
-        parts.extend(state.positions.ravel())
-        parts.extend(state.yaws)
-        parts.extend(scene.camera.position)
-        parts.extend((scene.camera.yaw, scene.camera.pitch, scene.camera.roll))
-        obs = np.asarray(parts, dtype=np.float64)
+        head, camera = self._obs_fixed[state.scene_pos]
+        obs = np.array(
+            [
+                float(state.moved_slot),
+                *head,
+                *state.positions.ravel().tolist(),
+                *state.yaws.tolist(),
+                *camera,
+            ]
+        )
         assert obs.shape == (OBS_DIM,) and np.isfinite(obs).all()
         return obs
 
     def snapshot(self) -> SceneSnapshot:
         state = self.state
         return _snapshot(self.scene(), state.active, state.positions, state.yaws)
+
+
+def _fixed_observation(scene: SceneSpec) -> tuple[list[float], list[float]]:
+    """observe()'s entries that the scene fixes: those before the objects (the
+    scene id, then each surface's top center and extents) and those after them
+    (the camera)."""
+    head = [float(scene.scene_id)]
+    for surf in scene.surfaces:
+        head += [*surf.top_center, surf.half_extent_x, 0.0, surf.half_extent_z]
+    cam = scene.camera
+    return head, [*cam.position, cam.yaw, cam.pitch, cam.roll]
 
 
 def _draw_configuration(suite: SceneSuite, scene: SceneSpec, rng: np.random.Generator):
@@ -438,8 +454,8 @@ def _snapshot(scene: SceneSpec, names, positions, yaws) -> SceneSnapshot:
     return SceneSnapshot(
         scene_id=scene.scene_id,
         names=tuple(names),
-        positions=tuple(tuple(float(v) for v in row) for row in positions),
-        yaws=tuple(float(v) for v in yaws),
+        positions=tuple(map(tuple, positions.tolist())),
+        yaws=tuple(yaws.tolist()),
         camera=scene.camera,
     )
 
@@ -452,11 +468,10 @@ def sample_positions(
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
 ) -> np.ndarray:
     """Seeded rejection sampling of non-overlapping on-surface placements."""
-    placed: list[tuple[np.ndarray, np.ndarray]] = []
-    positions = np.zeros((len(names), 3))
+    placed: list[tuple[tuple[float, float, float], tuple[float, float, float]]] = []
     attempts = 0
-    for i, name in enumerate(names):
-        half = np.asarray(suite.spec(name).half_extents)
+    for name in names:
+        half = suite.spec(name).half_extents
         fitting = _fitting(scene.surfaces, half)
         if not fitting:
             raise PlacementError(f"{name} fits no surface of scene {scene.scene_id}")
@@ -475,12 +490,11 @@ def sample_positions(
                 surf.top_center[2] - (surf.half_extent_z - half[2]),
                 surf.top_center[2] + (surf.half_extent_z - half[2]),
             )
-            pos = np.array([x, surf.top_y + half[1], z])
-            if all(not boxes_interpenetrate(pos, half, p, h) for p, h in placed):
+            pos = (x, surf.top_y + half[1], z)
+            if not any(boxes_interpenetrate(pos, half, p, h) for p, h in placed):
                 break
         placed.append((pos, half))
-        positions[i] = pos
-    return positions
+    return np.array([pos for pos, _ in placed]).reshape(len(names), 3)
 
 
 def random_snapshot(

@@ -5,6 +5,7 @@ shared between criteria.
 """
 
 import math
+import multiprocessing
 import time
 
 import numpy as np
@@ -61,15 +62,34 @@ def smoke_runs(tmp_path_factory):
     return out, time.monotonic() - start
 
 
+def _criterion_08_agent(seed):
+    return SacAgent(seed=seed, warmup=1000, minibatch=128, alpha=0.1)
+
+
+def _pretrain_criterion_08_agent(seed, ck):
+    """One of criterion 8's agents, pretrained into checkpoint `ck`. Runs in
+    a worker process: the three builds are independent and single-threaded."""
+    env = PlacementEnv(builtin_suite("train"), 20, seed=seed)
+    pretrain_intrinsic(_criterion_08_agent(seed), env, 20_000, update_every=2, checkpoint_dir=ck)
+
+
 @pytest.fixture(scope="session")
-def pretrained_agents(tmp_path_factory, train):
-    """Criterion 8's three intrinsic-pretrained agents plus their checkpoints."""
+def pretrained_agents(tmp_path_factory):
+    """Criterion 8's three intrinsic-pretrained agents plus their checkpoints,
+    built in two spawned processes and loaded here. Each worker gets one BLAS
+    thread: two workers with two threads each on two cores spin against each
+    other and take longer than one process building all three."""
+    cks = {seed: tmp_path_factory.mktemp(f"agent_{seed}") / "ck" for seed in SMOKE_SEEDS}
+    with pytest.MonkeyPatch.context() as env:
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env.setenv(var, "1")  # read when a worker imports numpy
+        with multiprocessing.get_context("spawn").Pool(2) as pool:
+            # a hung worker fails the fixture instead of stalling the test run
+            pool.starmap_async(_pretrain_criterion_08_agent, cks.items()).get(timeout=1800)
     agents = {}
-    for seed in SMOKE_SEEDS:
-        env = PlacementEnv(train, 20, seed=seed)
-        agent = SacAgent(seed=seed, warmup=1000, minibatch=128, alpha=0.1)
-        ck = tmp_path_factory.mktemp(f"agent_{seed}") / "ck"
-        pretrain_intrinsic(agent, env, 20_000, update_every=2, checkpoint_dir=ck)
+    for seed, ck in cks.items():
+        agent = _criterion_08_agent(seed)
+        agent.load(ck)
         agents[seed] = (agent, ck)
     return agents
 

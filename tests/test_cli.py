@@ -275,6 +275,47 @@ def test_eval_summary_keys(tmp_path, capsys, judge, extra, metric):
         assert summary["loss"] == 6.0 - summary["mean_rubric"]
 
 
+def _rename_subject(line: str) -> str:
+    """The subject renamed to `teapot` as an object and as the subject."""
+    return line.replace(json.dumps(json.loads(line)["subject"]), '"teapot"')
+
+
+def _subject_out_of_scene(line: str) -> str:
+    """The subject set to a catalog object that is none of the record's objects."""
+    doc = json.loads(line)
+    in_scene = {o["name"] for o in doc["objects"]}
+    catalog = scene.builtin_suite("train").catalog_names
+    doc["subject"] = next(name for name in catalog if name not in in_scene)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("judge", ["generative", "contrastive"])
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_rename_subject, "names 'teapot', which is not in the catalog"),
+        (_subject_out_of_scene, "relates '{subject}', which is none of its objects"),
+    ],
+    ids=["outside-catalog", "out-of-scene"],
+)
+def test_eval_rejects_names_the_judge_cannot_look_up(tmp_path, capsys, judge, edit, message):
+    run_dir = tmp_path / "run"
+    assert run_cli("gen-fixed-set", "--count", "4", "--run-dir", str(run_dir)) == 0
+    samples = run_dir / "fixed_set.jsonl"
+    lines = samples.read_text().splitlines()
+    lines[2] = edit(lines[2])  # the caption still parses to the stored terms
+    samples.write_text("\n".join(lines) + "\n")
+    rec = read_samples(samples)[2]
+    capsys.readouterr()
+    assert run_cli("eval", "--run-dir", str(run_dir), "--samples", str(samples),
+                   "--judge", judge) == 2
+    captured = capsys.readouterr()
+    expected = f"error: record {rec.id} " + message.format(subject=rec.subject)
+    assert captured.err.splitlines() == [expected]
+    assert captured.out == ""
+    assert not (run_dir / "eval.json").exists()
+
+
 def _strict_json(text):
     def reject(token):
         raise ValueError(f"non-standard JSON token {token}")

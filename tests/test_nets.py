@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rls3.agent import SacAgent, Transition
 from rls3.nets import (
@@ -289,6 +291,60 @@ def test_checkpoint_corruption_raises_value_error(tmp_path, net, corrupt, messag
     path.write_bytes(corrupt(path.read_bytes()))
     with pytest.raises(ValueError, match=message):
         load_net(path)
+
+
+_HEADER_END = 72  # of the 4-8-5-3 fixture net's checkpoint, as above
+_U64 = st.sampled_from([0, 1, 2, 3, 4, 5, 8, 2**32, 2**63, 2**64 - 1]) | st.integers(0, 2**64 - 1)
+_F64 = st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -0.0]) | st.floats()
+
+
+def _mutate(data, blob: bytes) -> bytes:
+    kind = data.draw(st.sampled_from(["flip", "u64", "f64", "cut", "append", "splice", "resize"]))
+    if kind == "resize":  # a well-formed header of other sizes, with a body that fits it
+        sizes = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=4))
+        codes = [1] * (len(sizes) - 2) + [0] if len(sizes) > 1 else []
+        body = 8 * sum(o * (i + 1) for i, o in zip(sizes[:-1], sizes[1:]))
+        header = struct.pack(f"<{2 * len(sizes)}Q", len(sizes), *sizes, *codes)
+        return blob[:8] + header + data.draw(st.binary(min_size=body, max_size=body))
+    if not blob and kind != "append":
+        return blob
+    at = data.draw(st.integers(0, max(len(blob) - 1, 0)))
+    if kind == "flip":
+        return blob[:at] + bytes([blob[at] ^ data.draw(st.integers(1, 255))]) + blob[at + 1 :]
+    if kind == "u64":  # a header field, or any aligned word
+        at = data.draw(st.sampled_from(range(8, _HEADER_END, 8)) | st.just(at - at % 8))
+        return blob[:at] + struct.pack("<Q", data.draw(_U64)) + blob[at + 8 :]
+    if kind == "f64":
+        at = data.draw(st.sampled_from(range(_HEADER_END, max(len(blob) - 7, _HEADER_END + 1), 8)))
+        return blob[:at] + struct.pack("<d", data.draw(_F64)) + blob[at + 8 :]
+    if kind == "cut":
+        return blob[:at]
+    if kind == "append":
+        return blob + data.draw(st.binary(min_size=1, max_size=16))
+    end = data.draw(st.integers(at, len(blob)))
+    return blob[:at] + data.draw(st.binary(max_size=16)) + blob[end:]
+
+
+@given(st.data())
+@settings(
+    max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_mutated_checkpoint_loads_finite_or_raises_value_error(tmp_path, data):
+    """A checkpoint is untrusted input: a mutated one either loads as a finite
+    net whose checkpoint is the file's bytes, or raises ValueError."""
+    path = tmp_path / "net.net"
+    save_net(Mlp([4, 8, 5, 3], seed=7), path)
+    blob = path.read_bytes()
+    for _ in range(data.draw(st.integers(1, 3))):
+        blob = _mutate(data, blob)
+    path.write_bytes(blob)
+    try:
+        loaded = load_net(path)
+    except ValueError:
+        return
+    assert loaded.all_finite()
+    save_net(loaded, path)
+    assert path.read_bytes() == blob
 
 
 def test_checkpoint_rejects_nonfinite_weights(tmp_path, net):

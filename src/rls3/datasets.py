@@ -8,6 +8,7 @@ plot series as CSV. Dataset files are content-addressed by sha256.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -45,6 +46,13 @@ class SampleRecord:
             if obj_name == name:
                 return pos
         raise KeyError(name)
+
+    @functools.cached_property
+    def line(self) -> str:
+        """The record's JSON line (sorted keys, compact), as `samples.jsonl`
+        holds it; encoded on first access and kept. Not a field, so `==`,
+        `hash` and `replace` ignore it."""
+        return json.dumps(record_to_dict(self), sort_keys=True, separators=(",", ":"))
 
 
 def record_from_snapshot(
@@ -158,7 +166,7 @@ def _record_from_dict(doc: dict) -> SampleRecord:
 
 
 def record_line(rec: SampleRecord) -> str:
-    return json.dumps(record_to_dict(rec), sort_keys=True, separators=(",", ":"))
+    return rec.line
 
 
 def write_samples(records, path) -> str:

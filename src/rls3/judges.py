@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import prompts
-from .datasets import SampleRecord, record_to_dict
+from .datasets import SampleRecord
 from .nets import Mlp, NetOptimizer, load_net, save_net
 
 RUBRIC_MIN = 1
@@ -528,9 +528,10 @@ class ExternalJudge:
         self.metric_name = local.metric_name
 
     def _request(self, op: str, samples: list[SampleRecord]) -> dict:
-        """Send one op over the wire; a peer's `error` reply raises JudgeError."""
+        """Send one op over the wire, each sample as its JSON line; a peer's
+        `error` reply raises JudgeError."""
         resp = self.client.request(
-            {"op": op, "mode": self.mode, "samples": [record_to_dict(r) for r in samples]}
+            {"op": op, "mode": self.mode, "samples": [r.line for r in samples]}
         )
         if "error" in resp:
             raise JudgeError(f"external judge failed to {op}: {resp['error']}")

@@ -2,18 +2,23 @@
 
 One JSON object per line, UTF-8. Requests carry a u64 id assigned by the
 client; responses must echo it. Transport is either a spawned child process
-(stdin/stdout pipes) or a TCP connection.
+(stdin/stdout pipes) or a TCP connection. A request's samples are the
+records' JSON lines, sent as they are.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import os
 import selectors
 import shlex
 import socket
 import subprocess
 import time
+
+# how long close() lets a terminated judge take to exit before it kills it
+_TERMINATE_GRACE_S = 5.0
 
 
 class WireError(RuntimeError):
@@ -54,6 +59,7 @@ class NdjsonClient:
             )
         except OSError as exc:
             raise WireError(f"cannot start external judge {argv!r}: {exc}") from exc
+        os.set_blocking(client._proc.stdin.fileno(), False)  # sends wait in a selector
         return client
 
     @classmethod
@@ -66,35 +72,49 @@ class NdjsonClient:
         return client
 
     def close(self) -> None:
+        """End the transport; never raises. A spawned judge gets SIGTERM, and
+        SIGKILL if it is still running after the grace period; it is reaped."""
         if self._proc is not None:
-            if self._proc.stdin:
-                # flushing what a failed send left buffered fails again
-                with contextlib.suppress(BrokenPipeError):
-                    self._proc.stdin.close()
-            self._proc.terminate()
-            self._proc.wait(timeout=5)
-            self._proc.stdout.close()
-            self._proc = None
+            proc, self._proc = self._proc, None
+            with contextlib.suppress(OSError):  # closing must not raise
+                proc.stdin.close()
+            proc.terminate()
+            try:
+                proc.wait(timeout=_TERMINATE_GRACE_S)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
         if self._sock is not None:
             self._sock.close()
             self._sock = None
 
     # -- transport
 
-    def _send_line(self, line: bytes) -> None:
+    def _send_line(self, line: bytes, deadline: float) -> None:
         try:
             if self._proc is not None:
-                assert self._proc.stdin is not None
-                self._proc.stdin.write(line)
-                self._proc.stdin.flush()
+                self._write_pipe(memoryview(line), deadline)
             elif self._sock is not None:
+                self._sock.settimeout(_remaining(deadline, "sending request"))
                 self._sock.sendall(line)
             else:
                 raise WireError("client not connected")
         except BrokenPipeError as exc:
             raise WireProtocolError("peer closed the stream") from exc
+        except TimeoutError as exc:
+            raise WireTimeout("timed out sending request") from exc
         except OSError as exc:
             raise WireError(f"cannot send to external judge: {exc}") from exc
+
+    def _write_pipe(self, data: memoryview, deadline: float) -> None:
+        fd = self._proc.stdin.fileno()
+        with selectors.DefaultSelector() as sel:
+            sel.register(fd, selectors.EVENT_WRITE)
+            while data:
+                if sel.select(timeout=_remaining(deadline, "sending request")):
+                    with contextlib.suppress(BlockingIOError):
+                        data = data[os.write(fd, data):]
 
     def _recv_chunk(self, remaining: float) -> bytes:
         if self._proc is not None:
@@ -121,34 +141,45 @@ class NdjsonClient:
             return chunk
         raise WireError("client not connected")
 
-    def _read_line(self) -> bytes:
-        deadline = time.monotonic() + self.timeout
+    def _read_line(self, deadline: float) -> bytes:
         while b"\n" not in self._buf:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise WireTimeout("timed out waiting for response")
-            self._buf += self._recv_chunk(remaining)
+            self._buf += self._recv_chunk(_remaining(deadline, "waiting for response"))
         line, self._buf = self._buf.split(b"\n", 1)
         return line
 
     # -- protocol
 
     def request(self, payload: dict) -> dict:
+        """Send `payload` under a fresh id as one compact JSON line and return
+        the reply that echoes the id. `samples`, if present, is a list of JSON
+        texts (the records' `samples.jsonl` lines), written into the line as
+        they are. One deadline, `timeout` seconds away, covers send and reply."""
+        deadline = time.monotonic() + self.timeout
         req_id = self._next_id
         self._next_id += 1
-        body = dict(payload)
-        body["id"] = req_id
-        self._send_line(json.dumps(body, sort_keys=True).encode("utf-8") + b"\n")
-        line = self._read_line()
+        head = {key: value for key, value in payload.items() if key != "samples"}
+        head["id"] = req_id
+        text = json.dumps(head, sort_keys=True, separators=(",", ":"))
+        if "samples" in payload:
+            text = f'{text[:-1]},"samples":[{",".join(payload["samples"])}]}}'
+        self._send_line(text.encode("utf-8") + b"\n", deadline)
+        line = self._read_line(deadline)
         try:
             resp = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # also too many digits, too deep nesting
             raise WireProtocolError(f"malformed response line: {exc}") from exc
         if not isinstance(resp, dict) or "id" not in resp:
             raise WireProtocolError("response is not an object with an id")
         if resp["id"] != req_id:
             raise WireIdMismatch(f"expected id {req_id}, got {resp['id']}")
         return resp
+
+
+def _remaining(deadline: float, doing: str) -> float:
+    remaining = deadline - time.monotonic()
+    if remaining <= 0:
+        raise WireTimeout(f"timed out {doing}")
+    return remaining
 
 
 def client_for_address(addr: str, timeout: float = 30.0) -> NdjsonClient:

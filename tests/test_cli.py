@@ -1,11 +1,13 @@
+import functools
 import json
+import os
 import shlex
 import sys
 from importlib import resources
 
 import pytest
 
-from rls3 import cli, orchestrator, scene
+from rls3 import cli, orchestrator, scene, wire
 from rls3.datasets import read_samples, record_line
 from rls3.judges import GenerativeJudge, JudgeError
 from rls3.orchestrator import desk_config, run_loop
@@ -221,6 +223,41 @@ def test_external_judge_failure_writes_report(tmp_path, capsys, command, cause):
     assert any(c in report["failure"] for c in cause), report["failure"]
     assert report["failure"] in capsys.readouterr().err
     assert report["test_metric"] is None
+
+
+def test_judge_that_ignores_sigterm_is_killed_after_the_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(wire, "_TERMINATE_GRACE_S", 0.5)
+    pid_file = tmp_path / "judge.pid"
+    code = (
+        "import os, signal, sys, time\n"
+        "from rls3.external_stub import serve_stream\n"
+        "signal.signal(signal.SIGTERM, signal.SIG_IGN)\n"
+        f"open({str(pid_file)!r}, 'w').write(str(os.getpid()))\n"
+        "serve_stream(sys.stdin, sys.stdout, 'all_correct', 0.5)\n"
+        "time.sleep(60)\n"
+    )
+    run_dir = tmp_path / "run"
+    judge = f"external:{shlex.quote(sys.executable)} -c {shlex.quote(code)}"
+    assert run_cli("run", "--run-dir", str(run_dir), "--agent", "random", "--judge", judge,
+                   *TINY_SETS) == 0
+    report = json.loads((run_dir / "report.json").read_text())
+    assert report["failure"] is None and report["test_metric"] == 5.0
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_file.read_text()), 0)  # killed and reaped
+
+
+def test_judge_that_never_reads_times_out_the_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(wire, "client_for_address",
+                        functools.partial(wire.client_for_address, timeout=0.5))
+    run_dir = tmp_path / "run"
+    judge = f"external:{shlex.quote(sys.executable)} -c 'import time; time.sleep(60)'"
+    # a 200-sample validation request is larger than a pipe holds
+    assert run_cli("run", "--run-dir", str(run_dir), "--agent", "random", "--judge", judge,
+                   *TINY_SETS, "--set", "validation_count=200") == 2
+    report = json.loads((run_dir / "report.json").read_text())
+    assert report["failure"] == "timed out sending request"
+    assert report["failure"] in capsys.readouterr().err
+    assert report["iterations_completed"] == 0
 
 
 def test_eval_contrastive_metric(tmp_path, capsys):

@@ -20,9 +20,11 @@ from rls3.datasets import (
     replay_verify,
     write_samples,
 )
+from rls3.agent import RandomAgent
 from rls3.judges import ContrastiveJudge, GenerativeJudge, JudgeVerdict
+from rls3.orchestrator import run_episode
 from rls3.prompts import PRIMITIVES
-from rls3.scene import builtin_suite
+from rls3.scene import PlacementEnv, builtin_suite
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +145,21 @@ def test_record_line_is_canonical(records):
     line = record_line(records[0])
     assert "\n" not in line and " " not in line.split('"caption"')[0]
     assert json.dumps(json.loads(line), sort_keys=True, separators=(",", ":")) == line
+
+
+def _episode_records():
+    env = PlacementEnv(builtin_suite("train"), 6, seed=0)
+    return run_episode(env, RandomAgent(seed=0), 0, 1, np.random.default_rng(1), 0).records
+
+
+def test_record_line_is_encoded_once_and_is_no_field(records):
+    for rec in records[:10] + _episode_records():
+        twin = dataclasses.replace(rec)
+        line = rec.line
+        assert line == json.dumps(record_to_dict(rec), sort_keys=True, separators=(",", ":"))
+        assert rec.line is line and record_line(rec) is line
+        assert rec == twin and hash(rec) == hash(twin)
+        assert "line" not in vars(twin) and "line" not in vars(dataclasses.replace(rec))
 
 
 def test_fixed_set_deterministic(tmp_path, train):

@@ -1,14 +1,19 @@
 import contextlib
 import json
+import os
 import shlex
 import socket
 import socketserver
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from rls3 import wire
 from rls3.datasets import generate_fixed_records, record_to_dict
 from rls3.external_stub import handle_request
 from rls3.judges import ExternalJudge, JudgeError
@@ -208,8 +213,7 @@ def test_client_for_address_splits_like_a_shell(records):
     command = f"{shlex.quote(sys.executable)} -m rls3.external_stub --behavior 'all_correct'"
     with contextlib.closing(client_for_address(command, timeout=10)) as client:
         resp = client.request(
-            {"op": "infer", "mode": "generative",
-             "samples": [record_to_dict(r) for r in records[:2]]}
+            {"op": "infer", "mode": "generative", "samples": [r.line for r in records[:2]]}
         )
         assert resp["terms"] == [sorted(r.terms) for r in records[:2]]
     with pytest.raises(WireError, match="cannot parse external judge command"):
@@ -278,3 +282,141 @@ def test_stub_handles_sample_payload(records):
     resp = handle_request(req, "all_correct", 0.5)
     for rec, terms in zip(records[:3], resp["terms"]):
         assert set(terms) == set(rec.terms)
+
+
+def test_stub_starts_without_numpy_and_the_package_still_resolves():
+    code = (
+        "import sys, rls3.external_stub\n"
+        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('rls3.')))\n"
+        "import rls3\n"
+        "print([name for name in rls3.__all__ if getattr(rls3, name) is None])\n"
+        "print(rls3.SampleRecord is rls3.datasets.SampleRecord, rls3.wire.__name__)\n"
+        "print(hasattr(rls3, 'no_such_name'))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == ["['rls3.external_stub']", "[]", "True rls3.wire", "False"]
+
+
+class _Peer:
+    """A local TCP judge: for each connection it reads one request line, keeps
+    it in `requests`, writes `reply(line)` and closes the connection."""
+
+    def __init__(self):
+        self.requests: list[bytes] = []
+        self.reply = lambda line: b""
+        peer = self
+
+        class Handler(socketserver.StreamRequestHandler):
+            def handle(self):
+                line = self.rfile.readline()
+                peer.requests.append(line)
+                self.wfile.write(peer.reply(line))
+
+        self.server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), Handler)
+        threading.Thread(target=self.server.serve_forever, daemon=True).start()
+
+    def request(self, payload: dict, reply) -> dict:
+        self.reply = reply
+        port = self.server.server_address[1]
+        with contextlib.closing(NdjsonClient.connect("127.0.0.1", port, timeout=10)) as client:
+            return client.request(payload)
+
+
+@pytest.fixture(scope="module")
+def peer():
+    peer = _Peer()
+    yield peer
+    peer.server.shutdown()
+    peer.server.server_close()
+
+
+def _stub_reply(line: bytes) -> bytes:
+    return (json.dumps(handle_request(json.loads(line), "all_correct", 0.5)) + "\n").encode()
+
+
+def test_request_writes_sample_lines_into_compact_json(records, peer):
+    payload = {"op": "infer", "mode": "generative", "samples": [r.line for r in records]}
+    resp = peer.request(payload, _stub_reply)
+    assert resp["terms"] == [sorted(r.terms) for r in records]
+    doc = json.loads(peer.requests[-1])
+    assert doc == {
+        "id": 0, "op": "infer", "mode": "generative",
+        "samples": [record_to_dict(r) for r in records],
+    }
+    compact = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    assert peer.requests[-1] == compact.encode() + b"\n"
+
+
+def test_deeply_nested_reply_is_a_protocol_error(peer):
+    with pytest.raises(WireProtocolError, match="malformed response line"):
+        peer.request({"op": "infer", "samples": []}, lambda line: b"[" * 100_000 + b"\n")
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+_REPLIES = st.one_of(
+    st.binary(max_size=64),
+    st.binary(max_size=64).map(lambda b: b + b"\n"),
+    st.builds(
+        lambda doc, reply_id: (json.dumps({**doc, "id": reply_id}) + "\n").encode(),
+        st.dictionaries(st.text(max_size=4), _JSON_VALUES, max_size=3),
+        st.sampled_from([0, 1, -1, 0.0, "0", None, True, 10**30]),
+    ),
+    _JSON_VALUES.map(lambda doc: (json.dumps(doc) + "\n").encode()),
+    st.sampled_from([b"[" * 5000 + b"\n", b"1" * 5000 + b"\n", b"\xff\xfe\n", b"\n"]),
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(reply=_REPLIES)
+def test_any_reply_is_the_answer_or_a_wire_error(peer, reply):
+    try:
+        resp = peer.request({"op": "infer", "samples": []}, lambda line: reply)
+    except WireError:
+        return
+    assert isinstance(resp, dict) and resp["id"] == 0
+
+
+@pytest.mark.parametrize(
+    "transport, pad",
+    [("pipe", 200_000), ("tcp", 16_000_000)],  # past what the pipe or socket buffers hold
+)
+def test_send_is_bounded_by_the_timeout(transport, pad):
+    # the judge never reads, so the request cannot be sent in full
+    with contextlib.ExitStack() as stack:
+        if transport == "pipe":
+            argv = [sys.executable, "-c", "import time; time.sleep(60)"]
+            client = NdjsonClient.spawn(argv, timeout=0.5)
+        else:
+            srv = stack.enter_context(socket.create_server(("127.0.0.1", 0)))
+            client = NdjsonClient.connect("127.0.0.1", srv.getsockname()[1], timeout=0.5)
+        stack.enter_context(contextlib.closing(client))
+        start = time.monotonic()
+        with pytest.raises(WireTimeout, match="timed out sending request"):
+            client.request({"op": "infer", "pad": "x" * pad})
+        assert time.monotonic() - start < 5
+
+
+IGNORES_SIGTERM = [
+    sys.executable, "-c",
+    "import signal, time\n"
+    "signal.signal(signal.SIGTERM, signal.SIG_IGN)\n"
+    "print('{\"id\": 0, \"ok\": true}', flush=True)\n"
+    "time.sleep(60)\n",
+]
+
+
+def test_close_kills_a_judge_that_ignores_sigterm(monkeypatch):
+    monkeypatch.setattr(wire, "_TERMINATE_GRACE_S", 0.5)
+    client = NdjsonClient.spawn(IGNORES_SIGTERM, timeout=10)
+    # the reply comes after the judge has set SIGTERM aside
+    assert client.request({"op": "finetune", "samples": []})["ok"] is True
+    proc = client._proc
+    client.close()  # must not raise
+    assert proc.returncode == -9
+    with pytest.raises(ProcessLookupError):
+        os.kill(proc.pid, 0)  # reaped, not a zombie
+    client.close()  # closing again does nothing

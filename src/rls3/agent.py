@@ -83,9 +83,6 @@ class ReplayBuffer:
 @dataclass
 class UpdateInfo:
     performed: bool
-    critic_losses: tuple[float, float] = (0.0, 0.0)
-    actor_loss: float = 0.0
-    alpha: float = 0.0
 
 
 class SacAgent:
@@ -173,7 +170,7 @@ class SacAgent:
         """
         batch = self.minibatch
         if len(self.buffer) < max(self.warmup, batch):
-            return UpdateInfo(performed=False, alpha=self.alpha)
+            return UpdateInfo(performed=False)
         obs, act, rew, nxt, term = self.buffer.sample(batch)
         obs = obs / OBS_SCALE
         nxt = nxt / OBS_SCALE
@@ -188,18 +185,15 @@ class SacAgent:
             np.minimum(q1n, q2n) - self.alpha * logp_next
         )
 
-        critic_losses = []
         sa = np.hstack([obs, act])
         critics = ((self.q1, self.q1_opt, tapes["q1"]), (self.q2, self.q2_opt, tapes["q2"]))
         for q, opt, tape in critics:
             pred = q.forward(sa, tape)[:, 0]
-            err = pred - target
-            critic_losses.append(float(np.mean(err * err)))
-            grad, _ = q.backward((2.0 * err / batch)[:, None], tape, need="params")
+            grad, _ = q.backward((2.0 * (pred - target) / batch)[:, None], tape, need="params")
             opt.step(grad)
 
         # actor step (critic weights held fixed: only their input gradients)
-        a, logp, (eps, std, sq_term, clamp_mask) = self._sample_with_logp(obs, tapes["actor"])
+        a, _, (eps, std, sq_term, clamp_mask) = self._sample_with_logp(obs, tapes["actor"])
         sa_pi = np.hstack([obs, a])
         ones = np.ones((batch, 1))
         q1v = self.q1.forward(sa_pi, tapes["q1"])[:, 0]
@@ -208,8 +202,6 @@ class SacAgent:
         _, g2 = self.q2.backward(ones, tapes["q2"], need="input")
         use_q1 = (q1v <= q2v)[:, None]
         dq_da = np.where(use_q1, g1[:, OBS_DIM:], g2[:, OBS_DIM:])
-        q_min = np.minimum(q1v, q2v)
-        actor_loss = float(np.mean(self.alpha * logp - q_min))
 
         # d logp / du through the tanh correction; the Gaussian part is
         # constant in mean under reparameterization
@@ -232,7 +224,7 @@ class SacAgent:
         for net in (self.actor, self.q1, self.q2):
             if not net.all_finite():
                 raise AgentError("non-finite agent parameters after update")
-        return UpdateInfo(True, tuple(critic_losses), actor_loss, self.alpha)
+        return UpdateInfo(performed=True)
 
     # -- reward shaping
 

@@ -97,6 +97,8 @@ def _load_config(args) -> RunConfig:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as f:
             doc = json.load(f)
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object")
         doc.pop("digest", None)
     overrides = {}
     for item in args.overrides:

@@ -16,7 +16,7 @@ weakness the loop exploits.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -59,11 +59,6 @@ class JudgeVerdict:
         if self.ranked_correct is not None:
             return float(self.ranked_correct)
         return None
-
-
-@dataclass
-class FineTuneReport:
-    losses: list[float] = field(default_factory=list)
 
 
 # --- rubric --------------------------------------------------------------------
@@ -331,15 +326,16 @@ class GenerativeJudge:
         verdicts, _ = self.infer(samples)
         return mean_score(verdicts)
 
-    def finetune(self, samples: list[SampleRecord], steps: int) -> FineTuneReport:
+    def finetune(self, samples: list[SampleRecord], steps: int) -> list[float]:
         """Optimizer steps of multi-label cross-entropy on seeded minibatches;
-        weights resume from wherever the previous call left them.
+        weights resume from wherever the previous call left them. Returns the
+        loss of each step.
         """
         if not samples:
             raise JudgeError("empty fine-tuning batch")
         x = self.features(samples)
         t = self.targets(samples)
-        report = FineTuneReport()
+        losses = []
         for _ in range(steps):
             take = min(self.minibatch, len(samples))
             idx = self._rng.choice(len(samples), size=take, replace=False)
@@ -361,8 +357,8 @@ class GenerativeJudge:
                 raise JudgeError("non-finite fine-tuning loss")
             grad, _ = self.net.backward((probs - target) / take, tape, need="params")
             self.optimizer.step(grad)
-            report.losses.append(loss)
-        return report
+            losses.append(loss)
+        return losses
 
     def save(self, directory) -> None:
         directory = Path(directory)
@@ -454,12 +450,13 @@ class ContrastiveJudge:
         verdicts, _, _ = self._score(samples)
         return mean_score(verdicts)
 
-    def finetune(self, samples: list[SampleRecord], epochs: int) -> FineTuneReport:
+    def finetune(self, samples: list[SampleRecord], epochs: int) -> list[float]:
+        """InfoNCE steps over shuffled minibatches; returns each epoch's mean loss."""
         if len(samples) < 2:
             raise JudgeError(
                 f"contrastive fine-tuning needs at least 2 samples, got {len(samples)}"
             )
-        report = FineTuneReport()
+        losses = []
         for _ in range(epochs):
             order = self._rng.permutation(len(samples))
             epoch_losses = []
@@ -482,8 +479,8 @@ class ContrastiveJudge:
                 self.image_optimizer.step(img_grad)
                 self.text_optimizer.step(txt_grad)
                 epoch_losses.append(loss)
-            report.losses.append(float(np.mean(epoch_losses)))
-        return report
+            losses.append(float(np.mean(epoch_losses)))
+        return losses
 
     def save(self, directory) -> None:
         directory = Path(directory)
@@ -561,16 +558,16 @@ class ExternalJudge:
         verdicts, _ = self.infer(samples)
         return mean_score(verdicts)
 
-    def finetune(self, samples, steps) -> FineTuneReport:
+    def finetune(self, samples, steps) -> list[float]:
+        """The reply's loss as a one-entry list, or no loss for a bare `ok`."""
         resp = self._request("finetune", samples)
-        report = FineTuneReport()
         if "loss" in resp:
             if not _finite(resp["loss"]):
                 raise JudgeError("external judge returned a malformed fine-tuning loss")
-            report.losses.append(float(resp["loss"]))
-        elif resp.get("ok") is not True:
+            return [float(resp["loss"])]
+        if resp.get("ok") is not True:
             raise JudgeError("external judge did not acknowledge fine-tuning")
-        return report
+        return []
 
     def save(self, directory) -> None:
         """Writes nothing: the external process owns its weights, and the run

@@ -10,6 +10,7 @@ byte.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -200,6 +201,10 @@ def apply_overrides(doc: dict, overrides: dict[str, str]) -> dict:
         target = doc
         for p in parts[:-1]:
             target = target.setdefault(p, {})
+            if not isinstance(target, dict):
+                raise ConfigError(
+                    f"cannot set {dotted!r}: {p!r} holds {json.dumps(target)}, not an object"
+                )
         try:
             value = json.loads(raw)
         except json.JSONDecodeError:
@@ -234,7 +239,6 @@ def desk_config(**overrides) -> RunConfig:
 class EpisodeResult:
     records: list[SampleRecord]
     transitions: list[Transition]
-    j1: float
     steps: int
     truncated: bool
 
@@ -291,9 +295,7 @@ def run_episode(
     """
     transitions: list[Transition] = []
     snapshots = []
-    j1 = 0.0
     for obs, action, result in rollout(agent, env, episode_idx, stochastic):
-        j1 += result.reward
         transitions.append(
             Transition(obs, action, result.reward, result.observation, result.done)
         )
@@ -318,7 +320,7 @@ def run_episode(
                 snap, captions, sample_id_start + k, episode=episode_idx, iteration=iteration
             )
         )
-    return EpisodeResult(records, transitions, j1, len(transitions), result.truncated)
+    return EpisodeResult(records, transitions, len(transitions), result.truncated)
 
 
 def make_judge(config: RunConfig, catalog_names: tuple[str, ...], seed):
@@ -418,14 +420,17 @@ _RUN_FAILURES = (
 
 
 def run_loop(config: RunConfig, run_dir) -> RunReport:
+    """Run the loop into `run_dir`. The first of `_RUN_FAILURES` ends the run:
+    the judge is asked nothing more, not even for the test metric, and
+    report.json names that failure.
+    """
     if config.agent == "sac" and config.agent_checkpoint is None:
         raise ConfigError("agent=sac requires a pretrained agent_checkpoint")
     # a suite that cannot be read fails the run before anything is written
     train = resolve_suite(config.train_suite)
     test = resolve_suite(config.test_suite)
     run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "checkpoints").mkdir(exist_ok=True)
+    (run_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
 
     resolved = config.to_dict()
     resolved["digest"] = config.digest()
@@ -438,117 +443,95 @@ def run_loop(config: RunConfig, run_dir) -> RunReport:
     sampling_rng = np.random.default_rng(sampling_seed)
 
     env = make_env(config, train, env_seed)
-    report = RunReport(config_digest=config.digest(), seed=config.seed)
+    policy = config.resolved_early_stop()
+    report = RunReport(config_digest=resolved["digest"], seed=config.seed)
+    episode_counter = sample_counter = 0
     try:
-        report.validation_digest = datasets.generate_fixed_set(
-            train, config.validation_count, config.validation_seed, run_dir / "validation.jsonl"
-        )
-        report.test_digest = datasets.generate_fixed_set(
-            test, config.test_count, config.test_seed, run_dir / "test.jsonl"
-        )
-        agent = make_agent(config, agent_seed)
-        judge = make_judge(config, train.catalog_names, judge_seed)
-    except _RUN_FAILURES as exc:
-        report.failure = str(exc)
-        return _write_report(report, run_dir)
-    try:
-        val_records = datasets.read_samples(run_dir / "validation.jsonl")
-        test_records = datasets.read_samples(run_dir / "test.jsonl")
-        policy = config.resolved_early_stop()
-
-        samples_path = run_dir / "samples.jsonl"
-        verdicts_path = run_dir / "verdicts.jsonl"
-        metrics_path = run_dir / "metrics.csv"
-        episode_counter = 0
-        sample_counter = 0
-
-        with open(samples_path, "w", encoding="utf-8", newline="\n") as samples_f, open(
-            verdicts_path, "w", encoding="utf-8", newline="\n"
-        ) as verdicts_f, open(metrics_path, "w", newline="") as metrics_f:
+        with contextlib.ExitStack() as stack:
+            samples_f, verdicts_f = (
+                stack.enter_context(open(run_dir / name, "w", encoding="utf-8", newline="\n"))
+                for name in ("samples.jsonl", "verdicts.jsonl")
+            )
+            metrics_f = stack.enter_context(open(run_dir / "metrics.csv", "w", newline=""))
             metrics = csv.writer(metrics_f)
             metrics.writerow(_METRICS_COLUMNS)
 
-            try:
-                report.initial_val_metric = judge.validation_metric(val_records)
-                metrics.writerow(
-                    [0, 0, 0, f"{report.initial_val_metric:.6f}", "", 0]
-                )
-                for iteration in range(1, config.iterations + 1):
-                    batch: list[SampleRecord] = []  # cleared every iteration
-                    j2s: list[float] = []
-                    for _ in range(config.episodes_per_iteration):
-                        if (
-                            config.budget is not None
-                            and report.cumulative_attempts >= config.budget
-                        ):
-                            report.budget_exhausted = True
-                            break
-                        ep = run_episode(
-                            env,
-                            agent,
-                            episode_counter,
-                            iteration,
-                            prompt_rng,
-                            sample_counter,
-                            stochastic=not config.deterministic_actions,
-                        )
-                        episode_counter += 1
-                        sample_counter += len(ep.records)
-                        verdicts, j2 = infer_and_reward(judge, ep.records)
-                        j2s.append(j2)
-                        agent.absorb_episode(ep.transitions, j2, config.reward_scale)
-                        report.cumulative_valid += len(ep.records)
-                        report.cumulative_attempts += ep.steps
-                        report.truncated_episodes += int(ep.truncated)
-                        for rec in ep.records:
-                            samples_f.write(datasets.record_line(rec) + "\n")
-                        for v in verdicts:
-                            verdicts_f.write(_verdict_line(v, iteration) + "\n")
-                        batch.extend(
-                            sample_for_batch(ep.records, config.sampling_rate, sampling_rng)
-                        )
-                    if report.budget_exhausted:
-                        break
+            report.validation_digest = datasets.generate_fixed_set(
+                train, config.validation_count, config.validation_seed, run_dir / "validation.jsonl"
+            )
+            report.test_digest = datasets.generate_fixed_set(
+                test, config.test_count, config.test_seed, run_dir / "test.jsonl"
+            )
+            agent = make_agent(config, agent_seed)
+            judge = stack.enter_context(
+                contextlib.closing(make_judge(config, train.catalog_names, judge_seed))
+            )
+            val_records = datasets.read_samples(run_dir / "validation.jsonl")
+            test_records = datasets.read_samples(run_dir / "test.jsonl")
 
-                    ft = judge.finetune(batch, config.finetune_steps)
-                    val_metric = judge.validation_metric(val_records)
-                    mean_j2 = float(np.mean(j2s))
-                    report.validation_history.append(val_metric)
-                    report.mean_j2_per_iteration.append(mean_j2)
-                    report.finetune_losses.append([float(x) for x in ft.losses])
-                    report.iterations_completed = iteration
-                    metrics.writerow(
-                        [
-                            iteration,
-                            report.cumulative_valid,
-                            report.cumulative_attempts,
-                            f"{val_metric:.6f}",
-                            f"{mean_j2:.6f}",
-                            len(batch),
-                        ]
+            report.initial_val_metric = judge.validation_metric(val_records)
+            metrics.writerow([0, 0, 0, f"{report.initial_val_metric:.6f}", "", 0])
+            for iteration in range(1, config.iterations + 1):
+                batch: list[SampleRecord] = []  # cleared every iteration
+                j2s: list[float] = []
+                for _ in range(config.episodes_per_iteration):
+                    if config.budget is not None and report.cumulative_attempts >= config.budget:
+                        report.budget_exhausted = True
+                        break
+                    ep = run_episode(
+                        env,
+                        agent,
+                        episode_counter,
+                        iteration,
+                        prompt_rng,
+                        sample_counter,
+                        stochastic=not config.deterministic_actions,
                     )
+                    episode_counter += 1
+                    sample_counter += len(ep.records)
+                    verdicts, j2 = infer_and_reward(judge, ep.records)
+                    j2s.append(j2)
+                    agent.absorb_episode(ep.transitions, j2, config.reward_scale)
+                    report.cumulative_valid += len(ep.records)
+                    report.cumulative_attempts += ep.steps
+                    report.truncated_episodes += int(ep.truncated)
+                    for rec in ep.records:
+                        samples_f.write(datasets.record_line(rec) + "\n")
+                    for v in verdicts:
+                        verdicts_f.write(_verdict_line(v, iteration) + "\n")
+                    batch.extend(sample_for_batch(ep.records, config.sampling_rate, sampling_rng))
+                if report.budget_exhausted:
+                    break
 
-                    ck = run_dir / "checkpoints" / f"iter_{iteration:04d}"
-                    judge.save(ck / "judge")
-                    agent.save(ck / "agent")
+                losses = judge.finetune(batch, config.finetune_steps)
+                val_metric = judge.validation_metric(val_records)
+                mean_j2 = float(np.mean(j2s))
+                report.validation_history.append(val_metric)
+                report.mean_j2_per_iteration.append(mean_j2)
+                report.finetune_losses.append(losses)
+                report.iterations_completed = iteration
+                metrics.writerow(
+                    [
+                        iteration,
+                        report.cumulative_valid,
+                        report.cumulative_attempts,
+                        f"{val_metric:.6f}",
+                        f"{mean_j2:.6f}",
+                        len(batch),
+                    ]
+                )
 
-                    if early_stop(report.validation_history, policy):
-                        report.early_stop_iteration = iteration
-                        break
-            except _RUN_FAILURES as exc:
-                report.failure = str(exc)
+                ck = run_dir / "checkpoints" / f"iter_{iteration:04d}"
+                judge.save(ck / "judge")
+                agent.save(ck / "agent")
 
-        try:
+                if early_stop(report.validation_history, policy):
+                    report.early_stop_iteration = iteration
+                    break
             report.test_metric = judge.validation_metric(test_records)
-        except _RUN_FAILURES as exc:
-            report.failure = report.failure or str(exc)  # keep the first cause
-    finally:
-        judge.close()
-    report.samples_digest = datasets.file_digest(samples_path)
-    return _write_report(report, run_dir)
-
-
-def _write_report(report: RunReport, run_dir: Path) -> RunReport:
+    except _RUN_FAILURES as exc:
+        report.failure = str(exc)
+    report.samples_digest = datasets.file_digest(run_dir / "samples.jsonl")
     with open(run_dir / "report.json", "w", encoding="utf-8") as f:
         json.dump(report.to_dict(), f, sort_keys=True, indent=2)
     return report

@@ -155,8 +155,8 @@ def _vec3(values) -> tuple[float, float, float]:
 
 def suite_from_dict(doc: dict) -> SceneSuite:
     """Build a suite from its JSON form; a missing key, a value of the wrong
-    type, an inconsistent layout or a scene on which some catalog object fits
-    no surface raises SceneConfigError.
+    type, a repeated scene id, an inconsistent layout or a scene on which some
+    catalog object fits no surface raises SceneConfigError.
     """
     try:
         return _suite_from_dict(doc)
@@ -202,7 +202,11 @@ def _suite_from_dict(doc: dict) -> SceneSuite:
                 raise SceneConfigError("surface extents must be positive")
         if _surfaces_overlap_plan(*surfaces):
             raise SceneConfigError("surfaces overlap in plan view")
-        scene_id = int(s["id"])
+        scene_id = s["id"]
+        if type(scene_id) is not int:  # a bool is no int
+            raise SceneConfigError(f"scene id must be an int, got {scene_id!r}")
+        if any(spec.scene_id == scene_id for spec in scenes):
+            raise SceneConfigError(f"duplicate scene id {scene_id}")
         for o in catalog:
             if not _fitting(surfaces, o.half_extents):
                 raise SceneConfigError(f"{o.name} fits no surface of scene {scene_id}")

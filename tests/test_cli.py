@@ -534,6 +534,27 @@ def test_mistyped_config_value_is_usage_error(tmp_path, capsys, override):
     assert not run_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "config, argv",
+    [
+        (None, ["--seed", "3", "--set", "seed.x=1"]),
+        ({"early_stop": None}, ["--set", "early_stop.patience=3"]),
+        (None, ["--set", "agent_hidden=[4]", "--set", "agent_hidden.0=3"]),
+        ([1], []),
+    ],
+    ids=["under-int", "under-null", "under-list", "config-file-list"],
+)
+def test_config_that_is_no_object_is_usage_error(tmp_path, capsys, config, argv):
+    if config is not None:
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        argv = ["--config", str(tmp_path / "c.json"), *argv]
+    run_dir = tmp_path / "run"
+    assert run_cli("run", "--run-dir", str(run_dir), "--agent", "random", *argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "object" in err[0], err
+    assert not run_dir.exists()
+
+
 @pytest.mark.parametrize("key", ["train_suite", "test_suite"])
 def test_bad_suite_file_writes_nothing(tmp_path, capsys, key):
     suite = tmp_path / "bad.json"

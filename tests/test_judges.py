@@ -188,11 +188,11 @@ def test_generative_infer_shapes(train, records):
 def test_generative_finetune_improves(train, records):
     judge = GenerativeJudge(train.catalog_names, seed=1)
     before = judge.validation_metric(records)
-    report = judge.finetune(records, steps=400)
+    losses = judge.finetune(records, steps=400)
     after = judge.validation_metric(records)
     assert after > before + 0.5
-    assert len(report.losses) == 400
-    assert np.mean(report.losses[-20:]) < np.mean(report.losses[:20])
+    assert len(losses) == 400
+    assert np.mean(losses[-20:]) < np.mean(losses[:20])
 
 
 def test_generative_digest_tracks_weights(train, records):
@@ -365,7 +365,7 @@ GOLDEN_CONTRASTIVE_SIMILARITIES = (
 
 def test_contrastive_golden_digest(tmp_path, train, records):
     judge = ContrastiveJudge(train.catalog_names, hidden=(32, 32), seed=11, minibatch=13)
-    assert judge.finetune(records[:40], epochs=3).losses == GOLDEN_CONTRASTIVE_LOSSES
+    assert judge.finetune(records[:40], epochs=3) == GOLDEN_CONTRASTIVE_LOSSES
     judge.save(tmp_path)
     got = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()

@@ -6,9 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from rls3 import wire
+from rls3 import orchestrator, wire
 from rls3.agent import RandomAgent
-from rls3.datasets import read_samples
+from rls3.datasets import read_samples, record_from_dict
 from rls3.orchestrator import (
     ConfigError,
     EarlyStopPolicy,
@@ -23,7 +23,7 @@ from rls3.orchestrator import (
     run_loop,
     sample_for_batch,
 )
-from rls3.judges import ContrastiveJudge, GenerativeJudge
+from rls3.judges import ContrastiveJudge, GenerativeJudge, JudgeError
 from rls3.scene import PlacementEnv, builtin_suite
 
 
@@ -410,6 +410,78 @@ def test_run_loop_closes_external_judge(tmp_path, monkeypatch, command, failure)
     finally:
         for client in clients:
             client.close()
+
+
+class _JudgeDeadAfterFinetune(GenerativeJudge):
+    """Raises in its first finetune and counts every call that follows."""
+
+    failed = False
+    calls_after_failure = 0
+
+    def _count(self):
+        self.calls_after_failure += self.failed
+
+    def infer(self, samples):
+        self._count()
+        return super().infer(samples)
+
+    def validation_metric(self, samples):
+        self._count()
+        return super().validation_metric(samples)
+
+    def save(self, directory):
+        self._count()
+        super().save(directory)
+
+    def finetune(self, samples, steps):
+        self._count()
+        self.failed = True
+        raise JudgeError("judge died in finetune")
+
+
+def test_local_judge_is_asked_nothing_after_it_fails(tmp_path, monkeypatch):
+    judge = _JudgeDeadAfterFinetune(builtin_suite("train").catalog_names)
+    monkeypatch.setattr(orchestrator, "make_judge", lambda config, names, seed: judge)
+    run_dir = tmp_path / "run"
+    report = run_loop(desk_config(**TINY), run_dir)
+    assert report.failure == "judge died in finetune"
+    assert judge.failed and judge.calls_after_failure == 0
+    assert report.test_metric is None and report.iterations_completed == 0
+    assert json.loads((run_dir / "report.json").read_text()) == report.to_dict()
+
+
+class _ClientTimingOutOnSecondRequest:
+    """Answers the first request with all-correct terms, times out on the
+    second, and records every request it is sent."""
+
+    def __init__(self):
+        self.requests = []
+        self.closed = False
+
+    def request(self, payload):
+        self.requests.append(payload)
+        if len(self.requests) == 2:
+            raise wire.WireTimeout("timed out reading reply")
+        records = [record_from_dict(json.loads(line)) for line in payload["samples"]]
+        return {"id": len(self.requests), "terms": [sorted(r.terms) for r in records]}
+
+    def close(self):
+        self.closed = True
+
+
+def test_external_judge_gets_no_request_after_a_timeout(tmp_path, monkeypatch):
+    client = _ClientTimingOutOnSecondRequest()
+    monkeypatch.setattr(wire, "client_for_address", lambda addr: client)
+    run_dir = tmp_path / "run"
+    report = run_loop(desk_config(**TINY, judge="external:judge:1"), run_dir)
+    assert report.failure == "timed out reading reply"
+    # the initial validation pass, then the first episode's infer that timed out
+    assert [req["op"] for req in client.requests] == ["infer", "infer"]
+    assert len(client.requests[0]["samples"]) == TINY["validation_count"]
+    assert len(client.requests[1]["samples"]) == TINY["samples_per_episode"]
+    assert client.closed
+    assert report.test_metric is None and report.initial_val_metric == 5.0
+    assert json.loads((run_dir / "report.json").read_text()) == report.to_dict()
 
 
 # --- golden digests ---------------------------------------------------------------

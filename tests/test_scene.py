@@ -3,6 +3,8 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rls3.scene import (
     EpisodeAborted,
@@ -103,7 +105,11 @@ def _set_path(doc, path, value):
         (("scenes", 0, "surfaces", 0, "half_extent_x"), None, "expected a finite number"),
         (("scenes", 0, "surfaces", 0, "half_extent_x"), float("nan"), "expected a finite"),
         (("scenes", 0, "camera", "position"), [0.0, 1.6, True], "expected a finite number"),
-        (("scenes", 0, "id"), "x", "invalid literal"),
+        (("scenes", 0, "id"), "x", "must be an int"),
+        (("scenes", 0, "id"), "3", "must be an int"),
+        (("scenes", 0, "id"), 2.9, "must be an int"),
+        (("scenes", 0, "id"), True, "must be an int"),
+        (("scenes", 1, "id"), 0, "duplicate scene id 0"),
     ],
 )
 def test_suite_rejects_missing_keys_and_wrong_types(path, value, match):
@@ -113,6 +119,44 @@ def test_suite_rejects_missing_keys_and_wrong_types(path, value, match):
         suite_from_dict(doc)
     with pytest.raises(SceneConfigError, match="malformed suite"):
         suite_from_dict([])
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats()
+    | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=10,
+)
+
+
+def _paths(doc, prefix=()):
+    """The key path of every value inside a suite document, nested ones included."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_any_json_value_builds_a_suite_or_raises_scene_config_error(data):
+    if data.draw(st.booleans()):
+        doc = data.draw(_JSON_VALUES)
+    else:  # a builtin suite with one to three values dropped or replaced
+        doc = json.loads(resources.files("rls3.data").joinpath("scenes_train.json").read_text())
+        for _ in range(data.draw(st.integers(1, 3))):
+            paths = list(_paths(doc))
+            if paths:  # dropping both top-level keys leaves none
+                _set_path(doc, data.draw(st.sampled_from(paths)), data.draw(
+                    st.just(KeyError) | _JSON_VALUES))
+    try:
+        suite = suite_from_dict(doc)
+    except SceneConfigError:
+        return
+    ids = [spec.scene_id for spec in suite.scenes]
+    assert all(type(i) is int for i in ids) and len(set(ids)) == len(ids)
 
 
 def test_overlap_matches_interval_oracle():

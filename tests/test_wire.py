@@ -61,8 +61,7 @@ def test_external_generative_judge_all_correct(records):
         assert judge.validation_metric(records) == 5.0
         assert loss == 1.0
         assert infer_and_reward(judge, records)[1] == 1.0
-        report = judge.finetune(records, steps=4)
-        assert report.losses == []
+        assert judge.finetune(records, steps=4) == []
 
 
 @pytest.mark.parametrize(

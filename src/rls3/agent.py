@@ -145,22 +145,17 @@ class SacAgent:
         eps = self._rng.standard_normal(ACTION_DIM)
         return np.tanh(mean + np.exp(log_std) * eps)
 
-    def _sample_with_logp(self, obs: np.ndarray, tape: list | None = None):
-        """Reparameterized batch sample; returns (action, logp, pieces for grads)."""
+    def _sample(self, obs: np.ndarray, tape: list | None = None):
+        """Reparameterized batch sample: (action, pieces for its log-probability
+        and gradients)."""
         mean, log_std, log_std_raw = self._policy_params(obs, tape)
         std = np.exp(log_std)
         eps = self._rng.standard_normal(mean.shape)
         u = mean + std * eps
         a = np.tanh(u)
         sq_term = 1.0 - a * a + _TANH_EPS
-        logp = (
-            -0.5 * np.sum(eps * eps, axis=-1)
-            - np.sum(log_std, axis=-1)
-            - 0.5 * ACTION_DIM * np.log(2.0 * np.pi)
-            - np.sum(np.log(sq_term), axis=-1)
-        )
         clamp_mask = (log_std_raw > LOG_STD_MIN) & (log_std_raw < LOG_STD_MAX)
-        return a, logp, (eps, std, sq_term, clamp_mask)
+        return a, (eps, log_std, std, sq_term, clamp_mask)
 
     # -- learning
 
@@ -177,7 +172,14 @@ class SacAgent:
 
         tapes = self._tapes
         # critic targets
-        a_next, logp_next, _ = self._sample_with_logp(nxt, tapes["actor"])
+        a_next, (eps, log_std, _, sq_term, _) = self._sample(nxt, tapes["actor"])
+        # log-probability of the tanh-squashed Gaussian; the actor step needs none
+        logp_next = (
+            -0.5 * np.sum(eps * eps, axis=-1)
+            - np.sum(log_std, axis=-1)
+            - 0.5 * ACTION_DIM * np.log(2.0 * np.pi)
+            - np.sum(np.log(sq_term), axis=-1)
+        )
         sa_next = np.hstack([nxt, a_next])
         q1n = self.q1_target.forward(sa_next, tapes["q1_target"])[:, 0]
         q2n = self.q2_target.forward(sa_next, tapes["q2_target"])[:, 0]
@@ -193,7 +195,7 @@ class SacAgent:
             opt.step(grad)
 
         # actor step (critic weights held fixed: only their input gradients)
-        a, _, (eps, std, sq_term, clamp_mask) = self._sample_with_logp(obs, tapes["actor"])
+        a, (eps, _, std, sq_term, clamp_mask) = self._sample(obs, tapes["actor"])
         sa_pi = np.hstack([obs, a])
         ones = np.ones((batch, 1))
         q1v = self.q1.forward(sa_pi, tapes["q1"])[:, 0]

@@ -427,18 +427,18 @@ class ContrastiveJudge:
         return np.stack([cache[c] for c in captions])
 
     def _score(self, samples) -> tuple[list[JudgeVerdict], np.ndarray, np.ndarray]:
-        """Per-sample positive-vs-negative similarities over the 3N text pool,
-        with the image and text embeddings they came from.
+        """Per-sample positive-vs-negative similarities, three row dot products
+        per sample and no N x 3N matrix, with the image and text embeddings
+        they came from.
         """
         n = len(samples)
         z = self.image_encoder.forward(self._image_batch(samples))
         w = self.text_encoder.forward(self._text_pool(samples))
         zn, _ = _normalize_rows(z)
         wn, _ = _normalize_rows(w)
-        sims = zn @ wn.T
-        # sample i's positive and its two negatives sit at columns i, n + i, 2n + i
-        triples = [np.diagonal(sims[:, k * n : (k + 1) * n]).tolist() for k in range(3)]
-        return _ranking_verdicts(samples, zip(*triples)), z, w
+        # sample i's positive and its two negatives are text rows i, n + i, 2n + i
+        triples = np.einsum("nd,knd->nk", zn, wn.reshape(3, n, -1))
+        return _ranking_verdicts(samples, triples.tolist()), z, w
 
     def infer(self, samples: list[SampleRecord]) -> tuple[list[JudgeVerdict], float]:
         """Verdicts plus the batch loss over the 3N text pool; no weight updates."""

@@ -105,11 +105,21 @@ class RunConfig:
             "episodes_per_iteration",
             "samples_per_episode",
             "finetune_steps",
+            "validation_count",
+            "test_count",
+            "agent_lr",
+            "agent_minibatch",
+            "buffer_capacity",
+            "pretrain_update_every",
+            "judge_lr",
+            "temperature",
+            "generative_minibatch",
         ):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # NaN fails too
                 raise ConfigError(f"{name} must be positive")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
+        for name in ("seed", "validation_seed", "test_seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative")
         if not 0.0 < self.sampling_rate <= 1.0:
             raise ConfigError("sampling_rate must be in (0, 1]")
         if self.contrastive_minibatch < 2:

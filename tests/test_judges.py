@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -359,7 +360,7 @@ GOLDEN_CONTRASTIVE_FILES = {
 }
 GOLDEN_CONTRASTIVE_LOSSES = [3.7508262358454707, 3.1887172904091994, 2.9945240893818124]
 GOLDEN_CONTRASTIVE_SIMILARITIES = (
-    "f492971482a11bf107843eea99358a0195a4008612b2c409217fad17fb88a9b4"
+    "2afee9e2d8b3b83f4d3662c9ebc98c88a70456b751172220f7e4cb106c0058e5"
 )
 
 
@@ -415,6 +416,36 @@ def test_contrastive_validation_metric_computes_no_loss(train, records, monkeypa
     monkeypatch.setattr(judges, "_infonce", no_loss)
     got = judge.validation_metric(records)
     assert got == float(np.mean([v.ranked_correct for v in verdicts]))
+
+
+def test_contrastive_triples_are_the_full_matrix_diagonals(train):
+    recs = generate_fixed_records(train, 240, seed=654)
+    judge = ContrastiveJudge(train.catalog_names, seed=8)
+    judge.finetune(recs[:60], epochs=2)
+    verdicts, _ = judge.infer(recs)
+    n = len(recs)
+    zn, _ = judges._normalize_rows(judge.image_encoder.forward(judge._image_batch(recs)))
+    wn, _ = judges._normalize_rows(judge.text_encoder.forward(judge._text_pool(recs)))
+    full = zn @ wn.T
+    expected = np.stack([np.diagonal(full[:, k * n : (k + 1) * n]) for k in range(3)], axis=1)
+    got = np.array([v.similarities for v in verdicts])
+    assert np.max(np.abs(got - expected)) <= 1e-12
+    ranked = (expected[:, 0] > expected[:, 1]) & (expected[:, 0] > expected[:, 2])
+    assert [v.ranked_correct for v in verdicts] == ranked.tolist()
+    assert judge.validation_metric(recs) == judges.mean_score(verdicts)
+
+
+def test_contrastive_validation_builds_no_similarity_matrix(train):
+    recs = generate_fixed_records(train, 2000, seed=655)
+    judge = ContrastiveJudge(train.catalog_names, seed=9)
+    tracemalloc.start()
+    try:
+        judge.validation_metric(recs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the 2000 x 6000 similarity matrix alone would take 96 MB
+    assert peak < 16e6, f"validation peaked at {peak / 1e6:.1f} MB"
 
 
 def test_untrained_generative_near_chance(train):

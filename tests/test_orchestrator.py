@@ -110,6 +110,28 @@ def test_config_validation():
         RunConfig(contrastive_minibatch=1)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("validation_count", 0),
+        ("test_count", -3),
+        ("agent_lr", 0.0),
+        ("agent_minibatch", 0),
+        ("buffer_capacity", 0),
+        ("pretrain_update_every", 0),
+        ("judge_lr", 0.0),
+        ("temperature", 0.0),
+        ("temperature", float("nan")),
+        ("generative_minibatch", 0),
+        ("validation_seed", -1),
+        ("test_seed", -1),
+    ],
+)
+def test_config_rejects_bad_sizes_rates_and_seeds(key, value):
+    with pytest.raises(ConfigError, match=key):
+        RunConfig(**{key: value})
+
+
 def test_config_digest_pure():
     doc = {"iterations": 5, "seed": 3}
     a = config_from_dict(apply_overrides(doc, {"reward_scale": "5.0"}))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -150,7 +151,8 @@ class SacAgent:
         and gradients)."""
         mean, log_std, log_std_raw = self._policy_params(obs, tape)
         std = np.exp(log_std)
-        eps = self._rng.standard_normal(mean.shape)
+        # drawn in float64 whatever the pass's dtype, so the stream is the same
+        eps = self._rng.standard_normal(mean.shape).astype(mean.dtype, copy=False)
         u = mean + std * eps
         a = np.tanh(u)
         sq_term = 1.0 - a * a + _TANH_EPS
@@ -162,13 +164,18 @@ class SacAgent:
     def update(self) -> UpdateInfo:
         """One gradient step for both critics and the actor, then polyak target
         averaging. No-op before the warmup fill is reached.
+
+        The minibatch is cast to float32 once, so every forward and backward
+        pass here runs in float32; the gradients reach Adam, which updates the
+        float64 parameters in float64.
         """
         batch = self.minibatch
         if len(self.buffer) < max(self.warmup, batch):
             return UpdateInfo(performed=False)
         obs, act, rew, nxt, term = self.buffer.sample(batch)
-        obs = obs / OBS_SCALE
-        nxt = nxt / OBS_SCALE
+        obs = (obs / OBS_SCALE).astype(np.float32)
+        nxt = (nxt / OBS_SCALE).astype(np.float32)
+        act, rew, term = (v.astype(np.float32) for v in (act, rew, term))
 
         tapes = self._tapes
         # critic targets
@@ -177,7 +184,7 @@ class SacAgent:
         logp_next = (
             -0.5 * np.sum(eps * eps, axis=-1)
             - np.sum(log_std, axis=-1)
-            - 0.5 * ACTION_DIM * np.log(2.0 * np.pi)
+            - 0.5 * ACTION_DIM * math.log(2.0 * math.pi)
             - np.sum(np.log(sq_term), axis=-1)
         )
         sa_next = np.hstack([nxt, a_next])
@@ -197,7 +204,7 @@ class SacAgent:
         # actor step (critic weights held fixed: only their input gradients)
         a, (eps, _, std, sq_term, clamp_mask) = self._sample(obs, tapes["actor"])
         sa_pi = np.hstack([obs, a])
-        ones = np.ones((batch, 1))
+        ones = np.ones((batch, 1), np.float32)
         q1v = self.q1.forward(sa_pi, tapes["q1"])[:, 0]
         _, g1 = self.q1.backward(ones, tapes["q1"], need="input")
         q2v = self.q2.forward(sa_pi, tapes["q2"])[:, 0]
@@ -353,7 +360,9 @@ def pretrain_intrinsic(
     """Train on the +/-1 feasibility reward only; no judge in the loop.
 
     Episodes end on the environment's own termination rule; transitions enter
-    the buffer immediately (no bonus exists during pretraining).
+    the buffer immediately (no bonus exists during pretraining). The stats'
+    `skipped_updates` counts optimizer steps (actor, q1 and q2 together) that
+    Adam skipped for a non-finite gradient.
     """
     if steps <= 0:
         raise ValueError("steps must be positive")
@@ -370,7 +379,13 @@ def pretrain_intrinsic(
             agent.update()
     if checkpoint_dir is not None:
         agent.save(checkpoint_dir)
-    return {"steps": steps, "episodes": episodes, "valid_rate": valid / steps}
+    skipped = sum(opt.adam.skipped for opt in (agent.actor_opt, agent.q1_opt, agent.q2_opt))
+    return {
+        "steps": steps,
+        "episodes": episodes,
+        "valid_rate": valid / steps,
+        "skipped_updates": skipped,
+    }
 
 
 def measure_valid_rate(agent, env: PlacementEnv, steps: int, stochastic: bool = True) -> float:

@@ -1,21 +1,30 @@
 """Dense multilayer networks with manual backprop, an Adam optimizer, and a
 binary checkpoint format.
 
-Shared by the SAC agent and both toy judges. Everything is plain numpy with
-float64 parameters so that gradients can be validated against central finite
-differences. Every network has tanh hidden layers and an identity output
-layer. Each network holds its parameters in one vector, `Mlp.flat`, in
-checkpoint order; gradients, Adam moments, target averaging, digests and
-checkpoint bodies all work on vectors with that layout.
+Shared by the SAC agent and both toy judges. Everything is plain numpy.
+Every network has tanh hidden layers and an identity output layer. Each
+network holds its parameters in one float64 vector, `Mlp.flat`, in checkpoint
+order; gradients, Adam moments, target averaging, digests and checkpoint
+bodies all work on vectors with that layout. Parameters, Adam and checkpoints
+stay float64, so gradients can be validated against central finite
+differences.
 
-A tape (a list the caller owns) holds one forward pass: the input and each
-layer's output, plus the scratch arrays of backward(). The next forward on the
-tape replaces that pass and, when the batch and layer sizes are unchanged,
-writes into the same arrays, so a training loop that keeps its tapes allocates
-no activation arrays after its first step. The output forward() returns is one
-of those arrays: the tape's next forward overwrites it. backward() computes
-only what its `need` argument asks for: the parameter gradient, the input
-gradient, or both.
+A pass computes in the dtype of its input: float32 for a float32 input, float64
+for anything else. A float64 pass reads the parameters in place; a float32 pass
+computes with a float32 cast of `flat` made at its forward and kept with the
+pass, so nothing has to refresh a cached copy when `flat` changes. The SAC
+update runs its minibatch passes in float32 (mixed precision: float64 master
+weights, float32 arithmetic); acting and the judges run in float64.
+
+A tape (a list the caller owns) holds one forward pass: the input, the
+parameters it ran with and each layer's output, plus the scratch arrays of
+backward(). The next forward on the tape replaces that pass and, when the
+batch and layer sizes and the dtype are unchanged, writes into the same
+arrays, so a training loop that keeps its tapes allocates no activation arrays
+after its first step. The output forward() returns is one of those arrays: the
+tape's next forward overwrites it. backward() computes in the dtype of the
+pass and only what its `need` argument asks for: the parameter gradient, the
+input gradient, or both.
 """
 
 from __future__ import annotations
@@ -38,22 +47,25 @@ class StaleCacheError(RuntimeError):
 
 
 class _Pass:
-    """What a tape holds: the input and each layer's output of one forward
-    pass, and backward()'s scratch arrays. `shape` is (rows, *layer_sizes); a
-    forward of the same shape on the same tape reuses all of them."""
+    """What a tape holds: the input, the weights and each layer's output of
+    one forward pass, and backward()'s scratch arrays, all of one dtype.
+    `shape` is (dtype, rows, *layer_sizes); a forward of the same shape on the
+    same tape reuses all of them."""
 
-    def __init__(self, shape: tuple[int, ...]):
-        rows, *sizes = shape
+    def __init__(self, shape: tuple):
+        dtype, rows, *sizes = shape
         self.shape = shape
+        self.dtype = dtype
         self.x: np.ndarray | None = None  # the caller's input, never written
         self.single = False
-        self.outs = [np.empty((rows, n)) for n in sizes[1:]]
+        self.weights: list[np.ndarray] = []  # what backward() multiplies by
+        self.outs = [np.empty((rows, n), dtype) for n in sizes[1:]]
         self._scratch: dict = {}
 
     def scratch(self, key, shape: tuple[int, ...]) -> np.ndarray:
         buf = self._scratch.get(key)
         if buf is None:
-            buf = self._scratch[key] = np.empty(shape)
+            buf = self._scratch[key] = np.empty(shape, self.dtype)
         return buf
 
 
@@ -113,13 +125,22 @@ class Mlp:
         """Views into `flat`: W0, b0, W1, b1, ..."""
         return [p for pair in zip(self.weights, self.biases) for p in pair]
 
+    def _cast_params(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Views of `flat` (another dtype's vector) after copying the current
+        parameters into it."""
+        np.copyto(flat, self.flat)
+        return self._split(flat)
+
     def forward(self, x: np.ndarray, tape: list | None = None) -> np.ndarray:
-        """Evaluate the network on a single input (n_in,) or a batch (B, n_in).
-        Pass a list as `tape` to record the pass for backward(); the tape keeps
-        this pass only, and the returned array is overwritten by the tape's
-        next forward. Without a tape, each pass allocates its own arrays.
-        `x` is never modified."""
-        x = np.asarray(x, dtype=np.float64)
+        """Evaluate the network on a single input (n_in,) or a batch (B, n_in),
+        in float32 for a float32 `x` and in float64 otherwise. Pass a list as
+        `tape` to record the pass for backward(); the tape keeps this pass
+        only, and the returned array is overwritten by the tape's next
+        forward. Without a tape, each pass allocates its own arrays. `x` is
+        never modified."""
+        x = np.asarray(x)
+        dtype = np.float32 if x.dtype == np.float32 else np.float64
+        x = np.asarray(x, dtype=dtype)
         single = x.ndim == 1
         if single:
             x = x[None, :]
@@ -128,14 +149,19 @@ class Mlp:
                 f"expected input width {self.n_in}, got shape {x.shape}"
             )
         outs = [None] * len(self.weights)
+        weights, biases = self.weights, self.biases
         if tape is not None:
-            shape = (x.shape[0], *self.layer_sizes)
+            shape = (dtype, x.shape[0], *self.layer_sizes)
             if not tape or tape[0].shape != shape:
                 tape[:] = [_Pass(shape)]
             rec = tape[0]
-            rec.x, rec.single, outs = x, single, rec.outs
+            if dtype is not np.float64:
+                weights, biases = self._cast_params(rec.scratch("flat", self.flat.shape))
+            rec.x, rec.single, rec.weights, outs = x, single, weights, rec.outs
+        elif dtype is not np.float64:
+            weights, biases = self._cast_params(np.empty(self.flat.shape, dtype))
         h = x
-        for i, (w, b, out) in enumerate(zip(self.weights, self.biases, outs)):
+        for i, (w, b, out) in enumerate(zip(weights, biases, outs)):
             if i:  # layer i-1 is a hidden layer: tanh its output
                 np.tanh(h, out=h)
             h = np.matmul(h, w.T, out=out)
@@ -146,7 +172,9 @@ class Mlp:
         self, grad_out: np.ndarray, tape: list, need: str = "both"
     ) -> tuple[np.ndarray | None, np.ndarray | None]:
         """Backpropagate a loss gradient w.r.t. the output of the forward()
-        recorded on `tape`.
+        recorded on `tape`, in that pass's dtype. A float32 pass goes back
+        through the cast weights it ran with; a float64 pass reads `flat` in
+        place, so `flat` must not change between its forward and backward.
 
         `need` is "params", "input" or "both". Returns (parameter gradient, a
         vector laid out like `flat`; gradient w.r.t. the input), with None for
@@ -159,7 +187,7 @@ class Mlp:
         if not tape:
             raise StaleCacheError("no forward pass recorded on the tape")
         rec = tape[0]
-        g = np.asarray(grad_out, dtype=np.float64)
+        g = np.asarray(grad_out, dtype=rec.dtype)
         if rec.single:
             g = g[None, :]
         if g.shape != rec.outs[-1].shape:
@@ -176,7 +204,7 @@ class Mlp:
                 np.matmul(g.T, ins[i], out=grad_w[i])
                 g.sum(axis=0, out=grad_b[i])
             if i or need != "params":
-                g = np.matmul(g, self.weights[i], out=rec.scratch(("in", i), ins[i].shape))
+                g = np.matmul(g, rec.weights[i], out=rec.scratch(("in", i), ins[i].shape))
             if i:
                 # back through hidden layer i-1's tanh, from its output a: 1 - a*a
                 d = rec.scratch(("act", i - 1), g.shape)
@@ -218,7 +246,9 @@ class Adam:
             raise ValueError("learning rate must be positive")
 
     def step(self, param: np.ndarray, grad: np.ndarray) -> bool:
-        """Update param in place. Returns False (and skips) on a non-finite grad."""
+        """Update param in place. Returns False (and skips) on a non-finite grad.
+        A float32 grad is widened exactly: the moments and the update are
+        computed in param's dtype."""
         if grad.shape != param.shape:
             raise DimensionError("gradient shape mismatch")
         if self._m is None:
@@ -239,10 +269,10 @@ class Adam:
         # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
         # param -= lr*(m/c1) / (sqrt(v/c2) + eps), each in this order, in place
         m *= ADAM_BETA1
-        np.multiply(grad, 1.0 - ADAM_BETA1, out=a)
+        np.multiply(grad, 1.0 - ADAM_BETA1, out=a, dtype=a.dtype)
         m += a
         v *= ADAM_BETA2
-        np.multiply(grad, 1.0 - ADAM_BETA2, out=a)
+        np.multiply(grad, 1.0 - ADAM_BETA2, out=a, dtype=a.dtype)
         a *= grad
         v += a
         np.divide(m, c1, out=a)

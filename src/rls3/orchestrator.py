@@ -114,14 +114,21 @@ class RunConfig:
             "judge_lr",
             "temperature",
             "generative_minibatch",
+            "dmax",
         ):
             if not getattr(self, name) > 0:  # NaN fails too
                 raise ConfigError(f"{name} must be positive")
-        for name in ("seed", "validation_seed", "test_seed"):
-            if getattr(self, name) < 0:
+        for name in ("seed", "validation_seed", "test_seed", "warmup", "snap_tol"):
+            if not getattr(self, name) >= 0:
                 raise ConfigError(f"{name} must be non-negative")
-        if not 0.0 < self.sampling_rate <= 1.0:
-            raise ConfigError("sampling_rate must be in (0, 1]")
+        if not 0.0 < self.alpha < np.inf:
+            raise ConfigError("alpha must be positive and finite")
+        for name in ("sampling_rate", "gamma"):
+            if not 0.0 < getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must be in (0, 1]")
+        for name in ("polyak", "p_swap"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must be in [0, 1]")
         if self.contrastive_minibatch < 2:
             raise ConfigError("contrastive_minibatch must be at least 2")
         if self.agent not in ("sac", "random"):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rls3.agent import (
+    CHECKPOINT_NETWORKS,
     AgentError,
     RandomAgent,
     ReplayBuffer,
@@ -258,14 +259,14 @@ def test_checkpoint_missing_or_unreadable_raises_agent_error(tmp_path):
 
 
 # sha256 of each checkpoint file after a short seeded pretrain_intrinsic (warmup
-# 64, then 200 updates at minibatch 32): a change that moves any SAC update byte
-# changes one of them.
+# 64, then 200 updates at minibatch 32, their passes in float32): a change that
+# moves any SAC update byte changes one of them.
 GOLDEN_SAC_FILES = {
-    "actor.net": "7e8a01d07f256b96b7154455f79d10349c98cc738fccb13062e094a5d580194a",
-    "q1.net": "cb02bd4e5ab83d71e346b1f61e2a0fb6377f8dbc17bde965b6db812e4926d485",
-    "q2.net": "49b9d1d8ce4dd189631b27d4e681a2558672b94cef40664ab3a0589eb2454110",
-    "q1_target.net": "1b502d7353d102d7a0fb766663b47f6979a154ad97708f978c864c7b6610d927",
-    "q2_target.net": "f357de2dd9426535dd9ec729a1dd201137f871e9d76249c25c5aef72ce6816a9",
+    "actor.net": "27afebc4f062d97bb605492897100af50de7647b1690798bef84f4f31f94bdc0",
+    "q1.net": "606e7ac97ec0de31787eb9e1d49a7631696d0e43e4469f714a359eac0b919025",
+    "q2.net": "da5930d508b5b66601413252ccabd7c2b2e4b784e1f49989463e9ad0deac080f",
+    "q1_target.net": "fccb15fb761a04c0110c46701277d6155ac64906f897f681dd6bb7bf99539435",
+    "q2_target.net": "3f9da15f8a419c9c9f705eb398004d8fe6bfaefbe1ef920c122aef830e4ee445",
 }
 
 
@@ -304,11 +305,11 @@ def _checkpoint_digests(agent, directory):
 # the same digests after 40 updates at minibatch 48, 48, 20, 20, 48, ...: every
 # switch of batch size rebuilds the update's arrays, every repeat reuses them
 GOLDEN_ALTERNATING_FILES = {
-    "actor.net": "ab5618fb756cad26bc490bc53adc957dc9aee7fb850a931b2fc5894a724e6057",
-    "q1.net": "d7384dd4adde0774d93b8465bce3c84c862d6ebc9b3265863deaed32607b6cdf",
-    "q2.net": "7162a33fa508f2ecb83b71b6d1d025055f458750c1bd8578a1c98e10e4be81d4",
-    "q1_target.net": "9e92a295d3bc83b61b8d90cc780bed62d9b1d479178197ef4b9319cf7d1a6404",
-    "q2_target.net": "4910278f21881a696afa555aaac57eb08b8eb6b473eb197bdbb469ec9be4e4e8",
+    "actor.net": "b44a980951e8d2c7622283101ea00bfae9b72867a6e43404d40d6279005fa685",
+    "q1.net": "a6a64e3120247becbfadd43f6069b0edf314693ca35a69d18170b9d12e7ead57",
+    "q2.net": "293f06eb82ac551ce51c7cbf74f66d560f6ffa55ffc5f03e5262dd025b2d9659",
+    "q1_target.net": "49bc5ec52248796afa839f8969fd17765a50d4e47a7a63601e1b9d2170bb796b",
+    "q2_target.net": "61cb64958077ff6356238224ac4481e0ae38a0c52b3aa00fe86df0257a59dc21",
 }
 
 
@@ -357,6 +358,37 @@ def test_updates_at_one_minibatch_reuse_their_arrays():
     assert all(a is b for a, b in zip(first, second))
     # the second update wrote into them
     assert any(not np.array_equal(a, b) for a, b in zip(second, snapshot))
+
+
+def test_updates_keep_parameters_moments_and_checkpoints_float64(tmp_path):
+    agent = _filled_agent()
+    for _ in range(3):
+        assert agent.update().performed
+    for name in CHECKPOINT_NETWORKS:
+        assert getattr(agent, name).flat.dtype == np.float64, name
+    for opt in (agent.actor_opt, agent.q1_opt, agent.q2_opt):
+        assert opt.adam._m.dtype == opt.adam._v.dtype == np.float64
+        assert opt.adam.step_count == 3
+    agent.save(tmp_path / "ck")
+    for name in CHECKPOINT_NETWORKS:
+        flat = getattr(agent, name).flat
+        blob = (tmp_path / "ck" / f"{name}.net").read_bytes()
+        body = np.frombuffer(blob[len(blob) - 8 * flat.size :], dtype="<f8")
+        assert body.tobytes() == flat.astype("<f8").tobytes(), name
+
+
+def test_pretrain_reports_skipped_updates():
+    env = PlacementEnv(builtin_suite("train"), 10, seed=0)
+    clean = make_agent(warmup=8, minibatch=8)
+    assert pretrain_intrinsic(clean, env, steps=40)["skipped_updates"] == 0
+    agent = make_agent(warmup=8, minibatch=8)
+    agent.buffer.push(random_transition(np.random.default_rng(10), reward=float("nan")))
+    stats = pretrain_intrinsic(agent, PlacementEnv(builtin_suite("train"), 10, seed=0), steps=40)
+    # the first update's minibatch is the whole buffer, so both critics skip it
+    skipped = sum(opt.adam.skipped for opt in (agent.actor_opt, agent.q1_opt, agent.q2_opt))
+    assert stats["skipped_updates"] == skipped >= 2
+    assert agent.q1_opt.adam.skipped == agent.q2_opt.adam.skipped >= 1
+
 
 # --- random agent and env integration ---------------------------------------------------
 

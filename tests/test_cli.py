@@ -525,7 +525,9 @@ def test_one_sample_contrastive_finetune_fails_the_run(tmp_path, capsys):
      'early_stop={"min_iterations":"x","patience":1,"epsilon":0.1}',
      'early_stop={"min_iterations":1,"patience":1,"epsilon":"x"}',
      "validation_count=0", "test_count=-3", "judge_lr=0", "temperature=0", "validation_seed=-1",
-     "pretrain_update_every=0", "buffer_capacity=0", "generative_minibatch=0"],
+     "pretrain_update_every=0", "buffer_capacity=0", "generative_minibatch=0",
+     "alpha=-1", "alpha=0", "gamma=1.5", "polyak=2", "p_swap=2", "dmax=-1", "snap_tol=-1",
+     "warmup=-1"],
 )
 def test_mistyped_config_value_is_usage_error(tmp_path, capsys, override):
     run_dir = tmp_path / "run"

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rls3.agent import SacAgent, Transition
+from rls3.judges import ContrastiveJudge, GenerativeJudge
 from rls3.nets import (
     Adam,
     DimensionError,
@@ -16,6 +17,7 @@ from rls3.nets import (
     load_net,
     save_net,
 )
+from rls3.scene import builtin_suite
 
 from oracles import finite_difference_gradients, relative_error
 
@@ -116,6 +118,67 @@ def test_reused_tape_matches_fresh_tapes(kind):
         assert _bits(*got) == _bits(*want)
 
 
+def _used_nets():
+    """One net of each layer shape the agent and the default judges build."""
+    catalog = builtin_suite("train").catalog_names
+    agent = SacAgent(seed=0)
+    contrastive = ContrastiveJudge(catalog, seed=0)
+    nets = [agent.actor, agent.q1, GenerativeJudge(catalog, seed=0).net,
+            contrastive.image_encoder, contrastive.text_encoder]
+    return {"-".join(map(str, n.layer_sizes)): n for n in nets}
+
+
+USED_NETS = _used_nets()
+
+
+@pytest.mark.parametrize("need", ["params", "input", "both"])
+@pytest.mark.parametrize("shape", USED_NETS)
+def test_float32_passes_match_float64_passes(shape, need):
+    net = USED_NETS[shape]
+    rng = np.random.default_rng(14)
+    x, g = rng.normal(size=(16, net.n_in)), rng.normal(size=(16, net.n_out))
+    t64, t32 = [], []
+    want = [net.forward(x, t64).copy(), *net.backward(g, t64, need=need)]
+    got = [net.forward(x.astype(np.float32), t32), *net.backward(g.astype(np.float32), t32, need=need)]
+    for a, b in zip(got, want):
+        if b is None:
+            assert a is None
+            continue
+        assert a.dtype == np.float32 and b.dtype == np.float64
+        assert relative_error(a, b) < 1e-6
+    assert net.flat.dtype == np.float64
+    # an untaped float32 forward computes the same values
+    assert _bits(net.forward(x.astype(np.float32))) == _bits(got[0])
+
+
+def test_float32_tape_reuses_its_arrays(net):
+    rng = np.random.default_rng(15)
+    tape = []
+
+    def arrays():
+        rec = tape[0]
+        return [*rec.outs, *rec._scratch.values()]
+
+    x, g = rng.normal(size=(2, 5, 4)).astype(np.float32), np.ones((5, 3), np.float32)
+    net.forward(x[0], tape)
+    net.backward(g, tape)
+    first = arrays()
+    assert all(a.dtype == np.float32 for a in first)
+    before = net.flat.copy()
+    net.flat += 0.5  # the next pass casts the changed parameters
+    out = net.forward(x[1], tape)
+    net.flat[:] = before  # backward goes through the weights its pass ran with
+    grad, grad_in = net.backward(g, tape)
+    assert all(a is b for a, b in zip(arrays(), first)) and len(arrays()) == len(first)
+    want = Mlp(net.layer_sizes, flat=before + 0.5)
+    fresh = []
+    assert _bits(out, grad, grad_in) == _bits(want.forward(x[1], fresh), *want.backward(g, fresh))
+    assert net.flat.dtype == np.float64
+    # a float64 pass on the same tape starts a float64 pass
+    assert net.forward(x[1].astype(np.float64), tape).dtype == np.float64
+    assert net.backward(g, tape)[0].dtype == np.float64
+
+
 def test_copy_and_load_draw_no_random_numbers(tmp_path, net, monkeypatch):
     save_net(net, tmp_path / "net.net")
 
@@ -189,6 +252,18 @@ def test_adam_skips_nonfinite_gradients():
     assert not np.allclose(param, 0.0)
     with pytest.raises(DimensionError):
         adam.step(param, np.ones(3))
+
+
+def test_adam_widens_a_float32_gradient_exactly():
+    rng = np.random.default_rng(16)
+    grads = rng.normal(size=(3, 6)).astype(np.float32)
+    p32 = rng.normal(size=6)  # stepped with the float32 gradients
+    p64 = p32.copy()  # stepped with the same gradients widened first
+    a32, a64 = Adam(lr=0.01), Adam(lr=0.01)
+    for g in grads:
+        assert a32.step(p32, g) and a64.step(p64, g.astype(np.float64))
+    assert p32.dtype == a32._m.dtype == a32._v.dtype == np.float64
+    assert _bits(p32, a32._m, a32._v) == _bits(p64, a64._m, a64._v)
 
 
 def _assert_views_of_flat(net):

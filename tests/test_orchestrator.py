@@ -125,11 +125,31 @@ def test_config_validation():
         ("generative_minibatch", 0),
         ("validation_seed", -1),
         ("test_seed", -1),
+        ("alpha", -1.0),
+        ("alpha", 0.0),
+        ("alpha", float("inf")),
+        ("alpha", float("nan")),
+        ("gamma", 0.0),
+        ("gamma", 1.5),
+        ("polyak", -0.1),
+        ("polyak", 2.0),
+        ("p_swap", 2.0),
+        ("p_swap", float("nan")),
+        ("dmax", -1.0),
+        ("dmax", 0.0),
+        ("snap_tol", -1.0),
+        ("snap_tol", float("nan")),
+        ("warmup", -1),
     ],
 )
 def test_config_rejects_bad_sizes_rates_and_seeds(key, value):
     with pytest.raises(ConfigError, match=key):
         RunConfig(**{key: value})
+
+
+def test_config_accepts_range_edges():
+    RunConfig(gamma=1.0, polyak=0.0, p_swap=0.0, snap_tol=0.0, warmup=0)
+    RunConfig(polyak=1.0, p_swap=1.0)
 
 
 def test_config_digest_pure():

@@ -44,49 +44,51 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="rls3", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
-    def common(p):
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, help="override config seed")
-        p.add_argument(
-            "--set",
+    # the config flags; each subcommand takes only those it reads
+    flags = {
+        "--config": dict(help="JSON config file"),
+        "--seed": dict(type=int, help="override config seed"),
+        "--set": dict(
             dest="overrides",
             action="append",
             default=[],
             metavar="KEY=VALUE",
             help="dotted config override, repeatable",
-        )
-        p.add_argument("--judge", help="generative | contrastive | external:<addr>")
-        p.add_argument("--agent", choices=("sac", "random"))
-        p.add_argument("--budget", type=int, help="generation-attempt cap")
+        ),
+        "--judge": dict(help="generative | contrastive | external:<addr>"),
+        "--agent": dict(choices=("sac", "random")),
+        "--budget": dict(type=int, help="generation-attempt cap"),
+    }
+
+    def command(name, summary, *names):
+        p = sub.add_parser(name, help=summary)
+        for flag in names:
+            p.add_argument(flag, **flags[flag])
         p.add_argument(
             "--run-dir",
             default=os.environ.get("RLS3_RUN_DIR"),
             help="output directory (default: $RLS3_RUN_DIR)",
         )
+        return p
 
-    p = sub.add_parser("pretrain", help="intrinsic-only agent pretraining")
-    common(p)
-    p.add_argument("--steps", type=int, help="override pretrain_steps")
+    config = ("--config", "--seed", "--set")
+    p = command("pretrain", "intrinsic-only agent pretraining", *config)
+    p.add_argument("--steps", dest="pretrain_steps", type=int, help="override pretrain_steps")
 
-    p = sub.add_parser("run", help="full loop")
-    common(p)
+    command("run", "full loop", *flags)
 
-    p = sub.add_parser("gen-fixed-set", help="seeded fixed evaluation set")
-    common(p)
+    p = command("gen-fixed-set", "seeded fixed evaluation set", *config)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--scenes", default="train", help="train | test | path to a suite file")
     p.add_argument("--out", default="fixed_set.jsonl", help="file name inside the run dir")
 
-    p = sub.add_parser("eval", help="judge on a fixed set with breakdowns")
-    common(p)
+    p = command("eval", "judge on a fixed set with breakdowns", *config, "--judge")
     p.add_argument("--samples", required=True, help="JSONL sample file")
     p.add_argument("--judge-checkpoint", help="directory saved by a run")
 
-    p = sub.add_parser("export-plots", help="plot-ready CSVs from a run directory")
-    common(p)
+    command("export-plots", "plot-ready CSVs from a run directory")
 
-    p = sub.add_parser("replay", help="verify samples.jsonl against the geometry")
-    common(p)
+    p = command("replay", "verify samples.jsonl against the geometry")
     p.add_argument("--samples", help="explicit JSONL path (default: run dir samples.jsonl)")
 
     return parser
@@ -106,14 +108,9 @@ def _load_config(args) -> RunConfig:
         if not sep:
             raise UsageError(f"--set expects KEY=VALUE, got {item!r}")
         overrides[key] = value
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.judge is not None:
-        doc["judge"] = args.judge
-    if args.agent is not None:
-        doc["agent"] = args.agent
-    if args.budget is not None:
-        doc["budget"] = args.budget
+    for key in ("seed", "judge", "agent", "budget", "pretrain_steps"):
+        if getattr(args, key, None) is not None:  # a subcommand has only the flags it reads
+            doc[key] = getattr(args, key)
     if overrides:
         doc = apply_overrides(doc, overrides)
     return config_from_dict(doc)
@@ -129,14 +126,13 @@ def _cmd_pretrain(args) -> int:
     config = _load_config(args)
     run_dir = _require_run_dir(args)
     run_dir.mkdir(parents=True, exist_ok=True)
-    steps = args.steps if args.steps is not None else config.pretrain_steps
     seq = np.random.SeedSequence(config.seed)
     env_seed, agent_seed = seq.spawn(2)
     suite = orchestrator.resolve_suite(config.train_suite)
     env = orchestrator.make_env(config, suite, env_seed)
     agent = orchestrator.make_sac_agent(config, agent_seed)
     stats = agent_mod.pretrain_intrinsic(
-        agent, env, steps, update_every=config.pretrain_update_every
+        agent, env, config.pretrain_steps, update_every=config.pretrain_update_every
     )
     agent.save(run_dir / "agent")
     print(json.dumps(stats, sort_keys=True))

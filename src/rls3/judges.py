@@ -272,6 +272,24 @@ def text_features(caption: str, catalog_names: tuple[str, ...]) -> np.ndarray:
     return out
 
 
+def _load_nets(directory, current: dict[str, Mlp]) -> list[Mlp]:
+    """The nets saved in `directory` under the file names of `current`. Raises
+    JudgeError naming the directory unless every file loads and each net has
+    the input and output widths of the one it replaces (hidden widths may differ)."""
+    directory = Path(directory)
+    loaded = []
+    try:
+        for name, net in current.items():
+            new = load_net(directory / name)
+            got, need = new.layer_sizes, net.layer_sizes
+            if (got[0], got[-1]) != (need[0], need[-1]):
+                raise ValueError(f"{name} is {got[0]} -> {got[-1]}, not {need[0]} -> {need[-1]}")
+            loaded.append(new)
+    except (OSError, ValueError) as exc:
+        raise JudgeError(f"cannot load judge checkpoint {directory}: {exc}") from exc
+    return loaded
+
+
 # --- generative judge -----------------------------------------------------------------
 
 
@@ -366,7 +384,8 @@ class GenerativeJudge:
         save_net(self.net, directory / "classifier.net")
 
     def load(self, directory) -> None:
-        self.net = load_net(Path(directory) / "classifier.net")
+        """Replace the classifier with a saved one; see _load_nets."""
+        (self.net,) = _load_nets(directory, {"classifier.net": self.net})
         self.optimizer = NetOptimizer(self.net, lr=self.optimizer.adam.lr)
 
     def close(self) -> None:
@@ -489,9 +508,10 @@ class ContrastiveJudge:
         save_net(self.text_encoder, directory / "text.net")
 
     def load(self, directory) -> None:
-        directory = Path(directory)
-        self.image_encoder = load_net(directory / "image.net")
-        self.text_encoder = load_net(directory / "text.net")
+        """Replace both encoders with saved ones; see _load_nets."""
+        self.image_encoder, self.text_encoder = _load_nets(
+            directory, {"image.net": self.image_encoder, "text.net": self.text_encoder}
+        )
         self.image_optimizer = NetOptimizer(self.image_encoder, lr=self.image_optimizer.adam.lr)
         self.text_optimizer = NetOptimizer(self.text_encoder, lr=self.text_optimizer.adam.lr)
 

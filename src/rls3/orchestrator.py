@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -44,8 +45,12 @@ class EarlyStopPolicy:
     epsilon: float
 
     def __post_init__(self):
+        if self.min_iterations < 0:
+            raise ConfigError("min_iterations must be non-negative")
         if self.patience < 1:
             raise ConfigError("patience must be >= 1")
+        if not 0.0 <= self.epsilon <= sys.float_info.max:  # NaN fails too
+            raise ConfigError("epsilon must be non-negative and finite")
 
 
 GENERATIVE_EARLY_STOP = EarlyStopPolicy(min_iterations=15, patience=10, epsilon=0.02)
@@ -100,6 +105,9 @@ class RunConfig:
     external_mode: str = "generative"
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):  # NaN, infinity and an int past float range fail
+            if f.type == "float" and not abs(getattr(self, f.name)) <= sys.float_info.max:
+                raise ConfigError(f"{f.name} must be finite")
         for name in (
             "iterations",
             "episodes_per_iteration",
@@ -115,14 +123,18 @@ class RunConfig:
             "temperature",
             "generative_minibatch",
             "dmax",
+            "alpha",
+            "pretrain_steps",
         ):
-            if not getattr(self, name) > 0:  # NaN fails too
+            if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
-        for name in ("seed", "validation_seed", "test_seed", "warmup", "snap_tol"):
+        for name in ("seed", "validation_seed", "test_seed", "warmup", "snap_tol", "reward_scale"):
             if not getattr(self, name) >= 0:
                 raise ConfigError(f"{name} must be non-negative")
-        if not 0.0 < self.alpha < np.inf:
-            raise ConfigError("alpha must be positive and finite")
+        if self.budget is not None and not self.budget > 0:
+            raise ConfigError("budget must be null or positive")
+        if not 0.0 < self.threshold < 1.0:
+            raise ConfigError("threshold must be in (0, 1)")
         for name in ("sampling_rate", "gamma"):
             if not 0.0 < getattr(self, name) <= 1.0:
                 raise ConfigError(f"{name} must be in (0, 1]")

@@ -1,9 +1,10 @@
 """Newline-delimited JSON wire protocol for external judge processes.
 
 One JSON object per line, UTF-8. Requests carry a u64 id assigned by the
-client; responses must echo it. Transport is either a spawned child process
-(stdin/stdout pipes) or a TCP connection. A request's samples are the
-records' JSON lines, sent as they are.
+client; responses must echo it. The client holds a non-blocking (read fd,
+write fd) pair: a spawned child's stdout and stdin, or one TCP socket twice.
+One send loop and one receive loop serve both, and every OS error on the
+stream is a WireError. A request's samples are the records' JSON lines.
 """
 
 from __future__ import annotations
@@ -45,22 +46,23 @@ class NdjsonClient:
         self._next_id = 0
         self._proc: subprocess.Popen | None = None
         self._sock: socket.socket | None = None
+        self._fds: tuple[int, int] | None = None  # (read, write)
         self._buf = b""
+
+    def _use(self, read_fd: int, write_fd: int) -> "NdjsonClient":
+        for fd in (read_fd, write_fd):
+            os.set_blocking(fd, False)  # both loops wait in a selector
+        self._fds = (read_fd, write_fd)
+        return self
 
     @classmethod
     def spawn(cls, argv: list[str], timeout: float = 30.0) -> "NdjsonClient":
         client = cls(timeout=timeout)
         try:
-            client._proc = subprocess.Popen(
-                argv,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                text=False,
-            )
+            client._proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
         except OSError as exc:
             raise WireError(f"cannot start external judge {argv!r}: {exc}") from exc
-        os.set_blocking(client._proc.stdin.fileno(), False)  # sends wait in a selector
-        return client
+        return client._use(client._proc.stdout.fileno(), client._proc.stdin.fileno())
 
     @classmethod
     def connect(cls, host: str, port: int, timeout: float = 30.0) -> "NdjsonClient":
@@ -69,11 +71,12 @@ class NdjsonClient:
             client._sock = socket.create_connection((host, port), timeout=timeout)
         except OSError as exc:
             raise WireError(f"cannot connect to external judge at {host}:{port}: {exc}") from exc
-        return client
+        return client._use(client._sock.fileno(), client._sock.fileno())
 
     def close(self) -> None:
         """End the transport; never raises. A spawned judge gets SIGTERM, and
         SIGKILL if it is still running after the grace period; it is reaped."""
+        self._fds = None
         if self._proc is not None:
             proc, self._proc = self._proc, None
             with contextlib.suppress(OSError):  # closing must not raise
@@ -91,59 +94,26 @@ class NdjsonClient:
 
     # -- transport
 
-    def _send_line(self, line: bytes, deadline: float) -> None:
-        try:
-            if self._proc is not None:
-                self._write_pipe(memoryview(line), deadline)
-            elif self._sock is not None:
-                self._sock.settimeout(_remaining(deadline, "sending request"))
-                self._sock.sendall(line)
-            else:
-                raise WireError("client not connected")
-        except BrokenPipeError as exc:
-            raise WireProtocolError("peer closed the stream") from exc
-        except TimeoutError as exc:
-            raise WireTimeout("timed out sending request") from exc
-        except OSError as exc:
-            raise WireError(f"cannot send to external judge: {exc}") from exc
-
-    def _write_pipe(self, data: memoryview, deadline: float) -> None:
-        fd = self._proc.stdin.fileno()
+    def _send_line(self, data: memoryview, deadline: float) -> None:
+        fd = self._fds[1]
         with selectors.DefaultSelector() as sel:
             sel.register(fd, selectors.EVENT_WRITE)
             while data:
-                if sel.select(timeout=_remaining(deadline, "sending request")):
+                if sel.select(_remaining(deadline, "sending request")):
                     with contextlib.suppress(BlockingIOError):
                         data = data[os.write(fd, data):]
 
-    def _recv_chunk(self, remaining: float) -> bytes:
-        if self._proc is not None:
-            assert self._proc.stdout is not None
-            sel = selectors.DefaultSelector()
-            try:
-                sel.register(self._proc.stdout, selectors.EVENT_READ)
-                if not sel.select(timeout=remaining):
-                    return b""
-            finally:
-                sel.close()
-            chunk = self._proc.stdout.read1(65536)
-            if not chunk:
-                raise WireProtocolError("peer closed the stream")
-            return chunk
-        if self._sock is not None:
-            self._sock.settimeout(remaining)
-            try:
-                chunk = self._sock.recv(65536)
-            except socket.timeout:
-                return b""
-            if not chunk:
-                raise WireProtocolError("peer closed the connection")
-            return chunk
-        raise WireError("client not connected")
-
     def _read_line(self, deadline: float) -> bytes:
-        while b"\n" not in self._buf:
-            self._buf += self._recv_chunk(_remaining(deadline, "waiting for response"))
+        fd = self._fds[0]
+        with selectors.DefaultSelector() as sel:
+            sel.register(fd, selectors.EVENT_READ)
+            while b"\n" not in self._buf:
+                if sel.select(_remaining(deadline, "waiting for response")):
+                    with contextlib.suppress(BlockingIOError):
+                        chunk = os.read(fd, 65536)
+                        if not chunk:
+                            raise WireProtocolError("peer closed the stream")
+                        self._buf += chunk
         line, self._buf = self._buf.split(b"\n", 1)
         return line
 
@@ -154,6 +124,8 @@ class NdjsonClient:
         the reply that echoes the id. `samples`, if present, is a list of JSON
         texts (the records' `samples.jsonl` lines), written into the line as
         they are. One deadline, `timeout` seconds away, covers send and reply."""
+        if self._fds is None:
+            raise WireError("client not connected")
         deadline = time.monotonic() + self.timeout
         req_id = self._next_id
         self._next_id += 1
@@ -162,8 +134,13 @@ class NdjsonClient:
         text = json.dumps(head, sort_keys=True, separators=(",", ":"))
         if "samples" in payload:
             text = f'{text[:-1]},"samples":[{",".join(payload["samples"])}]}}'
-        self._send_line(text.encode("utf-8") + b"\n", deadline)
-        line = self._read_line(deadline)
+        try:
+            self._send_line(memoryview(text.encode("utf-8") + b"\n"), deadline)
+            line = self._read_line(deadline)
+        except (BrokenPipeError, ConnectionResetError) as exc:
+            raise WireProtocolError("peer closed the stream") from exc
+        except OSError as exc:
+            raise WireError(f"external judge stream failed: {exc}") from exc
         try:
             resp = json.loads(line.decode("utf-8"))
         except (ValueError, RecursionError) as exc:  # also too many digits, too deep nesting

@@ -527,7 +527,12 @@ def test_one_sample_contrastive_finetune_fails_the_run(tmp_path, capsys):
      "validation_count=0", "test_count=-3", "judge_lr=0", "temperature=0", "validation_seed=-1",
      "pretrain_update_every=0", "buffer_capacity=0", "generative_minibatch=0",
      "alpha=-1", "alpha=0", "gamma=1.5", "polyak=2", "p_swap=2", "dmax=-1", "snap_tol=-1",
-     "warmup=-1"],
+     "warmup=-1", "budget=0", "reward_scale=NaN", "reward_scale=-1", "dmax=1e400",
+     "snap_tol=Infinity", "agent_lr=Infinity", "judge_lr=1e400", "temperature=Infinity",
+     "threshold=2", "threshold=NaN", "pretrain_steps=0",
+     pytest.param("p_swap=1" + "0" * 400, id="p_swap-int-past-float-range"),
+     'early_stop={"min_iterations":-3,"patience":1,"epsilon":0.1}',
+     'early_stop={"min_iterations":1,"patience":1,"epsilon":NaN}'],
 )
 def test_mistyped_config_value_is_usage_error(tmp_path, capsys, override):
     run_dir = tmp_path / "run"
@@ -536,6 +541,66 @@ def test_mistyped_config_value_is_usage_error(tmp_path, capsys, override):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert not run_dir.exists()
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_budget_flag_must_be_positive(tmp_path, capsys, budget):
+    run_dir = tmp_path / "run"
+    assert run_cli("run", "--run-dir", str(run_dir), "--agent", "random", "--budget", budget) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: budget must be null or positive"]
+    assert not run_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv", [["--steps", "0"], ["--set", "pretrain_steps=0"]], ids=["steps-flag", "pretrain-steps"]
+)
+def test_pretrain_steps_must_be_positive(tmp_path, capsys, argv):
+    run_dir = tmp_path / "run"
+    assert run_cli("pretrain", "--run-dir", str(run_dir), *argv) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: pretrain_steps must be positive"]
+    assert not run_dir.exists()
+
+
+# each subcommand's config flags that it does not read
+_UNREAD_FLAGS = [
+    (command, flag)
+    for command, flags in (
+        ("pretrain", ("--judge", "--agent", "--budget")),
+        ("gen-fixed-set", ("--judge", "--agent", "--budget")),
+        ("eval", ("--agent", "--budget")),
+        ("export-plots", ("--config", "--seed", "--set", "--judge", "--agent", "--budget")),
+        ("replay", ("--config", "--seed", "--set", "--judge", "--agent", "--budget")),
+    )
+    for flag in flags
+]
+_FLAG_VALUES = {"--config": "c.json", "--seed": "3", "--set": "foo.bar=1",
+                "--judge": "generative", "--agent": "random", "--budget": "5"}
+_REQUIRED = {"pretrain": ["--steps", "1"], "gen-fixed-set": ["--count", "3"],
+             "eval": ["--samples", "s.jsonl"]}
+
+
+@pytest.mark.parametrize("command, flag", _UNREAD_FLAGS, ids=[" ".join(c) for c in _UNREAD_FLAGS])
+def test_subcommand_takes_only_the_flags_it_reads(tmp_path, capsys, command, flag):
+    run_dir = tmp_path / "run"
+    argv = [command, "--run-dir", str(run_dir), *_REQUIRED.get(command, [])]
+    assert run_cli(*argv, flag, _FLAG_VALUES[flag]) == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
+def test_eval_rejects_a_judge_checkpoint_that_does_not_fit(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert run_cli("gen-fixed-set", "--count", "4", "--run-dir", str(run_dir)) == 0
+    checkpoint = tmp_path / "judge"
+    checkpoint.mkdir()  # holds no classifier.net
+    capsys.readouterr()
+    assert run_cli("eval", "--run-dir", str(run_dir), "--samples",
+                   str(run_dir / "fixed_set.jsonl"), "--judge-checkpoint", str(checkpoint)) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot load judge checkpoint {checkpoint}")
+    assert captured.out == ""
+    assert not (run_dir / "eval.json").exists()
 
 
 @pytest.mark.parametrize(

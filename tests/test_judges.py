@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import sys
 import tracemalloc
 
@@ -22,6 +23,7 @@ from rls3.judges import (
     rubric_score,
     text_features,
 )
+from rls3.nets import Mlp, save_net
 from rls3.orchestrator import infer_and_reward
 from rls3.scene import builtin_suite
 from rls3.wire import NdjsonClient
@@ -236,6 +238,16 @@ def test_generative_save_load(tmp_path, train, records):
     assert a == b
 
 
+def test_generative_load_rejects_a_classifier_of_other_width(tmp_path, train):
+    # a 7-wide output would be zipped against the 6 primitives and cut short
+    save_net(Mlp([judges.GENERATIVE_FEATURE_DIM, 64, 64, 7]), tmp_path / "classifier.net")
+    judge = GenerativeJudge(train.catalog_names, seed=4)
+    d0 = judge.net.digest()
+    with pytest.raises(JudgeError, match=f"cannot load judge checkpoint {re.escape(str(tmp_path))}: .*28 -> 7, not 28 -> 6"):
+        judge.load(tmp_path)
+    assert judge.net.digest() == d0
+
+
 # --- the contract every judge keeps -------------------------------------------------
 
 STUB = [sys.executable, "-m", "rls3.external_stub"]
@@ -350,6 +362,36 @@ def test_contrastive_save_load(tmp_path, train, records):
     _, la = judge.infer(records[:10])
     _, lb = other.infer(records[:10])
     assert la == lb
+
+
+def _encoder_digests(judge):
+    return judge.image_encoder.digest(), judge.text_encoder.digest()
+
+
+@pytest.mark.parametrize(
+    "edit, cause",
+    [
+        (lambda d: (d / "text.net").unlink(), "No such file"),
+        (lambda d: save_net(Mlp([16, 64, 64, judges.EMBED_DIM]), d / "text.net"), "16 -> 32, not 20 -> 32"),
+    ],
+    ids=["missing-text-net", "text-net-16-wide"],
+)
+def test_contrastive_load_is_all_or_nothing(tmp_path, train, edit, cause):
+    ContrastiveJudge(train.catalog_names, seed=3).save(tmp_path)
+    edit(tmp_path)
+    judge = ContrastiveJudge(train.catalog_names, seed=77)
+    before = _encoder_digests(judge)
+    with pytest.raises(JudgeError, match=f"cannot load judge checkpoint {re.escape(str(tmp_path))}: .*{cause}"):
+        judge.load(tmp_path)
+    assert _encoder_digests(judge) == before  # image.net loaded, but nothing was replaced
+
+
+def test_judge_load_accepts_other_hidden_widths(tmp_path, train, records):
+    ContrastiveJudge(train.catalog_names, hidden=(8,), seed=3).save(tmp_path)
+    judge = ContrastiveJudge(train.catalog_names, seed=77)
+    judge.load(tmp_path)
+    assert judge.image_encoder.layer_sizes == [judges.IMAGE_FEATURE_DIM, 8, judges.EMBED_DIM]
+    judge.infer(records[:4])
 
 
 # bytes of a contrastive judge after 3 epochs over 40 records at minibatch 13

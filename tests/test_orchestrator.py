@@ -140,6 +140,20 @@ def test_config_validation():
         ("snap_tol", -1.0),
         ("snap_tol", float("nan")),
         ("warmup", -1),
+        ("budget", 0),
+        ("reward_scale", -1.0),
+        ("reward_scale", float("nan")),
+        ("dmax", float("inf")),
+        pytest.param("dmax", 10**400, id="dmax-int-past-float-range"),
+        ("snap_tol", float("inf")),
+        ("agent_lr", float("inf")),
+        ("judge_lr", float("inf")),
+        ("temperature", float("inf")),
+        ("threshold", 0.0),
+        ("threshold", 1.0),
+        ("threshold", 2.0),
+        ("threshold", float("nan")),
+        ("pretrain_steps", 0),
     ],
 )
 def test_config_rejects_bad_sizes_rates_and_seeds(key, value):
@@ -147,9 +161,21 @@ def test_config_rejects_bad_sizes_rates_and_seeds(key, value):
         RunConfig(**{key: value})
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("min_iterations", -3), ("epsilon", -0.1), ("epsilon", float("nan")),
+     pytest.param("epsilon", 10**400, id="epsilon-int-past-float-range")],
+)
+def test_early_stop_policy_rejects_out_of_range_values(key, value):
+    fields = {"min_iterations": 1, "patience": 1, "epsilon": 0.1, key: value}
+    with pytest.raises(ConfigError, match=key):
+        EarlyStopPolicy(**fields)
+
+
 def test_config_accepts_range_edges():
-    RunConfig(gamma=1.0, polyak=0.0, p_swap=0.0, snap_tol=0.0, warmup=0)
-    RunConfig(polyak=1.0, p_swap=1.0)
+    RunConfig(gamma=1.0, polyak=0.0, p_swap=0.0, snap_tol=0.0, warmup=0, reward_scale=0.0)
+    RunConfig(polyak=1.0, p_swap=1.0, budget=1)
+    EarlyStopPolicy(min_iterations=0, patience=1, epsilon=0.0)
 
 
 def test_config_digest_pure():

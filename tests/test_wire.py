@@ -4,6 +4,7 @@ import os
 import shlex
 import socket
 import socketserver
+import struct
 import subprocess
 import sys
 import threading
@@ -17,7 +18,7 @@ from rls3 import wire
 from rls3.datasets import generate_fixed_records, record_to_dict
 from rls3.external_stub import handle_request
 from rls3.judges import ExternalJudge, JudgeError
-from rls3.orchestrator import infer_and_reward
+from rls3.orchestrator import desk_config, infer_and_reward, run_loop
 from rls3.scene import builtin_suite
 from rls3.wire import (
     NdjsonClient,
@@ -148,39 +149,6 @@ def test_timeout():
         srv.close()
 
 
-def test_malformed_response():
-    argv = [sys.executable, "-c", "print('this is not json'); import sys; sys.stdout.flush(); sys.stdin.read()"]
-    client = NdjsonClient.spawn(argv, timeout=5)
-    try:
-        with pytest.raises(WireProtocolError):
-            client.request({"op": "infer"})
-    finally:
-        client.close()
-
-
-def test_id_mismatch():
-    code = (
-        "import sys, json\n"
-        "for line in sys.stdin:\n"
-        "    print(json.dumps({'id': 9999, 'ok': True}), flush=True)\n"
-    )
-    client = NdjsonClient.spawn([sys.executable, "-c", code], timeout=5)
-    try:
-        with pytest.raises(WireIdMismatch):
-            client.request({"op": "infer"})
-    finally:
-        client.close()
-
-
-def test_peer_closure():
-    client = NdjsonClient.spawn([sys.executable, "-c", "pass"], timeout=5)
-    try:
-        with pytest.raises(WireProtocolError):
-            client.request({"op": "infer"})
-    finally:
-        client.close()
-
-
 def test_peer_exited_before_request():
     client = NdjsonClient.spawn([sys.executable, "-c", "pass"], timeout=5)
     client._proc.wait(timeout=10)  # the send, not the read, meets the closed pipe
@@ -298,57 +266,131 @@ def test_stub_starts_without_numpy_and_the_package_still_resolves():
 
 class _Peer:
     """A local TCP judge: for each connection it reads one request line, keeps
-    it in `requests`, writes `reply(line)` and closes the connection."""
+    it in `requests`, writes `reply` and closes the connection."""
 
     def __init__(self):
         self.requests: list[bytes] = []
-        self.reply = lambda line: b""
+        self.reply = b""
         peer = self
 
         class Handler(socketserver.StreamRequestHandler):
             def handle(self):
-                line = self.rfile.readline()
-                peer.requests.append(line)
-                self.wfile.write(peer.reply(line))
+                peer.requests.append(self.rfile.readline())
+                self.wfile.write(peer.reply)
 
         self.server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), Handler)
         threading.Thread(target=self.server.serve_forever, daemon=True).start()
 
-    def request(self, payload: dict, reply) -> dict:
+    def request(self, payload: dict, reply: bytes) -> dict:
         self.reply = reply
         port = self.server.server_address[1]
         with contextlib.closing(NdjsonClient.connect("127.0.0.1", port, timeout=10)) as client:
             return client.request(payload)
 
 
+class _PipePeer:
+    """The same judge over pipes: a process spawned for each request reads one
+    request line, writes `reply` and exits."""
+
+    CODE = (
+        "import sys; sys.stdin.buffer.readline(); "
+        "sys.stdout.buffer.write(bytes.fromhex(sys.argv[1]))"
+    )
+
+    def request(self, payload: dict, reply: bytes) -> dict:
+        argv = [sys.executable, "-S", "-c", self.CODE, reply.hex()]
+        with contextlib.closing(NdjsonClient.spawn(argv, timeout=10)) as client:
+            return client.request(payload)
+
+
 @pytest.fixture(scope="module")
-def peer():
+def tcp_peer():
     peer = _Peer()
     yield peer
     peer.server.shutdown()
     peer.server.server_close()
 
 
-def _stub_reply(line: bytes) -> bytes:
-    return (json.dumps(handle_request(json.loads(line), "all_correct", 0.5)) + "\n").encode()
+@pytest.fixture(scope="module", params=["pipe", "tcp"])
+def peer(request, tcp_peer):
+    return _PipePeer() if request.param == "pipe" else tcp_peer
 
 
-def test_request_writes_sample_lines_into_compact_json(records, peer):
+def test_malformed_response(peer):
+    with pytest.raises(WireProtocolError, match="malformed response line"):
+        peer.request({"op": "infer"}, b"this is not json\n")
+
+
+def test_id_mismatch(peer):
+    with pytest.raises(WireIdMismatch, match="expected id 0, got 9999"):
+        peer.request({"op": "infer"}, b'{"id": 9999, "ok": true}\n')
+
+
+def test_peer_closure(peer):
+    # the peer reads the request and closes its end without a reply
+    with pytest.raises(WireProtocolError, match="peer closed the stream"):
+        peer.request({"op": "infer"}, b"")
+
+
+@contextlib.contextmanager
+def _resetting_judge():
+    """The port of a TCP judge that reads one request line and then resets
+    the connection: SO_LINGER 0 makes its close send RST, not FIN."""
+    srv = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        conn, _ = srv.accept()
+        with conn, conn.makefile("rb") as rfile:
+            rfile.readline()
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    with srv:
+        yield srv.getsockname()[1]
+    thread.join(timeout=10)
+
+
+def test_connection_reset_is_a_wire_error():
+    with _resetting_judge() as port:
+        with contextlib.closing(NdjsonClient.connect("127.0.0.1", port, timeout=10)) as client:
+            with pytest.raises(WireError, match="peer closed the stream"):
+                client.request({"op": "infer", "samples": []})
+
+
+def test_connection_reset_fails_the_run(tmp_path):
+    with _resetting_judge() as port:
+        report = run_loop(desk_config(
+            iterations=1, episodes_per_iteration=1, samples_per_episode=5, agent="random",
+            judge=f"external:127.0.0.1:{port}", finetune_steps=1, validation_count=5,
+            test_count=5,
+        ), tmp_path)
+    assert report.failure == "peer closed the stream"
+    assert json.loads((tmp_path / "report.json").read_text())["failure"] == report.failure
+
+
+def _stub_reply(payload: dict) -> bytes:
+    """The stub's reply to `payload` sent as a client's first request."""
+    req = {**payload, "id": 0, "samples": [json.loads(s) for s in payload["samples"]]}
+    return (json.dumps(handle_request(req, "all_correct", 0.5)) + "\n").encode()
+
+
+def test_request_writes_sample_lines_into_compact_json(records, tcp_peer):
     payload = {"op": "infer", "mode": "generative", "samples": [r.line for r in records]}
-    resp = peer.request(payload, _stub_reply)
+    resp = tcp_peer.request(payload, _stub_reply(payload))
     assert resp["terms"] == [sorted(r.terms) for r in records]
-    doc = json.loads(peer.requests[-1])
+    doc = json.loads(tcp_peer.requests[-1])
     assert doc == {
         "id": 0, "op": "infer", "mode": "generative",
         "samples": [record_to_dict(r) for r in records],
     }
     compact = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    assert peer.requests[-1] == compact.encode() + b"\n"
+    assert tcp_peer.requests[-1] == compact.encode() + b"\n"
 
 
-def test_deeply_nested_reply_is_a_protocol_error(peer):
+def test_deeply_nested_reply_is_a_protocol_error(tcp_peer):
     with pytest.raises(WireProtocolError, match="malformed response line"):
-        peer.request({"op": "infer", "samples": []}, lambda line: b"[" * 100_000 + b"\n")
+        tcp_peer.request({"op": "infer", "samples": []}, b"[" * 100_000 + b"\n")
 
 
 _JSON_VALUES = st.recursive(
@@ -369,14 +411,21 @@ _REPLIES = st.one_of(
 )
 
 
+def _outcome(peer, reply: bytes) -> str:
+    """The answer to `reply`, or the WireError it raises, as text."""
+    try:
+        resp = peer.request({"op": "infer", "samples": []}, reply)
+    except WireError as exc:
+        return repr(exc)
+    assert isinstance(resp, dict) and resp["id"] == 0
+    return repr(resp)
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(reply=_REPLIES)
-def test_any_reply_is_the_answer_or_a_wire_error(peer, reply):
-    try:
-        resp = peer.request({"op": "infer", "samples": []}, lambda line: reply)
-    except WireError:
-        return
-    assert isinstance(resp, dict) and resp["id"] == 0
+def test_any_reply_is_the_answer_or_a_wire_error(tcp_peer, reply):
+    # the same reply reads the same over pipes as over TCP
+    assert _outcome(_PipePeer(), reply) == _outcome(tcp_peer, reply)
 
 
 @pytest.mark.parametrize(

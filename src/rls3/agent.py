@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .nets import Mlp, NetOptimizer, load_net, save_net
-from .scene import OBS_DIM, OBS_SCALE, PlacementEnv
+from .scene import OBS_DIM, OBS_SCALE, PlacementEnv, _number
 
 ACTION_DIM = 3
 LOG_STD_MIN = -5.0
@@ -300,10 +300,10 @@ class SacAgent:
             for name, net in loaded.items():
                 if net.layer_sizes != getattr(self, name).layer_sizes:
                     raise ValueError(f"architecture mismatch for {name}")
-            alpha = float(manifest["alpha"])
-            if not 0.0 < alpha < np.inf:
-                raise ValueError(f"alpha must be positive and finite, got {alpha}")
-            if not np.array_equal(np.asarray(manifest["obs_scale"], dtype=float), OBS_SCALE):
+            alpha = _number(manifest["alpha"])  # a finite JSON number, not a bool or string
+            if not alpha > 0.0:
+                raise ValueError(f"alpha must be positive, got {alpha}")
+            if not np.array_equal([_number(x) for x in manifest["obs_scale"]], OBS_SCALE):
                 raise ValueError("observation scale differs from scene.OBS_SCALE")
         except (OSError, ValueError, TypeError, KeyError) as exc:
             raise AgentError(f"cannot load agent checkpoint {directory}: {exc}") from exc

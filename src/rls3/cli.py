@@ -108,9 +108,9 @@ def _load_config(args) -> RunConfig:
         if not sep:
             raise UsageError(f"--set expects KEY=VALUE, got {item!r}")
         overrides[key] = value
-    for key in ("seed", "judge", "agent", "budget", "pretrain_steps"):
-        if getattr(args, key, None) is not None:  # a subcommand has only the flags it reads
-            doc[key] = getattr(args, key)
+    for key, value in vars(args).items():  # the flags whose dest is a config field
+        if key in RunConfig.__dataclass_fields__ and value is not None:
+            doc[key] = value
     if overrides:
         doc = apply_overrides(doc, overrides)
     return config_from_dict(doc)

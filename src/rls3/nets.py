@@ -239,7 +239,7 @@ class Adam:
     skipped: int = 0
     _m: np.ndarray | None = None
     _v: np.ndarray | None = None
-    _scratch: np.ndarray | None = None  # two vectors for step()'s temporaries
+    _scratch: np.ndarray | None = None  # three vectors for step()'s temporaries
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -254,7 +254,7 @@ class Adam:
         if self._m is None:
             self._m = np.zeros_like(param)
             self._v = np.zeros_like(param)
-            self._scratch = np.empty((2, *param.shape))
+            self._scratch = np.empty((3, *param.shape))
         elif self._m.shape != param.shape:
             raise DimensionError("optimizer moments do not mirror the parameters")
         if not np.isfinite(grad).all():
@@ -265,15 +265,16 @@ class Adam:
         c1 = 1.0 - ADAM_BETA1**t
         c2 = 1.0 - ADAM_BETA2**t
         m, v = self._m, self._v
-        a, b = self._scratch
+        a, b, g = self._scratch
+        np.copyto(g, grad)  # widened once, so no op below mixes dtypes
         # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
         # param -= lr*(m/c1) / (sqrt(v/c2) + eps), each in this order, in place
         m *= ADAM_BETA1
-        np.multiply(grad, 1.0 - ADAM_BETA1, out=a, dtype=a.dtype)
+        np.multiply(g, 1.0 - ADAM_BETA1, out=a)
         m += a
         v *= ADAM_BETA2
-        np.multiply(grad, 1.0 - ADAM_BETA2, out=a, dtype=a.dtype)
-        a *= grad
+        np.multiply(g, 1.0 - ADAM_BETA2, out=a)
+        a *= g
         v += a
         np.divide(m, c1, out=a)
         a *= self.lr

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import datasets, judges, wire
+from . import datasets, judges, scene, wire
 from .agent import AgentError, RandomAgent, SacAgent, Transition, rollout
 from .datasets import SampleRecord
 from .prompts import build_caption_set
@@ -38,19 +38,42 @@ class ConfigError(ValueError):
     pass
 
 
+# the allowed range of each int or float config field, by the phrase that
+# completes "<field> must be ..."; a float field must also be finite
+_RANGES = {
+    "positive": lambda x: x > 0,
+    "non-negative": lambda x: x >= 0,
+    "in (0, 1)": lambda x: 0 < x < 1,
+    "in (0, 1]": lambda x: 0 < x <= 1,
+    "in [0, 1]": lambda x: 0 <= x <= 1,
+    "at least 2": lambda x: x >= 2,
+    "null or positive": lambda x: x is None or x > 0,
+}
+
+
+def _must_be(phrase: str, default=dataclasses.MISSING):
+    """A config field whose value must lie in the range `phrase` names."""
+    return field(default=default, metadata={"range": (phrase, _RANGES[phrase])})
+
+
+def _check_ranges(config) -> None:
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if f.type == "float" and not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{f.name} must be finite")  # NaN, infinity, an int past float range
+        if "range" in f.metadata:
+            phrase, test = f.metadata["range"]
+            if not test(value):
+                raise ConfigError(f"{f.name} must be {phrase}")
+
+
 @dataclass(frozen=True)
 class EarlyStopPolicy:
-    min_iterations: int
-    patience: int
-    epsilon: float
+    min_iterations: int = _must_be("non-negative")
+    patience: int = _must_be("positive")
+    epsilon: float = _must_be("non-negative")
 
-    def __post_init__(self):
-        if self.min_iterations < 0:
-            raise ConfigError("min_iterations must be non-negative")
-        if self.patience < 1:
-            raise ConfigError("patience must be >= 1")
-        if not 0.0 <= self.epsilon <= sys.float_info.max:  # NaN fails too
-            raise ConfigError("epsilon must be non-negative and finite")
+    __post_init__ = _check_ranges
 
 
 GENERATIVE_EARLY_STOP = EarlyStopPolicy(min_iterations=15, patience=10, epsilon=0.02)
@@ -60,89 +83,52 @@ CONTRASTIVE_EARLY_STOP = EarlyStopPolicy(min_iterations=10, patience=5, epsilon=
 @dataclass
 class RunConfig:
     # loop shape
-    iterations: int = 40
-    episodes_per_iteration: int = 20
-    samples_per_episode: int = 200
-    sampling_rate: float = 0.5
-    reward_scale: float = 10.0
-    finetune_steps: int = 256
+    iterations: int = _must_be("positive", 40)
+    episodes_per_iteration: int = _must_be("positive", 20)
+    samples_per_episode: int = _must_be("positive", 200)
+    sampling_rate: float = _must_be("in (0, 1]", 0.5)
+    reward_scale: float = _must_be("non-negative", 10.0)
+    finetune_steps: int = _must_be("positive", 256)
     judge: str = "generative"  # generative | contrastive | external:<addr>
     agent: str = "sac"  # sac | random
     deterministic_actions: bool = False
-    seed: int = 0
+    seed: int = _must_be("non-negative", 0)
     early_stop: EarlyStopPolicy | None = None  # default depends on judge kind
-    budget: int | None = None  # generation-attempt cap (random-agent matching)
+    budget: int | None = _must_be("null or positive", None)  # attempt cap (random-agent matching)
     # environment
     train_suite: str = "train"
     test_suite: str = "test"
-    p_swap: float = 1.0
-    dmax: float = 0.25
-    snap_tol: float = 0.05
+    p_swap: float = _must_be("in [0, 1]", scene.DEFAULT_P_SWAP)
+    dmax: float = _must_be("positive", scene.DEFAULT_DMAX)
+    snap_tol: float = _must_be("non-negative", scene.DEFAULT_SNAP_TOL)
     # fixed sets
-    validation_count: int = 500
-    validation_seed: int = 9500
-    test_count: int = 1000
-    test_seed: int = 9100
+    validation_count: int = _must_be("positive", 500)
+    validation_seed: int = _must_be("non-negative", 9500)
+    test_count: int = _must_be("positive", 1000)
+    test_seed: int = _must_be("non-negative", 9100)
     # agent
     agent_checkpoint: str | None = None
     agent_hidden: tuple[int, ...] = (128, 128)
-    agent_lr: float = 3e-4
-    gamma: float = 0.99
-    polyak: float = 0.995
-    alpha: float = 0.2
-    warmup: int = 1000
-    agent_minibatch: int = 256
-    buffer_capacity: int = 100_000
-    pretrain_steps: int = 100_000
-    pretrain_update_every: int = 1
+    agent_lr: float = _must_be("positive", 3e-4)
+    gamma: float = _must_be("in (0, 1]", 0.99)
+    polyak: float = _must_be("in [0, 1]", 0.995)
+    alpha: float = _must_be("positive", 0.2)
+    warmup: int = _must_be("non-negative", 1000)
+    agent_minibatch: int = _must_be("positive", 256)
+    buffer_capacity: int = _must_be("positive", 100_000)
+    pretrain_steps: int = _must_be("positive", 100_000)
+    pretrain_update_every: int = _must_be("positive", 1)
     # judge
     judge_hidden: tuple[int, ...] = (64, 64)
-    judge_lr: float = 1e-3
-    temperature: float = 0.07
-    threshold: float = 0.5
-    generative_minibatch: int = 64
-    contrastive_minibatch: int = 256
+    judge_lr: float = _must_be("positive", 1e-3)
+    temperature: float = _must_be("positive", judges.DEFAULT_TEMPERATURE)
+    threshold: float = _must_be("in (0, 1)", 0.5)
+    generative_minibatch: int = _must_be("positive", 64)
+    contrastive_minibatch: int = _must_be("at least 2", 256)
     external_mode: str = "generative"
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):  # NaN, infinity and an int past float range fail
-            if f.type == "float" and not abs(getattr(self, f.name)) <= sys.float_info.max:
-                raise ConfigError(f"{f.name} must be finite")
-        for name in (
-            "iterations",
-            "episodes_per_iteration",
-            "samples_per_episode",
-            "finetune_steps",
-            "validation_count",
-            "test_count",
-            "agent_lr",
-            "agent_minibatch",
-            "buffer_capacity",
-            "pretrain_update_every",
-            "judge_lr",
-            "temperature",
-            "generative_minibatch",
-            "dmax",
-            "alpha",
-            "pretrain_steps",
-        ):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive")
-        for name in ("seed", "validation_seed", "test_seed", "warmup", "snap_tol", "reward_scale"):
-            if not getattr(self, name) >= 0:
-                raise ConfigError(f"{name} must be non-negative")
-        if self.budget is not None and not self.budget > 0:
-            raise ConfigError("budget must be null or positive")
-        if not 0.0 < self.threshold < 1.0:
-            raise ConfigError("threshold must be in (0, 1)")
-        for name in ("sampling_rate", "gamma"):
-            if not 0.0 < getattr(self, name) <= 1.0:
-                raise ConfigError(f"{name} must be in (0, 1]")
-        for name in ("polyak", "p_swap"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1]")
-        if self.contrastive_minibatch < 2:
-            raise ConfigError("contrastive_minibatch must be at least 2")
+        _check_ranges(self)
         if self.agent not in ("sac", "random"):
             raise ConfigError(f"unknown agent kind {self.agent!r}")
         if self.judge not in ("generative", "contrastive") and not self.judge.startswith(
@@ -163,8 +149,6 @@ class RunConfig:
     def to_dict(self) -> dict:
         doc = dataclasses.asdict(self)
         doc["early_stop"] = dataclasses.asdict(self.resolved_early_stop())
-        doc["agent_hidden"] = list(self.agent_hidden)
-        doc["judge_hidden"] = list(self.judge_hidden)
         return doc
 
     def digest(self) -> str:
@@ -210,7 +194,7 @@ def config_from_dict(doc: dict) -> RunConfig:
                     if sub in value:
                         _check_type(f"early_stop.{sub}", value[sub], annotation)
                 value = EarlyStopPolicy(**value)  # a missing or unknown field: TypeError
-            if key in ("agent_hidden", "judge_hidden"):
+            if _CONFIG_FIELDS[key] == "tuple[int, ...]":  # hidden sizes, a list in JSON
                 value = tuple(value)
             kwargs[key] = value
         return RunConfig(**kwargs)
@@ -268,7 +252,6 @@ def desk_config(**overrides) -> RunConfig:
 class EpisodeResult:
     records: list[SampleRecord]
     transitions: list[Transition]
-    steps: int
     truncated: bool
 
 
@@ -349,7 +332,7 @@ def run_episode(
                 snap, captions, sample_id_start + k, episode=episode_idx, iteration=iteration
             )
         )
-    return EpisodeResult(records, transitions, len(transitions), result.truncated)
+    return EpisodeResult(records, transitions, result.truncated)
 
 
 def make_judge(config: RunConfig, catalog_names: tuple[str, ...], seed):
@@ -474,7 +457,7 @@ def run_loop(config: RunConfig, run_dir) -> RunReport:
     env = make_env(config, train, env_seed)
     policy = config.resolved_early_stop()
     report = RunReport(config_digest=resolved["digest"], seed=config.seed)
-    episode_counter = sample_counter = 0
+    episode_counter = 0
     try:
         with contextlib.ExitStack() as stack:
             samples_f, verdicts_f = (
@@ -513,16 +496,15 @@ def run_loop(config: RunConfig, run_dir) -> RunReport:
                         episode_counter,
                         iteration,
                         prompt_rng,
-                        sample_counter,
+                        report.cumulative_valid,
                         stochastic=not config.deterministic_actions,
                     )
                     episode_counter += 1
-                    sample_counter += len(ep.records)
                     verdicts, j2 = infer_and_reward(judge, ep.records)
                     j2s.append(j2)
                     agent.absorb_episode(ep.transitions, j2, config.reward_scale)
                     report.cumulative_valid += len(ep.records)
-                    report.cumulative_attempts += ep.steps
+                    report.cumulative_attempts += len(ep.transitions)
                     report.truncated_episodes += int(ep.truncated)
                     for rec in ep.records:
                         samples_f.write(datasets.record_line(rec) + "\n")

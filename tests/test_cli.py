@@ -536,7 +536,9 @@ def test_one_sample_contrastive_finetune_fails_the_run(tmp_path, capsys):
 )
 def test_mistyped_config_value_is_usage_error(tmp_path, capsys, override):
     run_dir = tmp_path / "run"
-    assert run_cli("run", "--run-dir", str(run_dir), "--agent", "random",
+    # TINY_SETS first: a later --set of the same key wins, and a missing check
+    # starts a small run, not one at the default size
+    assert run_cli("run", "--run-dir", str(run_dir), "--agent", "random", *TINY_SETS,
                    "--set", override) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err

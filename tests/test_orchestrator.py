@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import shlex
 import sys
@@ -172,6 +173,13 @@ def test_early_stop_policy_rejects_out_of_range_values(key, value):
         EarlyStopPolicy(**fields)
 
 
+@pytest.mark.parametrize("cls", [RunConfig, EarlyStopPolicy])
+def test_every_numeric_config_field_declares_a_range(cls):
+    numeric = [f for f in dataclasses.fields(cls) if f.type.split(" | ")[0] in ("int", "float")]
+    assert numeric
+    assert [f.name for f in numeric if "range" not in f.metadata] == []
+
+
 def test_config_accepts_range_edges():
     RunConfig(gamma=1.0, polyak=0.0, p_swap=0.0, snap_tol=0.0, warmup=0, reward_scale=0.0)
     RunConfig(polyak=1.0, p_swap=1.0, budget=1)
@@ -248,7 +256,7 @@ def test_run_episode_yields_exactly_t0_records():
     assert len(ep.records) == 6
     assert [r.id for r in ep.records] == list(range(100, 106))
     assert all(r.episode == 0 and r.iteration == 1 for r in ep.records)
-    assert ep.steps >= 6
+    assert len(ep.transitions) >= 6
 
 
 def test_run_episode_truncation_pads():
@@ -258,7 +266,7 @@ def test_run_episode_truncation_pads():
     env = PlacementEnv(builtin_suite("train"), 20, seed=3)
     agent = RandomAgent(seed=3)
     ep = run_episode(env, agent, 0, 1, np.random.default_rng(2), 0)
-    assert ep.truncated and ep.steps == env.t_max == 80
+    assert ep.truncated and len(ep.transitions) == env.t_max == 80
     assert len(ep.records) == 20
 
 

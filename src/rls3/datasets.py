@@ -170,13 +170,14 @@ def record_line(rec: SampleRecord) -> str:
 
 
 def write_samples(records, path) -> str:
-    """Write JSONL and return the file's sha256 hex digest."""
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    """Write JSONL and return the file's sha256 hex digest, hashed as written."""
+    h = hashlib.sha256()
+    with open(path, "wb") as f:
         for rec in records:
-            f.write(record_line(rec))
-            f.write("\n")
-    return file_digest(path)
+            line = f"{record_line(rec)}\n".encode("utf-8")
+            h.update(line)
+            f.write(line)
+    return h.hexdigest()
 
 
 def read_samples(path) -> list[SampleRecord]:

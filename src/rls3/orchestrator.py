@@ -15,6 +15,9 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
+import pickle
+import signal
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -137,6 +140,10 @@ class RunConfig:
             raise ConfigError(f"unknown judge kind {self.judge!r}")
         if self.external_mode not in ("generative", "contrastive"):
             raise ConfigError(f"unknown external_mode {self.external_mode!r}")
+        if round(self.sampling_rate * self.samples_per_episode) == 0:  # as sample_for_batch rounds
+            raise ConfigError(
+                "sampling_rate * samples_per_episode must round to at least 1 sample per episode"
+            )
 
     def resolved_early_stop(self) -> EarlyStopPolicy:
         if self.early_stop is not None:
@@ -431,10 +438,94 @@ _RUN_FAILURES = (
 )
 
 
+class _FixedSetChild:
+    """One fixed set generated, written and hashed in a forked child, which
+    pickles `(digest, records)`, or the exception that stopped it, into a
+    pipe. POSIX only. The child holds a copy of everything the parent had
+    open at the fork and leaves only through `os._exit`, so it flushes and
+    closes none of it.
+    """
+
+    def __init__(self, suite: SceneSuite, count: int, seed: int, path: Path):
+        self._name = path.name
+        read_fd, write_fd = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            code = 1
+            try:
+                os.close(read_fd)
+                with open(write_fd, "wb") as pipe:
+                    try:
+                        records = datasets.generate_fixed_records(suite, count, seed)
+                        outcome = (datasets.write_samples(records, path), records)
+                    except Exception as exc:
+                        outcome = exc
+                    pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+                code = int(isinstance(outcome, Exception))
+            finally:
+                os._exit(code)
+        os.close(write_fd)
+        self._pipe = open(read_fd, "rb")
+        self._exit_code: int | None = None  # set once the child is reaped
+        self._outcome = None
+
+    def check(self) -> None:
+        """Raise the child's failure if it has already exited with one; never blocks."""
+        if self._exit_code is None:
+            pid, status = os.waitpid(self.pid, os.WNOHANG)
+            if pid:
+                self._exit_code = os.waitstatus_to_exitcode(status)
+        if self._exit_code:
+            self.result()
+
+    def result(self) -> tuple[str, list[SampleRecord]]:
+        """Wait for the child's `(digest, records)`. Its failure is raised as
+        one of `_RUN_FAILURES`, on this call and every later one."""
+        if self._outcome is None:
+            try:
+                outcome = pickle.load(self._pipe)
+            except (EOFError, pickle.UnpicklingError):
+                outcome = None  # the child died before its outcome was sent
+            finally:
+                self._pipe.close()  # a child still writing gets EPIPE, not a hang
+            self._reap()
+            if self._exit_code or not isinstance(outcome, tuple):
+                outcome = self._failure(outcome)
+            self._outcome = outcome
+        if isinstance(self._outcome, Exception):
+            raise self._outcome
+        return self._outcome
+
+    def _failure(self, outcome) -> Exception:
+        if isinstance(outcome, _RUN_FAILURES):
+            return outcome
+        if isinstance(outcome, Exception):
+            return OrchestratorError(f"building {self._name} failed: {outcome!r}")
+        return OrchestratorError(
+            f"the child building {self._name} exited with status {self._exit_code}"
+        )
+
+    def kill(self) -> None:
+        """Kill and reap the child unless it is reaped already."""
+        self._pipe.close()
+        if self._exit_code is None:
+            os.kill(self.pid, signal.SIGKILL)
+            self._reap()
+
+    def _reap(self) -> None:
+        if self._exit_code is None:
+            self._exit_code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+
+
 def run_loop(config: RunConfig, run_dir) -> RunReport:
     """Run the loop into `run_dir`. The first of `_RUN_FAILURES` ends the run:
     the judge is asked nothing more, not even for the test metric, and
     report.json names that failure.
+
+    The test set is built in a forked child while the loop runs (see
+    `_FixedSetChild`). A child that fails ends the run at the next iteration
+    boundary or at the test metric; when the run fails otherwise, the child's
+    digest is still collected. No child outlives this call.
     """
     if config.agent == "sac" and config.agent_checkpoint is None:
         raise ConfigError("agent=sac requires a pretrained agent_checkpoint")
@@ -458,6 +549,7 @@ def run_loop(config: RunConfig, run_dir) -> RunReport:
     policy = config.resolved_early_stop()
     report = RunReport(config_digest=resolved["digest"], seed=config.seed)
     episode_counter = 0
+    test_set = None
     try:
         with contextlib.ExitStack() as stack:
             samples_f, verdicts_f = (
@@ -468,22 +560,25 @@ def run_loop(config: RunConfig, run_dir) -> RunReport:
             metrics = csv.writer(metrics_f)
             metrics.writerow(_METRICS_COLUMNS)
 
-            report.validation_digest = datasets.generate_fixed_set(
-                train, config.validation_count, config.validation_seed, run_dir / "validation.jsonl"
+            val_records = datasets.generate_fixed_records(
+                train, config.validation_count, config.validation_seed
             )
-            report.test_digest = datasets.generate_fixed_set(
+            report.validation_digest = datasets.write_samples(
+                val_records, run_dir / "validation.jsonl"
+            )
+            # forked before the judge exists, so the child holds no judge pipe
+            test_set = _FixedSetChild(
                 test, config.test_count, config.test_seed, run_dir / "test.jsonl"
             )
             agent = make_agent(config, agent_seed)
             judge = stack.enter_context(
                 contextlib.closing(make_judge(config, train.catalog_names, judge_seed))
             )
-            val_records = datasets.read_samples(run_dir / "validation.jsonl")
-            test_records = datasets.read_samples(run_dir / "test.jsonl")
 
             report.initial_val_metric = judge.validation_metric(val_records)
             metrics.writerow([0, 0, 0, f"{report.initial_val_metric:.6f}", "", 0])
             for iteration in range(1, config.iterations + 1):
+                test_set.check()
                 batch: list[SampleRecord] = []  # cleared every iteration
                 j2s: list[float] = []
                 for _ in range(config.episodes_per_iteration):
@@ -539,9 +634,16 @@ def run_loop(config: RunConfig, run_dir) -> RunReport:
                 if early_stop(report.validation_history, policy):
                     report.early_stop_iteration = iteration
                     break
+            report.test_digest, test_records = test_set.result()
             report.test_metric = judge.validation_metric(test_records)
     except _RUN_FAILURES as exc:
         report.failure = str(exc)
+        if test_set is not None:
+            with contextlib.suppress(*_RUN_FAILURES):  # the child's own failure leaves it null
+                report.test_digest = test_set.result()[0]
+    finally:
+        if test_set is not None:
+            test_set.kill()
     report.samples_digest = datasets.file_digest(run_dir / "samples.jsonl")
     with open(run_dir / "report.json", "w", encoding="utf-8") as f:
         json.dump(report.to_dict(), f, sort_keys=True, indent=2)

@@ -472,35 +472,41 @@ def test_suite_that_seats_nothing_writes_nothing(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "overrides, fixed_sets_written",
+    "scene_id, overrides, digests_written",
     [
-        ([], False),  # validation samples go round the scenes: the fifth fails
+        (4, [], (False, False)),  # validation samples go round the scenes: the fifth fails
         # four validation samples miss scene 4; an episode reaches it later
-        (["validation_count=4", "iterations=1", "episodes_per_iteration=5"], True),
+        (4, ["validation_count=4", "iterations=1", "episodes_per_iteration=5"], (True, True)),
+        # the test suite's first scene: the test set's child fails, and the run
+        # ends at the next iteration boundary or at the test metric
+        (5, [], (True, False)),
     ],
-    ids=["fixed-set", "episode"],
+    ids=["fixed-set", "episode", "test-set"],
 )
 def test_scene_placement_failure_writes_report(
-    tmp_path, capsys, monkeypatch, overrides, fixed_sets_written
+    tmp_path, capsys, monkeypatch, scene_id, overrides, digests_written
 ):
     place = scene.sample_positions
 
-    def place_nothing_on_scene_4(suite, spec, names, rng, *args):
-        if spec.scene_id == 4:
-            raise scene.PlacementError("no placement found on scene 4")
+    def place_nothing_on_one_scene(suite, spec, names, rng, *args):
+        if spec.scene_id == scene_id:
+            raise scene.PlacementError(f"no placement found on scene {scene_id}")
         return place(suite, spec, names, rng, *args)
 
-    monkeypatch.setattr(scene, "sample_positions", place_nothing_on_scene_4)
+    monkeypatch.setattr(scene, "sample_positions", place_nothing_on_one_scene)
     run_dir = tmp_path / "run"
     argv = ["run", "--run-dir", str(run_dir), "--agent", "random", *TINY_SETS]
     for override in overrides:
         argv += ["--set", override]
     assert run_cli(*argv) == 2
     report = _strict_json((run_dir / "report.json").read_text())
-    assert "no placement found on scene 4" in report["failure"]
+    assert f"no placement found on scene {scene_id}" in report["failure"]
     assert report["failure"] in capsys.readouterr().err
-    assert (report["validation_digest"] is not None) == fixed_sets_written
-    assert report["iterations_completed"] == 0
+    assert report["test_metric"] is None
+    written = (report["validation_digest"] is not None, report["test_digest"] is not None)
+    assert written == digests_written
+    if scene_id == 4:  # how far the loop got before the child failed depends on timing
+        assert report["iterations_completed"] == 0
 
 
 def test_one_sample_contrastive_finetune_fails_the_run(tmp_path, capsys):
@@ -530,6 +536,7 @@ def test_one_sample_contrastive_finetune_fails_the_run(tmp_path, capsys):
      "warmup=-1", "budget=0", "reward_scale=NaN", "reward_scale=-1", "dmax=1e400",
      "snap_tol=Infinity", "agent_lr=Infinity", "judge_lr=1e400", "temperature=Infinity",
      "threshold=2", "threshold=NaN", "pretrain_steps=0",
+     "sampling_rate=0.05",  # 0.05 * 6 samples per episode rounds to an empty batch
      pytest.param("p_swap=1" + "0" * 400, id="p_swap-int-past-float-range"),
      'early_stop={"min_iterations":-3,"patience":1,"epsilon":0.1}',
      'early_stop={"min_iterations":1,"patience":1,"epsilon":NaN}'],

@@ -1,13 +1,17 @@
 import csv
 import dataclasses
+import gc
 import json
+import os
 import shlex
+import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from rls3 import orchestrator, wire
+from rls3 import orchestrator, scene, wire
 from rls3.agent import RandomAgent
 from rls3.datasets import read_samples, record_from_dict
 from rls3.orchestrator import (
@@ -109,6 +113,9 @@ def test_config_validation():
         RunConfig(agent="psychic")
     with pytest.raises(ConfigError):
         RunConfig(contrastive_minibatch=1)
+    # round(0.1 * 4) == 0: every episode would add nothing to the fine-tuning batch
+    with pytest.raises(ConfigError, match=r"sampling_rate \* samples_per_episode"):
+        RunConfig(samples_per_episode=4, sampling_rate=0.1)
 
 
 @pytest.mark.parametrize(
@@ -558,6 +565,90 @@ def test_external_judge_gets_no_request_after_a_timeout(tmp_path, monkeypatch):
     assert client.closed
     assert report.test_metric is None and report.initial_val_metric == 5.0
     assert json.loads((run_dir / "report.json").read_text()) == report.to_dict()
+
+
+# --- the test-set child ---------------------------------------------------------------
+
+
+@pytest.fixture
+def forked_pids(monkeypatch):
+    """The pids of the children `os.fork` starts in this process."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def _fail_placement_on_scene_5(monkeypatch):
+    place = scene.sample_positions
+
+    def place_nothing_on_scene_5(suite, spec, names, rng, *args):
+        if spec.scene_id == 5:  # the test suite's first scene
+            raise scene.PlacementError("no placement found on scene 5")
+        return place(suite, spec, names, rng, *args)
+
+    monkeypatch.setattr(scene, "sample_positions", place_nothing_on_scene_5)
+
+
+@pytest.mark.parametrize(
+    "case, failure",
+    [
+        ("success", None),
+        ("judge-failure", "judge died in finetune"),
+        ("test-set-failure", "no placement found on scene 5"),
+    ],
+)
+def test_run_loop_reaps_its_test_set_child(tmp_path, monkeypatch, forked_pids, case, failure):
+    if case == "judge-failure":
+        judge = _JudgeDeadAfterFinetune(builtin_suite("train").catalog_names)
+        monkeypatch.setattr(orchestrator, "make_judge", lambda config, names, seed: judge)
+    elif case == "test-set-failure":
+        _fail_placement_on_scene_5(monkeypatch)
+    run_dir = tmp_path / "run"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        report = run_loop(desk_config(**TINY), run_dir)
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    assert len(forked_pids) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(forked_pids[0], os.WNOHANG)
+    assert report.failure == failure
+    # a failed run still collects the digest of a test set that was built
+    assert (report.test_digest is None) == (case == "test-set-failure")
+    with open(run_dir / "metrics.csv", newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows.count(list(orchestrator._METRICS_COLUMNS)) == 1  # the child flushed no copy
+
+
+def test_run_loop_kills_its_test_set_child_on_interrupt(tmp_path, monkeypatch, forked_pids):
+    def interrupt(config, names, seed):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(orchestrator, "make_judge", interrupt)
+    with pytest.raises(KeyboardInterrupt):  # a test set that takes the child about a second
+        run_loop(desk_config(**{**TINY, "test_count": 10_000}), tmp_path / "run")
+    assert len(forked_pids) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(forked_pids[0], os.WNOHANG)
+
+
+def test_importing_the_orchestrator_loads_no_process_pool():
+    # their imports cost set-up time and memory on every run
+    code = (
+        "import sys, rls3.orchestrator\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('multiprocessing', 'concurrent')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 # --- golden digests ---------------------------------------------------------------

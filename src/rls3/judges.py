@@ -8,6 +8,14 @@ then the term-swapped negatives, then the object-swapped negatives, in training
 and in inference alike. Either judge can be replaced by an external process
 speaking the newline-delimited JSON protocol.
 
+Every judge scores a fixed set through `encode(samples)`, which builds the
+set's judge inputs once into an immutable encoding, and
+`validation_metric(encoded)`, which scores it with array operations and builds
+no verdicts. A term set is a 6-bit mask, bit i for `prompts.PRIMITIVES[i]`;
+rubric scores come from a table of `rubric_score` over every predicted mask
+and every valid relation. Caption token bags are built through a word map per
+catalog, keyed by each name's first word.
+
 Both judges consume world-frame coordinates plus the camera pose, so the
 camera-relative frame has to be learned; that is the manufactured initial
 weakness the loop exploits.
@@ -15,9 +23,11 @@ weakness the loop exploits.
 
 from __future__ import annotations
 
+import functools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,16 +103,53 @@ def rubric_score(predicted: frozenset[str] | set[str], truth: frozenset[str] | s
     return max(score, RUBRIC_MIN)
 
 
+_PRIMITIVE_SET = frozenset(prompts.PRIMITIVES)
+_TERM_BIT = {term: 1 << i for i, term in enumerate(prompts.PRIMITIVES)}
+_BITS = np.array(list(_TERM_BIT.values()))
+# the term set of each of the 64 masks
+_TERM_SETS = tuple(
+    frozenset(t for t, bit in _TERM_BIT.items() if mask & bit)
+    for mask in range(1 << len(_TERM_BIT))
+)
+
+
+def _mask(terms) -> int:
+    return sum(_TERM_BIT[t] for t in terms)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _truth_masks(samples: list[SampleRecord]) -> np.ndarray:
+    return _read_only(np.array([_mask(r.terms) for r in samples], dtype=np.intp))
+
+
+@functools.cache
+def _rubric_table() -> np.ndarray:
+    """table[p, t]: rubric_score of predicted mask p against truth mask t, for
+    every t that is a valid relation; 0 in the columns of the other masks."""
+    table = np.zeros((len(_TERM_SETS), len(_TERM_SETS)), dtype=np.int64)
+    for t, truth in enumerate(_TERM_SETS):
+        try:
+            prompts.check_terms(truth)
+        except ValueError:
+            continue
+        for p, predicted in enumerate(_TERM_SETS):
+            table[p, t] = rubric_score(predicted, truth)
+    return _read_only(table)
+
+
 def _rubric_verdicts(samples: list[SampleRecord], predicted_sets) -> list[JudgeVerdict]:
     """One verdict per sample: its predicted term set scored against the
     sample's truth terms, or flagged and left unscored when the set holds a
     word outside PRIMITIVES.
     """
-    primitives = frozenset(prompts.PRIMITIVES)
     verdicts = []
     for rec, predicted in zip(samples, predicted_sets):
         predicted = frozenset(predicted)
-        if not predicted <= primitives:
+        if not predicted <= _PRIMITIVE_SET:
             verdicts.append(JudgeVerdict(rec.id, flagged=True))
             continue
         rubric = rubric_score(predicted, rec.terms)
@@ -110,20 +157,28 @@ def _rubric_verdicts(samples: list[SampleRecord], predicted_sets) -> list[JudgeV
     return verdicts
 
 
-def _ranking_verdicts(samples: list[SampleRecord], similarities) -> list[JudgeVerdict]:
-    """One verdict per sample from its (positive, term-swapped, object-swapped)
-    similarity triple, ranked correct when the positive beats both negatives.
+def _ranked(similarities: np.ndarray) -> np.ndarray:
+    """Per (positive, term-swapped, object-swapped) row: does the positive
+    beat both negatives?"""
+    pos = similarities[:, 0]
+    return (pos > similarities[:, 1]) & (pos > similarities[:, 2])
+
+
+def _ranking_verdicts(samples: list[SampleRecord], similarities: np.ndarray) -> list[JudgeVerdict]:
+    """One verdict per sample from its row of `similarities`, ranked correct
+    when the positive beats both negatives.
     """
-    verdicts = []
-    for rec, triple in zip(samples, similarities):
-        pos, neg_t, neg_o = sims = tuple(float(s) for s in triple)
-        ranked = pos > neg_t and pos > neg_o
-        verdicts.append(JudgeVerdict(rec.id, similarities=sims, ranked_correct=ranked))
-    return verdicts
+    return [
+        JudgeVerdict(rec.id, similarities=tuple(triple), ranked_correct=ranked)
+        for rec, triple, ranked in zip(
+            samples, similarities.tolist(), _ranked(similarities).tolist()
+        )
+    ]
 
 
 def mean_score(verdicts: list[JudgeVerdict]) -> float:
-    """Mean verdict score: the validation metric of every judge."""
+    """Mean verdict score. A judge's validation_metric gives the same value
+    for the same samples without building verdicts."""
     scores = [s for s in (v.score for v in verdicts) if s is not None]
     if not scores:
         raise JudgeError("no scored verdicts")
@@ -243,33 +298,46 @@ def image_features(rec: SampleRecord, catalog_names: tuple[str, ...]) -> np.ndar
     return np.array(out)
 
 
+@functools.lru_cache(maxsize=8)
+def _word_map(catalog_names: tuple[str, ...]):
+    """text_features' lookup for one catalog: each name's first word -> the
+    (words, slot) of the names it starts, in catalog order; and each
+    primitive or function word -> its slot. A name with no words never
+    matches."""
+    names: dict[str, list[tuple[tuple[str, ...], int]]] = {}
+    for slot, name in enumerate(catalog_names):
+        parts = tuple(name.split())
+        if parts:
+            names.setdefault(parts[0], []).append((parts, slot))
+    singles = {w: 9 + i for i, w in enumerate(prompts.PRIMITIVES)}
+    singles.update({w: 15 + i for i, w in enumerate(_TEXT_FUNCTION_WORDS)})
+    return names, singles
+
+
 def text_features(caption: str, catalog_names: tuple[str, ...]) -> np.ndarray:
     """Position-weighted token bag over a 20-word vocabulary: the 9 object
     names, the 6 spatial primitives, and 5 function words. Weighting a token
-    by 1/(1+word index) keeps subject/reference order distinguishable.
+    by 1/(1+word index) keeps subject/reference order distinguishable. At each
+    word the first catalog name that the words from there spell is taken;
+    else the word counts if it is a primitive or function word.
     """
+    names, singles = _word_map(tuple(catalog_names))
     words = prompts.words(caption)
-    name_words = [tuple(name.split()) for name in catalog_names]
-    out = np.zeros(TEXT_FEATURE_DIM)
+    out = [0.0] * TEXT_FEATURE_DIM
     i = 0
     while i < len(words):
+        word = words[i]
         weight = 1.0 / (1.0 + i)
-        matched = False
-        for slot, parts in enumerate(name_words):
+        for parts, slot in names.get(word, ()):
             if tuple(words[i : i + len(parts)]) == parts:
                 out[slot] += weight
                 i += len(parts)
-                matched = True
                 break
-        if matched:
-            continue
-        w = words[i]
-        if w in prompts.PRIMITIVES:
-            out[9 + prompts.PRIMITIVES.index(w)] += weight
-        elif w in _TEXT_FUNCTION_WORDS:
-            out[15 + _TEXT_FUNCTION_WORDS.index(w)] += weight
-        i += 1
-    return out
+        else:
+            if word in singles:
+                out[singles[word]] += weight
+            i += 1
+    return np.array(out)
 
 
 def _load_nets(directory, current: dict[str, Mlp]) -> list[Mlp]:
@@ -291,6 +359,14 @@ def _load_nets(directory, current: dict[str, Mlp]) -> list[Mlp]:
 
 
 # --- generative judge -----------------------------------------------------------------
+
+
+class GenerativeEncoding(NamedTuple):
+    """Samples as GenerativeJudge.validation_metric takes them: one
+    generative_features row and one truth-term mask per sample, read-only."""
+
+    features: np.ndarray
+    truth: np.ndarray
 
 
 class GenerativeJudge:
@@ -327,22 +403,27 @@ class GenerativeJudge:
                 t[i, prompts.PRIMITIVES.index(term)] = 1.0
         return t
 
-    def predict_terms(self, samples: list[SampleRecord]) -> list[frozenset[str]]:
-        logits = self.net.forward(self.features(samples))
+    def _predicted_masks(self, features: np.ndarray) -> np.ndarray:
+        """The mask of the terms whose probability exceeds the threshold, per row."""
+        logits = self.net.forward(features)
         probs = 1.0 / (1.0 + np.exp(-logits))
-        return [
-            frozenset(t for t, p in zip(prompts.PRIMITIVES, row) if p > self.threshold)
-            for row in probs
-        ]
+        return (probs > self.threshold) @ _BITS
+
+    def predict_terms(self, samples: list[SampleRecord]) -> list[frozenset[str]]:
+        return [_TERM_SETS[m] for m in self._predicted_masks(self.features(samples)).tolist()]
 
     def infer(self, samples: list[SampleRecord]) -> tuple[list[JudgeVerdict], float]:
         """Verdicts plus the rubric batch loss; no weight updates."""
         verdicts = _rubric_verdicts(samples, self.predict_terms(samples))
         return verdicts, _rubric_loss(verdicts)
 
-    def validation_metric(self, samples: list[SampleRecord]) -> float:
-        verdicts, _ = self.infer(samples)
-        return mean_score(verdicts)
+    def encode(self, samples: list[SampleRecord]) -> GenerativeEncoding:
+        return GenerativeEncoding(_read_only(self.features(samples)), _truth_masks(samples))
+
+    def validation_metric(self, encoded: GenerativeEncoding) -> float:
+        """Mean rubric of the encoded samples."""
+        predicted = self._predicted_masks(encoded.features)
+        return float(np.mean(_rubric_table()[predicted, encoded.truth]))
 
     def finetune(self, samples: list[SampleRecord], steps: int) -> list[float]:
         """Optimizer steps of multi-label cross-entropy on seeded minibatches;
@@ -395,6 +476,14 @@ class GenerativeJudge:
 # --- contrastive judge ------------------------------------------------------------------
 
 
+class ContrastiveEncoding(NamedTuple):
+    """Samples as ContrastiveJudge.validation_metric takes them: N
+    image_features rows and the 3N text pool's text_features rows, read-only."""
+
+    images: np.ndarray
+    texts: np.ndarray
+
+
 class ContrastiveJudge:
     """Bi-encoder over scene metadata and caption token bags, trained and
     scored against the 3N text pool.
@@ -445,46 +534,49 @@ class ContrastiveJudge:
                 cache[caption] = text_features(caption, self.catalog_names)
         return np.stack([cache[c] for c in captions])
 
-    def _score(self, samples) -> tuple[list[JudgeVerdict], np.ndarray, np.ndarray]:
-        """Per-sample positive-vs-negative similarities, three row dot products
-        per sample and no N x 3N matrix, with the image and text embeddings
-        they came from.
+    def encode(self, samples: list[SampleRecord]) -> ContrastiveEncoding:
+        return ContrastiveEncoding(
+            _read_only(self._image_batch(samples)), _read_only(self._text_pool(samples))
+        )
+
+    def _similarities(self, encoded: ContrastiveEncoding):
+        """Per-sample (positive, term-swapped, object-swapped) similarities,
+        three row dot products per sample and no N x 3N matrix, with the image
+        and text embeddings they came from.
         """
-        n = len(samples)
-        z = self.image_encoder.forward(self._image_batch(samples))
-        w = self.text_encoder.forward(self._text_pool(samples))
+        n = len(encoded.images)
+        z = self.image_encoder.forward(encoded.images)
+        w = self.text_encoder.forward(encoded.texts)
         zn, _ = _normalize_rows(z)
         wn, _ = _normalize_rows(w)
         # sample i's positive and its two negatives are text rows i, n + i, 2n + i
-        triples = np.einsum("nd,knd->nk", zn, wn.reshape(3, n, -1))
-        return _ranking_verdicts(samples, triples.tolist()), z, w
+        return np.einsum("nd,knd->nk", zn, wn.reshape(3, n, -1)), z, w
 
     def infer(self, samples: list[SampleRecord]) -> tuple[list[JudgeVerdict], float]:
         """Verdicts plus the batch loss over the 3N text pool; no weight updates."""
-        verdicts, z, w = self._score(samples)
-        return verdicts, contrastive_loss(z, w, self.temperature)
+        similarities, z, w = self._similarities(self.encode(samples))
+        return _ranking_verdicts(samples, similarities), contrastive_loss(z, w, self.temperature)
 
-    def validation_metric(self, samples: list[SampleRecord]) -> float:
-        """Retrieval accuracy, the mean ranking score; the loss is not built."""
-        verdicts, _, _ = self._score(samples)
-        return mean_score(verdicts)
+    def validation_metric(self, encoded: ContrastiveEncoding) -> float:
+        """Retrieval accuracy of the encoded samples; the loss is not built."""
+        return float(np.mean(_ranked(self._similarities(encoded)[0])))
 
     def finetune(self, samples: list[SampleRecord], epochs: int) -> list[float]:
         """InfoNCE steps over shuffled minibatches; returns each epoch's mean loss."""
-        if len(samples) < 2:
-            raise JudgeError(
-                f"contrastive fine-tuning needs at least 2 samples, got {len(samples)}"
-            )
+        n = len(samples)
+        if n < 2:
+            raise JudgeError(f"contrastive fine-tuning needs at least 2 samples, got {n}")
+        encoded = self.encode(samples)
         losses = []
         for _ in range(epochs):
-            order = self._rng.permutation(len(samples))
+            order = self._rng.permutation(n)
             epoch_losses = []
-            for start in range(0, len(order), self.minibatch):
-                chunk = [samples[i] for i in order[start : start + self.minibatch]]
-                if len(chunk) < 2:  # a trailing single sample has no negatives
+            for start in range(0, n, self.minibatch):
+                idx = order[start : start + self.minibatch]
+                if len(idx) < 2:  # a trailing single sample has no negatives
                     continue
-                x_img = self._image_batch(chunk)
-                x_txt = self._text_pool(chunk)
+                x_img = encoded.images[idx]
+                x_txt = encoded.texts[np.concatenate((idx, idx + n, idx + 2 * n))]
                 img_tape, txt_tape = [], []
                 z = self.image_encoder.forward(x_img, img_tape)
                 w = self.text_encoder.forward(x_txt, txt_tape)
@@ -527,13 +619,22 @@ def _finite(value) -> bool:
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
+class ExternalEncoding(NamedTuple):
+    """Samples as ExternalJudge.validation_metric takes them: the JSON lines
+    an infer request sends, and one truth-term mask per sample, read-only."""
+
+    lines: tuple[str, ...]
+    truth: np.ndarray
+
+
 class ExternalJudge:
     """Adapter forwarding infer/finetune over the NDJSON wire protocol.
 
-    An infer reply carries `terms`, one term list per sample (generative
-    mode), or `similarities`, one [positive, term-swapped, object-swapped]
-    triple per sample, and `loss` (contrastive mode). Replies are checked,
-    then scored as the matching local judge scores its own.
+    An infer reply carries `terms`, one list of strings per sample
+    (generative mode), or `similarities`, one [positive, term-swapped,
+    object-swapped] triple per sample, and `loss` (contrastive mode). Replies
+    are checked, then scored as the matching local judge scores its own; a
+    term list naming a word outside PRIMITIVES is flagged and left unscored.
     """
 
     def __init__(self, client, mode: str = "generative"):
@@ -544,43 +645,71 @@ class ExternalJudge:
         local = GenerativeJudge if mode == "generative" else ContrastiveJudge
         self.metric_name = local.metric_name
 
-    def _request(self, op: str, samples: list[SampleRecord]) -> dict:
-        """Send one op over the wire, each sample as its JSON line; a peer's
+    def _request(self, op: str, lines: list[str]) -> dict:
+        """Send one op over the wire with the samples' JSON lines; a peer's
         `error` reply raises JudgeError."""
-        resp = self.client.request(
-            {"op": op, "mode": self.mode, "samples": [r.line for r in samples]}
-        )
+        resp = self.client.request({"op": op, "mode": self.mode, "samples": lines})
         if "error" in resp:
             raise JudgeError(f"external judge failed to {op}: {resp['error']}")
         return resp
 
-    def infer(self, samples: list[SampleRecord]) -> tuple[list[JudgeVerdict], float]:
-        resp = self._request("infer", samples)
-        if self.mode == "generative":
-            terms = resp.get("terms")
-            if not isinstance(terms, list) or len(terms) != len(samples):
-                raise JudgeError("external judge returned a malformed terms list")
-            verdicts = _rubric_verdicts(samples, terms)
-            return verdicts, _rubric_loss(verdicts)
+    @staticmethod
+    def _predicted_sets(resp: dict, n: int) -> list[frozenset[str]]:
+        """The reply's `terms`: a list of n lists of strings, or JudgeError."""
+        terms = resp.get("terms")
+        if not (
+            isinstance(terms, list)
+            and len(terms) == n
+            and all(isinstance(t, list) and all(isinstance(w, str) for w in t) for t in terms)
+        ):
+            raise JudgeError("external judge returned a malformed terms list")
+        return [frozenset(t) for t in terms]
+
+    @staticmethod
+    def _similarities(resp: dict, n: int) -> tuple[np.ndarray, float]:
+        """The reply's `similarities` as an (n, 3) array and its `loss`, or JudgeError."""
         sims = resp.get("similarities")
         if not (
             isinstance(sims, list)
-            and len(sims) == len(samples)
+            and len(sims) == n
             and all(isinstance(t, list) and len(t) == 3 and all(map(_finite, t)) for t in sims)
         ):
             raise JudgeError("external judge returned a malformed similarities list")
         loss = resp.get("loss")
         if not _finite(loss):
             raise JudgeError("external judge returned a malformed loss")
-        return _ranking_verdicts(samples, sims), float(loss)
+        return np.array(sims, dtype=float).reshape(n, 3), float(loss)
 
-    def validation_metric(self, samples: list[SampleRecord]) -> float:
-        verdicts, _ = self.infer(samples)
-        return mean_score(verdicts)
+    def infer(self, samples: list[SampleRecord]) -> tuple[list[JudgeVerdict], float]:
+        resp = self._request("infer", [r.line for r in samples])
+        if self.mode == "generative":
+            verdicts = _rubric_verdicts(samples, self._predicted_sets(resp, len(samples)))
+            return verdicts, _rubric_loss(verdicts)
+        sims, loss = self._similarities(resp, len(samples))
+        return _ranking_verdicts(samples, sims), loss
+
+    def encode(self, samples: list[SampleRecord]) -> ExternalEncoding:
+        return ExternalEncoding(tuple(r.line for r in samples), _truth_masks(samples))
+
+    def validation_metric(self, encoded: ExternalEncoding) -> float:
+        """The reply checked as `infer` checks it and scored as the local
+        judge scores; flagged entries are left out."""
+        n = len(encoded.lines)
+        resp = self._request("infer", list(encoded.lines))
+        if self.mode == "contrastive":
+            scores = _ranked(self._similarities(resp, n)[0])
+        else:
+            predicted = self._predicted_sets(resp, n)
+            scored = [i for i, p in enumerate(predicted) if p <= _PRIMITIVE_SET]
+            masks = np.array([_mask(predicted[i]) for i in scored], dtype=np.intp)
+            scores = _rubric_table()[masks, encoded.truth[scored]]
+        if not scores.size:
+            raise JudgeError("no scored verdicts")
+        return float(np.mean(scores))
 
     def finetune(self, samples, steps) -> list[float]:
         """The reply's loss as a one-entry list, or no loss for a bare `ok`."""
-        resp = self._request("finetune", samples)
+        resp = self._request("finetune", [r.line for r in samples])
         if "loss" in resp:
             if not _finite(resp["loss"]):
                 raise JudgeError("external judge returned a malformed fine-tuning loss")

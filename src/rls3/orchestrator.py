@@ -575,7 +575,9 @@ def run_loop(config: RunConfig, run_dir) -> RunReport:
                 contextlib.closing(make_judge(config, train.catalog_names, judge_seed))
             )
 
-            report.initial_val_metric = judge.validation_metric(val_records)
+            val_set = judge.encode(val_records)
+            del val_records
+            report.initial_val_metric = judge.validation_metric(val_set)
             metrics.writerow([0, 0, 0, f"{report.initial_val_metric:.6f}", "", 0])
             for iteration in range(1, config.iterations + 1):
                 test_set.check()
@@ -610,7 +612,7 @@ def run_loop(config: RunConfig, run_dir) -> RunReport:
                     break
 
                 losses = judge.finetune(batch, config.finetune_steps)
-                val_metric = judge.validation_metric(val_records)
+                val_metric = judge.validation_metric(val_set)
                 mean_j2 = float(np.mean(j2s))
                 report.validation_history.append(val_metric)
                 report.mean_j2_per_iteration.append(mean_j2)
@@ -635,7 +637,8 @@ def run_loop(config: RunConfig, run_dir) -> RunReport:
                     report.early_stop_iteration = iteration
                     break
             report.test_digest, test_records = test_set.result()
-            report.test_metric = judge.validation_metric(test_records)
+            del val_set  # freed before the larger test set is encoded
+            report.test_metric = judge.validation_metric(judge.encode(test_records))
     except _RUN_FAILURES as exc:
         report.failure = str(exc)
         if test_set is not None:

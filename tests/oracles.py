@@ -181,3 +181,37 @@ def contrastive_loss_reference(image_emb, text_emb, temperature) -> float:
     for j in range(n):
         l_t2i += -math.log(math.exp(s[j, j]) / sum(math.exp(s[i, j]) for i in range(n)))
     return (l_i2t + l_t2i) / (2 * n)
+
+
+# --- caption token bags ---------------------------------------------------------
+
+_FUNCTION_WORDS = ("the", "is", "of", "and", "to")
+
+
+def text_features_reference(caption: str, catalog_names: tuple[str, ...]) -> np.ndarray:
+    """Scan the caption's words left to right. At each word try every catalog
+    name in catalog order and take the first whose words follow from there;
+    else count the word if it is a primitive or function word. Each token
+    weighs 1 / (1 + index of its first word)."""
+    words = "".join(c.lower() if c.isalnum() else " " for c in caption).split()
+    name_words = [tuple(name.split()) for name in catalog_names]
+    out = np.zeros(9 + len(PRIMITIVES) + len(_FUNCTION_WORDS))
+    i = 0
+    while i < len(words):
+        weight = 1.0 / (1.0 + i)
+        matched = False
+        for slot, parts in enumerate(name_words):
+            if tuple(words[i : i + len(parts)]) == parts:
+                out[slot] += weight
+                i += len(parts)
+                matched = True
+                break
+        if matched:
+            continue
+        w = words[i]
+        if w in PRIMITIVES:
+            out[9 + PRIMITIVES.index(w)] += weight
+        elif w in _FUNCTION_WORDS:
+            out[15 + _FUNCTION_WORDS.index(w)] += weight
+        i += 1
+    return out

@@ -29,6 +29,18 @@ BUSY_LAYER = {
 }
 
 
+# Per-layer metrics of each loop's judge work, which a refactor could stop the
+# tracer from seeing: a renamed or bypassed function reads zero calls.
+JUDGE_LAYERS = {
+    "loop_generative": ("judges.generative_features.calls", "judges.rubric_score.calls"),
+    "loop_contrastive": ("judges.image_features.calls", "judges.text_features.calls"),
+    "loop_external": (),
+}
+# one validation pass before the first iteration, one after each of the 10
+# iterations, and the test pass
+VALIDATION_PASSES = 12
+
+
 @pytest.mark.parametrize("workload", sorted(BUSY_LAYER))
 def test_traced_worker_run_is_correct(tmp_path, workload):
     env = dict(
@@ -51,4 +63,9 @@ def test_traced_worker_run_is_correct(tmp_path, workload):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["problems"] == []
     assert "aborted" not in result
-    assert result["layers"][BUSY_LAYER[workload]] > 0
+    layers = result["layers"]
+    assert layers[BUSY_LAYER[workload]] > 0
+    if workload in JUDGE_LAYERS:
+        assert layers["judges.validation_metric.calls"] == VALIDATION_PASSES
+        for name in JUDGE_LAYERS[workload]:
+            assert layers[name] > 0, name

@@ -275,7 +275,7 @@ def test_eval_contrastive_metric(tmp_path, capsys):
     judge = orchestrator.make_judge(config, names, config.seed)
     assert summary == {
         "loss": judge.infer(records)[1],
-        "retrieval_accuracy": judge.validation_metric(records),
+        "retrieval_accuracy": judge.validation_metric(judge.encode(records)),
     }
 
     for behavior, accuracy in (("all_correct", 1.0), ("echo", 0.0)):
@@ -431,6 +431,35 @@ def test_malformed_similarities_fail_the_run(tmp_path, capsys, case):
                    "--set", "external_mode=contrastive", *TINY_SETS) == 2
     report = json.loads((run_dir / "report.json").read_text())
     assert report["failure"] == "external judge returned a malformed similarities list"
+    assert report["failure"] in capsys.readouterr().err
+    assert report["test_metric"] is None
+
+
+# An external generative judge whose infer replies hold a malformed `terms`
+# entry for each sample; every other request is acknowledged.
+BAD_TERMS = {
+    "null-entry": "[None] * n",
+    "nested-entry": "[[['left']]] * n",
+    "bare-string-entry": "['left'] * n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TERMS))
+def test_malformed_terms_fail_the_run(tmp_path, capsys, case):
+    code = (
+        "import sys, json\n"
+        "for line in sys.stdin:\n"
+        "    req = json.loads(line)\n"
+        "    n = len(req['samples'])\n"
+        f"    resp = {{'terms': {BAD_TERMS[case]}}} if req['op'] == 'infer' else {{'ok': True}}\n"
+        "    print(json.dumps({**resp, 'id': req['id']}), flush=True)\n"
+    )
+    run_dir = tmp_path / "run"
+    judge = f"external:{shlex.quote(sys.executable)} -c {shlex.quote(code)}"
+    assert run_cli("run", "--run-dir", str(run_dir), "--agent", "random", "--judge", judge,
+                   *TINY_SETS) == 2
+    report = json.loads((run_dir / "report.json").read_text())
+    assert report["failure"] == "external judge returned a malformed terms list"
     assert report["failure"] in capsys.readouterr().err
     assert report["test_metric"] is None
 

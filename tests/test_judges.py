@@ -7,8 +7,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from rls3 import judges
+from rls3 import judges, prompts
 from rls3.datasets import generate_fixed_records
 from rls3.judges import (
     ContrastiveJudge,
@@ -71,6 +73,24 @@ def test_rubric_rejects_bad_truth():
         rubric_score(set(), set())
     with pytest.raises(ValueError):
         rubric_score(set(), {"above", "below", "left", "right"})
+
+
+def test_rubric_table_is_rubric_score():
+    """The validation metric's table, indexed by term masks (bit i for
+    PRIMITIVES[i]), holds rubric_score for every prediction and relation."""
+
+    def mask(terms):
+        return sum(1 << prompts.PRIMITIVES.index(t) for t in terms)
+
+    table = judges._rubric_table()
+    truth_masks = set()
+    for truth in oracles.all_truth_sets():
+        truth_masks.add(mask(truth))
+        for predicted in oracles.all_prediction_sets():
+            want = oracles.rubric_reference(predicted, truth)
+            assert table[mask(predicted), mask(truth)] == rubric_score(predicted, truth) == want
+    # the oracle's truth sets are every valid relation; no other column is filled
+    assert set(np.flatnonzero(table.any(axis=0)).tolist()) == truth_masks
 
 
 def test_rubric_bounds():
@@ -168,6 +188,33 @@ def test_text_features_distinguish_negatives(train, records):
         assert not np.allclose(pos, neg_o)
 
 
+# names sharing a first word, and names that are a prefix of another
+_OVERLAPPING_NAMES = (
+    "pot lid", "pot", "coffee mug", "coffee table", "mug", "plate", "desk lamp", "lamp", "tea cup"
+)
+_CAPTION_TOKENS = (
+    *_OVERLAPPING_NAMES, "lid", "coffee", "table", "desk", "tea", "cup", "Pot", "MUG.",
+    *prompts.PRIMITIVES, "in front of", "to the", "the", "is", "of", "and", "to", "The",
+    "sideways", ",", ".", "  ",
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    names=st.permutations(_OVERLAPPING_NAMES),
+    tokens=st.lists(st.sampled_from(_CAPTION_TOKENS), max_size=16),
+)
+@example(names=_OVERLAPPING_NAMES, tokens=["The", "pot lid", "is", "left", "of", "the", "pot"])
+@example(
+    names=tuple(reversed(_OVERLAPPING_NAMES)),
+    tokens=["The", "pot lid", "is", "left", "of", "the", "coffee table"],
+)
+def test_text_features_match_the_scan(names, tokens):
+    caption = " ".join(tokens)
+    got = text_features(caption, tuple(names))
+    assert np.array_equal(got, oracles.text_features_reference(caption, tuple(names)))
+
+
 def test_text_features_deterministic(train):
     c = "The mug is above the plate."
     np.testing.assert_array_equal(
@@ -190,9 +237,10 @@ def test_generative_infer_shapes(train, records):
 
 def test_generative_finetune_improves(train, records):
     judge = GenerativeJudge(train.catalog_names, seed=1)
-    before = judge.validation_metric(records)
+    val_set = judge.encode(records)
+    before = judge.validation_metric(val_set)
     losses = judge.finetune(records, steps=400)
-    after = judge.validation_metric(records)
+    after = judge.validation_metric(val_set)
     assert after > before + 0.5
     assert len(losses) == 400
     assert np.mean(losses[-20:]) < np.mean(losses[:20])
@@ -263,6 +311,14 @@ JUDGES = {
         NdjsonClient.spawn(STUB + ["--behavior", "echo", "--loss", "0.8"], timeout=10),
         mode="contrastive",
     ),
+    "external-generative-echo": lambda names: ExternalJudge(
+        NdjsonClient.spawn(STUB + ["--behavior", "echo"], timeout=10),
+        mode="generative",
+    ),
+    "external-contrastive-all_correct": lambda names: ExternalJudge(
+        NdjsonClient.spawn(STUB + ["--behavior", "all_correct", "--loss", "0.8"], timeout=10),
+        mode="contrastive",
+    ),
 }
 
 
@@ -280,10 +336,12 @@ def test_judge_contract(any_judge, records, tmp_path):
     assert type(loss) is float and math.isfinite(loss)
     _, j2 = infer_and_reward(any_judge, batch)
     assert j2 == loss**2
-    metric = any_judge.validation_metric(batch)
-    assert type(metric) is float
     # every judge's validation metric is its verdicts' mean score
-    assert metric == judges.mean_score(verdicts)
+    encoded = any_judge.encode(records)
+    assert not any(a.flags.writeable for a in encoded if isinstance(a, np.ndarray))
+    metric = any_judge.validation_metric(encoded)
+    assert type(metric) is float
+    assert metric == judges.mean_score(any_judge.infer(records)[0])
     assert any_judge.metric_name in ("mean_rubric", "retrieval_accuracy")
     assert (any_judge.metric_name == "mean_rubric") == (verdicts[0].rubric is not None)
     any_judge.save(tmp_path / "judge")
@@ -320,10 +378,10 @@ def test_contrastive_infer(train, records):
 def test_contrastive_finetune_reduces_loss(train, records):
     judge = ContrastiveJudge(train.catalog_names, seed=1, lr=3e-3, minibatch=64)
     _, before = judge.infer(records)
-    acc_before = judge.validation_metric(records)
+    acc_before = judge.validation_metric(judge.encode(records))
     judge.finetune(records, epochs=30)
     _, after = judge.infer(records)
-    acc_after = judge.validation_metric(records)
+    acc_after = judge.validation_metric(judge.encode(records))
     assert after < before
     assert acc_after > acc_before
 
@@ -345,7 +403,7 @@ def test_contrastive_digest_and_inference_purity(train, records):
 
     d0 = digest(judge)
     judge.infer(records[:8])
-    judge.validation_metric(records[:8])
+    judge.validation_metric(judge.encode(records[:8]))
     assert digest(judge) == d0
     judge.finetune(records[:16], epochs=1)
     assert digest(judge) != d0
@@ -456,7 +514,7 @@ def test_contrastive_validation_metric_computes_no_loss(train, records, monkeypa
     monkeypatch.setattr(judges, "contrastive_loss", no_loss)
     monkeypatch.setattr(judges, "contrastive_loss_components", no_loss)
     monkeypatch.setattr(judges, "_infonce", no_loss)
-    got = judge.validation_metric(records)
+    got = judge.validation_metric(judge.encode(records))
     assert got == float(np.mean([v.ranked_correct for v in verdicts]))
 
 
@@ -474,7 +532,7 @@ def test_contrastive_triples_are_the_full_matrix_diagonals(train):
     assert np.max(np.abs(got - expected)) <= 1e-12
     ranked = (expected[:, 0] > expected[:, 1]) & (expected[:, 0] > expected[:, 2])
     assert [v.ranked_correct for v in verdicts] == ranked.tolist()
-    assert judge.validation_metric(recs) == judges.mean_score(verdicts)
+    assert judge.validation_metric(judge.encode(recs)) == judges.mean_score(verdicts)
 
 
 def test_contrastive_validation_builds_no_similarity_matrix(train):
@@ -482,7 +540,7 @@ def test_contrastive_validation_builds_no_similarity_matrix(train):
     judge = ContrastiveJudge(train.catalog_names, seed=9)
     tracemalloc.start()
     try:
-        judge.validation_metric(recs)
+        judge.validation_metric(judge.encode(recs))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -496,7 +554,7 @@ def test_untrained_generative_near_chance(train):
     """
     records = generate_fixed_records(train, 500, seed=777)
     judge = GenerativeJudge(train.catalog_names, seed=5)
-    got = judge.validation_metric(records)
+    got = judge.validation_metric(judge.encode(records))
 
     rng = np.random.default_rng(123)
     sims = []

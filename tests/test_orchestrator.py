@@ -508,9 +508,9 @@ class _JudgeDeadAfterFinetune(GenerativeJudge):
         self._count()
         return super().infer(samples)
 
-    def validation_metric(self, samples):
+    def validation_metric(self, encoded):
         self._count()
-        return super().validation_metric(samples)
+        return super().validation_metric(encoded)
 
     def save(self, directory):
         self._count()

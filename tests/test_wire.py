@@ -59,7 +59,7 @@ def test_external_generative_judge_all_correct(records):
         judge = ExternalJudge(client, mode="generative")
         verdicts, loss = judge.infer(records)
         assert all(v.rubric == 5 for v in verdicts)
-        assert judge.validation_metric(records) == 5.0
+        assert judge.validation_metric(judge.encode(records)) == 5.0
         assert loss == 1.0
         assert infer_and_reward(judge, records)[1] == 1.0
         assert judge.finetune(records, steps=4) == []
@@ -78,7 +78,7 @@ def test_external_contrastive_judge_rankings(records, behavior, sent, accuracy):
         verdicts, loss = judge.infer(records)
         assert loss == 0.8 and [v.sample_id for v in verdicts] == [r.id for r in records]
         assert all(v.similarities == sent and v.score == accuracy for v in verdicts)
-        assert judge.validation_metric(records) == accuracy
+        assert judge.validation_metric(judge.encode(records)) == accuracy
         assert infer_and_reward(judge, records)[1] == pytest.approx(0.64)
 
 
@@ -103,6 +103,21 @@ def test_external_contrastive_judge_rejects_malformed_similarities(records, simi
     judge = ExternalJudge(_ReplyClient(reply), mode="contrastive")
     with pytest.raises(JudgeError, match="malformed similarities list"):
         judge.infer(records[:2])
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [None, "left", [["left"]], [None, ["left"]], [[["left"]], ["left"]], ["left", ["left"]],
+     [[1], ["left"]], [[None], ["left"]]],
+    ids=["missing", "string", "short", "null-entry", "nested-entry", "bare-string-entry",
+         "int-term", "null-term"],
+)
+def test_external_generative_judge_rejects_malformed_terms(records, terms):
+    reply = {} if terms is None else {"terms": terms}
+    judge = ExternalJudge(_ReplyClient(reply), mode="generative")
+    for call in (judge.infer, lambda samples: judge.validation_metric(judge.encode(samples))):
+        with pytest.raises(JudgeError, match="malformed terms list"):
+            call(records[:2])
 
 
 @pytest.mark.parametrize("loss", [None, "0.5", True, float("nan"), float("inf")])
@@ -130,7 +145,7 @@ def test_tcp_transport(records):
     try:
         with contextlib.closing(NdjsonClient.connect("127.0.0.1", port, timeout=10)) as client:
             judge = ExternalJudge(client, mode="generative")
-            assert judge.validation_metric(records) == 5.0
+            assert judge.validation_metric(judge.encode(records)) == 5.0
     finally:
         server.shutdown()
         server.server_close()
@@ -217,7 +232,7 @@ def test_external_judge_reports_peer_errors(records):
             judge = ExternalJudge(client, mode=mode)
             for op, call in (
                 ("infer", judge.infer),
-                ("infer", judge.validation_metric),
+                ("infer", lambda samples: judge.validation_metric(judge.encode(samples))),
                 ("finetune", lambda samples: judge.finetune(samples, 1)),
             ):
                 with pytest.raises(JudgeError, match=f"failed to {op}: no model loaded"):
@@ -236,7 +251,7 @@ def test_external_validation_metric_needs_scored_verdicts(records):
     with pytest.raises(JudgeError, match="no scored verdicts"):
         judge.infer(records)
     with pytest.raises(JudgeError, match="no scored verdicts"):
-        judge.validation_metric(records)
+        judge.validation_metric(judge.encode(records))
 
 
 def test_stub_handles_sample_payload(records):

@@ -13,7 +13,7 @@ import pytest
 
 from rls3 import orchestrator, scene, wire
 from rls3.agent import RandomAgent
-from rls3.datasets import read_samples, record_from_dict
+from rls3.datasets import file_digest, read_samples, record_from_dict
 from rls3.orchestrator import (
     ConfigError,
     EarlyStopPolicy,
@@ -661,12 +661,31 @@ GOLDEN_TEST_DIGEST = "e613af3bdd2fa6bf8477e54742921e220dafb65c904a9f53fa664e0abb
 GOLDEN_SAMPLES_DIGEST = "d9598eb1381b5aed8057d814651c57250807920db781edee80fb97c07c202d4b"
 
 
+# The judge's outputs, verdicts.jsonl and metrics.csv, carry its floats: they
+# are pinned for one numpy build (2.4.6 with OpenBLAS, equal under 1 and 2 BLAS
+# threads), so a change to how verdicts are scored or written shows here.
+GOLDEN_JUDGE_OUTPUT_DIGESTS = {
+    "generative": (
+        "fcee4e7b5b46f3d5e110e37928abfdb82363d4e8d23ed9d62285e0277262d16d",
+        "2b62a77e42238fa14e66cadd2eef49b7f81252c3031567e8d097dc2f935266f1",
+    ),
+    "contrastive": (
+        "49c05fcb3bbb0547c11bf9c81cb01a67bc05b31f35d8deea08ca52cfc5491311",
+        "65bbcd0cfd245ae1965af8458794bf88c8d8accf9dad4ded518c6aa05ac237dd",
+    ),
+}
+
+
 def test_golden_digests(tmp_path):
-    cfg = desk_config(
-        iterations=10, episodes_per_iteration=8, agent="random", judge="generative", seed=0
-    )
-    report = run_loop(cfg, tmp_path / "run")
-    assert report.failure is None
-    assert report.validation_digest == GOLDEN_VALIDATION_DIGEST
-    assert report.test_digest == GOLDEN_TEST_DIGEST
-    assert report.samples_digest == GOLDEN_SAMPLES_DIGEST
+    for judge, outputs in GOLDEN_JUDGE_OUTPUT_DIGESTS.items():
+        cfg = desk_config(
+            iterations=10, episodes_per_iteration=8, agent="random", judge=judge, seed=0
+        )
+        run_dir = tmp_path / judge
+        report = run_loop(cfg, run_dir)
+        assert report.failure is None
+        assert report.validation_digest == GOLDEN_VALIDATION_DIGEST
+        assert report.test_digest == GOLDEN_TEST_DIGEST
+        assert report.samples_digest == GOLDEN_SAMPLES_DIGEST
+        got = tuple(file_digest(run_dir / name) for name in ("verdicts.jsonl", "metrics.csv"))
+        assert got == outputs, judge

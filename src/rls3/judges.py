@@ -8,13 +8,16 @@ then the term-swapped negatives, then the object-swapped negatives, in training
 and in inference alike. Either judge can be replaced by an external process
 speaking the newline-delimited JSON protocol.
 
-Every judge scores a fixed set through `encode(samples)`, which builds the
-set's judge inputs once into an immutable encoding, and
-`validation_metric(encoded)`, which scores it with array operations and builds
-no verdicts. A term set is a 6-bit mask, bit i for `prompts.PRIMITIVES[i]`;
-rubric scores come from a table of `rubric_score` over every predicted mask
-and every valid relation. Caption token bags are built through a word map per
-catalog, keyed by each name's first word.
+Every judge method reads its samples through `encode(samples)`, which builds
+their judge inputs once into an immutable encoding, and scores the judge's
+output with one of two array scorers: a table of `rubric_score` over every
+predicted term mask and every valid relation (bit i of a mask is
+`prompts.PRIMITIVES[i]`), or `_ranked` over (positive, term-swapped,
+object-swapped) similarity rows. `infer` builds its verdicts from those
+arrays; `validation_metric(encoded)` takes their mean and builds none. A
+predicted term set naming a word outside PRIMITIVES is flagged: it has no
+score, and every mean leaves it out. Caption token bags are built through a
+word map per catalog, keyed by each name's first word.
 
 Both judges consume world-frame coordinates plus the camera pose, so the
 camera-relative frame has to be learned; that is the manufactured initial
@@ -24,7 +27,7 @@ weakness the loop exploits.
 from __future__ import annotations
 
 import functools
-import sys
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -34,6 +37,7 @@ import numpy as np
 from . import prompts
 from .datasets import SampleRecord
 from .nets import Mlp, NetOptimizer, load_net, save_net
+from .scene import is_finite_number
 
 RUBRIC_MIN = 1
 RUBRIC_MAX = 5
@@ -111,10 +115,14 @@ _TERM_SETS = tuple(
     frozenset(t for t, bit in _TERM_BIT.items() if mask & bit)
     for mask in range(1 << len(_TERM_BIT))
 )
+# the mask value of a predicted term set naming a word outside PRIMITIVES
+_FLAGGED = -1
 
 
 def _mask(terms) -> int:
-    return sum(_TERM_BIT[t] for t in terms)
+    """The mask of a term set, or _FLAGGED if it names a word outside PRIMITIVES."""
+    terms = frozenset(terms)
+    return sum(_TERM_BIT[t] for t in terms) if terms <= _PRIMITIVE_SET else _FLAGGED
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -141,20 +149,25 @@ def _rubric_table() -> np.ndarray:
     return _read_only(table)
 
 
-def _rubric_verdicts(samples: list[SampleRecord], predicted_sets) -> list[JudgeVerdict]:
-    """One verdict per sample: its predicted term set scored against the
-    sample's truth terms, or flagged and left unscored when the set holds a
-    word outside PRIMITIVES.
-    """
-    verdicts = []
-    for rec, predicted in zip(samples, predicted_sets):
-        predicted = frozenset(predicted)
-        if not predicted <= _PRIMITIVE_SET:
-            verdicts.append(JudgeVerdict(rec.id, flagged=True))
-            continue
-        rubric = rubric_score(predicted, rec.terms)
-        verdicts.append(JudgeVerdict(rec.id, predicted_terms=predicted, rubric=rubric))
-    return verdicts
+def _rubrics(predicted: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """The rubric of each predicted mask against its truth mask; NaN, not
+    scored, where the prediction is flagged."""
+    return np.where(predicted == _FLAGGED, np.nan, _rubric_table()[predicted, truth])
+
+
+def _rubric_verdicts(
+    samples: list[SampleRecord], predicted: np.ndarray, truth: np.ndarray
+) -> tuple[list[JudgeVerdict], float]:
+    """One verdict per sample, its predicted mask scored against its truth
+    mask, plus the batch loss: 6 - mean rubric, 1 when all are correct."""
+    rubrics = _rubrics(predicted, truth)
+    verdicts = [
+        JudgeVerdict(rec.id, flagged=True)
+        if math.isnan(rubric)
+        else JudgeVerdict(rec.id, predicted_terms=_TERM_SETS[m], rubric=int(rubric))
+        for rec, m, rubric in zip(samples, predicted.tolist(), rubrics.tolist())
+    ]
+    return verdicts, 6.0 - _mean(rubrics)
 
 
 def _ranked(similarities: np.ndarray) -> np.ndarray:
@@ -176,18 +189,19 @@ def _ranking_verdicts(samples: list[SampleRecord], similarities: np.ndarray) -> 
     ]
 
 
-def mean_score(verdicts: list[JudgeVerdict]) -> float:
-    """Mean verdict score. A judge's validation_metric gives the same value
-    for the same samples without building verdicts."""
-    scores = [s for s in (v.score for v in verdicts) if s is not None]
-    if not scores:
+def _mean(scores) -> float:
+    """The mean of the scores that are not NaN, or JudgeError if none is."""
+    scores = np.asarray(scores, dtype=float)
+    scored = scores[~np.isnan(scores)]
+    if not scored.size:
         raise JudgeError("no scored verdicts")
-    return float(np.mean(scores))
+    return float(np.mean(scored))
 
 
-def _rubric_loss(verdicts: list[JudgeVerdict]) -> float:
-    """Batch loss of a rubric-scored batch: 6 - mean rubric, 1 when all correct."""
-    return 6.0 - mean_score(verdicts)
+def mean_score(verdicts: list[JudgeVerdict]) -> float:
+    """Mean score of the verdicts that are not flagged. A judge's
+    validation_metric gives the same value for the same samples."""
+    return _mean([np.nan if v.score is None else v.score for v in verdicts])
 
 
 # --- contrastive loss ------------------------------------------------------------
@@ -362,7 +376,7 @@ def _load_nets(directory, current: dict[str, Mlp]) -> list[Mlp]:
 
 
 class GenerativeEncoding(NamedTuple):
-    """Samples as GenerativeJudge.validation_metric takes them: one
+    """Samples as every GenerativeJudge method reads them: one
     generative_features row and one truth-term mask per sample, read-only."""
 
     features: np.ndarray
@@ -393,37 +407,24 @@ class GenerativeJudge:
         self.minibatch = minibatch
         self._rng = np.random.default_rng(rng_seed)
 
-    def features(self, samples: list[SampleRecord]) -> np.ndarray:
-        return np.stack([generative_features(r, self.catalog_names) for r in samples])
-
-    def targets(self, samples: list[SampleRecord]) -> np.ndarray:
-        t = np.zeros((len(samples), len(prompts.PRIMITIVES)))
-        for i, rec in enumerate(samples):
-            for term in rec.terms:
-                t[i, prompts.PRIMITIVES.index(term)] = 1.0
-        return t
-
     def _predicted_masks(self, features: np.ndarray) -> np.ndarray:
         """The mask of the terms whose probability exceeds the threshold, per row."""
         logits = self.net.forward(features)
         probs = 1.0 / (1.0 + np.exp(-logits))
         return (probs > self.threshold) @ _BITS
 
-    def predict_terms(self, samples: list[SampleRecord]) -> list[frozenset[str]]:
-        return [_TERM_SETS[m] for m in self._predicted_masks(self.features(samples)).tolist()]
+    def encode(self, samples: list[SampleRecord]) -> GenerativeEncoding:
+        features = np.stack([generative_features(r, self.catalog_names) for r in samples])
+        return GenerativeEncoding(_read_only(features), _truth_masks(samples))
 
     def infer(self, samples: list[SampleRecord]) -> tuple[list[JudgeVerdict], float]:
         """Verdicts plus the rubric batch loss; no weight updates."""
-        verdicts = _rubric_verdicts(samples, self.predict_terms(samples))
-        return verdicts, _rubric_loss(verdicts)
-
-    def encode(self, samples: list[SampleRecord]) -> GenerativeEncoding:
-        return GenerativeEncoding(_read_only(self.features(samples)), _truth_masks(samples))
+        encoded = self.encode(samples)
+        return _rubric_verdicts(samples, self._predicted_masks(encoded.features), encoded.truth)
 
     def validation_metric(self, encoded: GenerativeEncoding) -> float:
         """Mean rubric of the encoded samples."""
-        predicted = self._predicted_masks(encoded.features)
-        return float(np.mean(_rubric_table()[predicted, encoded.truth]))
+        return _mean(_rubrics(self._predicted_masks(encoded.features), encoded.truth))
 
     def finetune(self, samples: list[SampleRecord], steps: int) -> list[float]:
         """Optimizer steps of multi-label cross-entropy on seeded minibatches;
@@ -432,8 +433,8 @@ class GenerativeJudge:
         """
         if not samples:
             raise JudgeError("empty fine-tuning batch")
-        x = self.features(samples)
-        t = self.targets(samples)
+        x, truth = self.encode(samples)
+        t = ((truth[:, None] & _BITS) != 0).astype(float)  # column i: PRIMITIVES[i]
         losses = []
         for _ in range(steps):
             take = min(self.minibatch, len(samples))
@@ -477,7 +478,7 @@ class GenerativeJudge:
 
 
 class ContrastiveEncoding(NamedTuple):
-    """Samples as ContrastiveJudge.validation_metric takes them: N
+    """Samples as every ContrastiveJudge method reads them: N
     image_features rows and the 3N text pool's text_features rows, read-only."""
 
     images: np.ndarray
@@ -559,7 +560,7 @@ class ContrastiveJudge:
 
     def validation_metric(self, encoded: ContrastiveEncoding) -> float:
         """Retrieval accuracy of the encoded samples; the loss is not built."""
-        return float(np.mean(_ranked(self._similarities(encoded)[0])))
+        return _mean(_ranked(self._similarities(encoded)[0]))
 
     def finetune(self, samples: list[SampleRecord], epochs: int) -> list[float]:
         """InfoNCE steps over shuffled minibatches; returns each epoch's mean loss."""
@@ -614,14 +615,10 @@ class ContrastiveJudge:
 # --- external judge -----------------------------------------------------------------------
 
 
-def _finite(value) -> bool:
-    """A JSON number (an int or float, not a bool) that converts to a finite float."""
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
-
-
 class ExternalEncoding(NamedTuple):
-    """Samples as ExternalJudge.validation_metric takes them: the JSON lines
-    an infer request sends, and one truth-term mask per sample, read-only."""
+    """Samples as ExternalJudge's infer and validation_metric read them: the
+    JSON lines an infer request sends, and one truth-term mask per sample,
+    read-only."""
 
     lines: tuple[str, ...]
     truth: np.ndarray
@@ -632,9 +629,9 @@ class ExternalJudge:
 
     An infer reply carries `terms`, one list of strings per sample
     (generative mode), or `similarities`, one [positive, term-swapped,
-    object-swapped] triple per sample, and `loss` (contrastive mode). Replies
-    are checked, then scored as the matching local judge scores its own; a
-    term list naming a word outside PRIMITIVES is flagged and left unscored.
+    object-swapped] triple per sample, and `loss` (contrastive mode). A reply
+    is checked and parsed once into arrays, then scored as the matching local
+    judge scores its own output.
     """
 
     def __init__(self, client, mode: str = "generative"):
@@ -653,65 +650,57 @@ class ExternalJudge:
             raise JudgeError(f"external judge failed to {op}: {resp['error']}")
         return resp
 
-    @staticmethod
-    def _predicted_sets(resp: dict, n: int) -> list[frozenset[str]]:
-        """The reply's `terms`: a list of n lists of strings, or JudgeError."""
-        terms = resp.get("terms")
-        if not (
-            isinstance(terms, list)
-            and len(terms) == n
-            and all(isinstance(t, list) and all(isinstance(w, str) for w in t) for t in terms)
-        ):
-            raise JudgeError("external judge returned a malformed terms list")
-        return [frozenset(t) for t in terms]
-
-    @staticmethod
-    def _similarities(resp: dict, n: int) -> tuple[np.ndarray, float]:
-        """The reply's `similarities` as an (n, 3) array and its `loss`, or JudgeError."""
+    def _infer_reply(self, encoded: ExternalEncoding):
+        """One infer round trip, its reply checked and parsed: the predicted
+        masks in generative mode, or the (n, 3) similarities and the loss in
+        contrastive mode. A malformed reply raises JudgeError."""
+        n = len(encoded.lines)
+        resp = self._request("infer", list(encoded.lines))
+        if self.mode == "generative":
+            terms = resp.get("terms")
+            if not (
+                isinstance(terms, list)
+                and len(terms) == n
+                and all(isinstance(t, list) and all(isinstance(w, str) for w in t) for t in terms)
+            ):
+                raise JudgeError("external judge returned a malformed terms list")
+            return np.array([_mask(t) for t in terms], dtype=np.intp)
         sims = resp.get("similarities")
         if not (
             isinstance(sims, list)
             and len(sims) == n
-            and all(isinstance(t, list) and len(t) == 3 and all(map(_finite, t)) for t in sims)
+            and all(
+                isinstance(t, list) and len(t) == 3 and all(map(is_finite_number, t))
+                for t in sims
+            )
         ):
             raise JudgeError("external judge returned a malformed similarities list")
         loss = resp.get("loss")
-        if not _finite(loss):
+        if not is_finite_number(loss):
             raise JudgeError("external judge returned a malformed loss")
         return np.array(sims, dtype=float).reshape(n, 3), float(loss)
-
-    def infer(self, samples: list[SampleRecord]) -> tuple[list[JudgeVerdict], float]:
-        resp = self._request("infer", [r.line for r in samples])
-        if self.mode == "generative":
-            verdicts = _rubric_verdicts(samples, self._predicted_sets(resp, len(samples)))
-            return verdicts, _rubric_loss(verdicts)
-        sims, loss = self._similarities(resp, len(samples))
-        return _ranking_verdicts(samples, sims), loss
 
     def encode(self, samples: list[SampleRecord]) -> ExternalEncoding:
         return ExternalEncoding(tuple(r.line for r in samples), _truth_masks(samples))
 
+    def infer(self, samples: list[SampleRecord]) -> tuple[list[JudgeVerdict], float]:
+        encoded = self.encode(samples)
+        if self.mode == "generative":
+            return _rubric_verdicts(samples, self._infer_reply(encoded), encoded.truth)
+        sims, loss = self._infer_reply(encoded)
+        return _ranking_verdicts(samples, sims), loss
+
     def validation_metric(self, encoded: ExternalEncoding) -> float:
-        """The reply checked as `infer` checks it and scored as the local
-        judge scores; flagged entries are left out."""
-        n = len(encoded.lines)
-        resp = self._request("infer", list(encoded.lines))
-        if self.mode == "contrastive":
-            scores = _ranked(self._similarities(resp, n)[0])
-        else:
-            predicted = self._predicted_sets(resp, n)
-            scored = [i for i, p in enumerate(predicted) if p <= _PRIMITIVE_SET]
-            masks = np.array([_mask(predicted[i]) for i in scored], dtype=np.intp)
-            scores = _rubric_table()[masks, encoded.truth[scored]]
-        if not scores.size:
-            raise JudgeError("no scored verdicts")
-        return float(np.mean(scores))
+        """The mean score of the reply, as `infer` scores it."""
+        if self.mode == "generative":
+            return _mean(_rubrics(self._infer_reply(encoded), encoded.truth))
+        return _mean(_ranked(self._infer_reply(encoded)[0]))
 
     def finetune(self, samples, steps) -> list[float]:
         """The reply's loss as a one-entry list, or no loss for a bare `ok`."""
         resp = self._request("finetune", [r.line for r in samples])
         if "loss" in resp:
-            if not _finite(resp["loss"]):
+            if not is_finite_number(resp["loss"]):
                 raise JudgeError("external judge returned a malformed fine-tuning loss")
             return [float(resp["loss"])]
         if resp.get("ok") is not True:

@@ -18,7 +18,6 @@ import json
 import os
 import pickle
 import signal
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -62,8 +61,8 @@ def _must_be(phrase: str, default=dataclasses.MISSING):
 def _check_ranges(config) -> None:
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
-        if f.type == "float" and not abs(value) <= sys.float_info.max:
-            raise ConfigError(f"{f.name} must be finite")  # NaN, infinity, an int past float range
+        if f.type == "float" and not scene.is_finite_number(value):
+            raise ConfigError(f"{f.name} must be a finite number")
         if "range" in f.metadata:
             phrase, test = f.metadata["range"]
             if not test(value):
@@ -469,15 +468,6 @@ class _FixedSetChild:
         self._exit_code: int | None = None  # set once the child is reaped
         self._outcome = None
 
-    def check(self) -> None:
-        """Raise the child's failure if it has already exited with one; never blocks."""
-        if self._exit_code is None:
-            pid, status = os.waitpid(self.pid, os.WNOHANG)
-            if pid:
-                self._exit_code = os.waitstatus_to_exitcode(status)
-        if self._exit_code:
-            self.result()
-
     def result(self) -> tuple[str, list[SampleRecord]]:
         """Wait for the child's `(digest, records)`. Its failure is raised as
         one of `_RUN_FAILURES`, on this call and every later one."""
@@ -523,9 +513,9 @@ def run_loop(config: RunConfig, run_dir) -> RunReport:
     report.json names that failure.
 
     The test set is built in a forked child while the loop runs (see
-    `_FixedSetChild`). A child that fails ends the run at the next iteration
-    boundary or at the test metric; when the run fails otherwise, the child's
-    digest is still collected. No child outlives this call.
+    `_FixedSetChild`). A child that fails ends the run at the test metric;
+    when the run fails otherwise, the child's digest is still collected. No
+    child outlives this call.
     """
     if config.agent == "sac" and config.agent_checkpoint is None:
         raise ConfigError("agent=sac requires a pretrained agent_checkpoint")
@@ -580,7 +570,6 @@ def run_loop(config: RunConfig, run_dir) -> RunReport:
             report.initial_val_metric = judge.validation_metric(val_set)
             metrics.writerow([0, 0, 0, f"{report.initial_val_metric:.6f}", "", 0])
             for iteration in range(1, config.iterations + 1):
-                test_set.check()
                 batch: list[SampleRecord] = []  # cleared every iteration
                 j2s: list[float] = []
                 for _ in range(config.episodes_per_iteration):

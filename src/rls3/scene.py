@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from importlib import resources
 
@@ -142,8 +143,18 @@ def _fitting(surfaces, half) -> list[Surface]:
     return [s for s in surfaces if s.half_extent_x > half[0] and s.half_extent_z > half[2]]
 
 
+def is_finite_number(value) -> bool:
+    """An int or a float, not a bool, that converts to a finite float: not NaN,
+    not infinite, and not an int past float range, on which math.isfinite raises."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
 def _number(value) -> float:
-    if type(value) not in (int, float) or not math.isfinite(value):  # a bool is no number
+    if not is_finite_number(value):
         raise TypeError(f"expected a finite number, got {value!r}")
     return float(value)
 
@@ -178,6 +189,8 @@ def _suite_from_dict(doc: dict) -> SceneSuite:
     from .prompts import PRIMITIVES, words  # prompts imports scene
 
     for name in names:
+        if not words(name):  # captions would name the object with blanks
+            raise SceneConfigError(f"catalog name {name!r} has no words")
         # a spatial word in a name would add a term to every caption naming it
         if set(words(name)) & set(PRIMITIVES):
             raise SceneConfigError(f"catalog name {name!r} contains a spatial word")

@@ -225,10 +225,11 @@ def test_checkpoint_architecture_mismatch(tmp_path):
         lambda m: m.update(obs_scale=[str(x) for x in m["obs_scale"]]),
         lambda m: m.update(obs_scale=[1.0] * 32),
         lambda m: m.pop("obs_scale"),
+        lambda m: m.update(alpha=10**400),
     ],
     ids=["no-q1", "no-q2-target", "unknown-net", "missing-file", "no-networks",
          "bad-alpha", "bool-alpha", "string-alpha", "bad-obs-scale", "string-obs-scale",
-         "other-obs-scale", "no-obs-scale"],
+         "other-obs-scale", "no-obs-scale", "int-alpha-past-float-range"],
 )
 def test_checkpoint_bad_manifest_raises_agent_error(tmp_path, edit):
     ck = tmp_path / "ck"

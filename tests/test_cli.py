@@ -1,3 +1,4 @@
+import filecmp
 import functools
 import json
 import os
@@ -177,11 +178,11 @@ def test_judge_failure_writes_report_and_exits_2(tmp_path, monkeypatch, capsys):
     assert report["iterations_completed"] == 0
 
 
-def _checkpoint_without_q1(tmp_path):
+def _edited_checkpoint(edit, tmp_path):
     ck = tmp_path / "agent"
     orchestrator.make_sac_agent(orchestrator.RunConfig(), 0).save(ck)
     manifest = json.loads((ck / "manifest.json").read_text())
-    del manifest["networks"]["q1"]
+    edit(manifest)
     (ck / "manifest.json").write_text(json.dumps(manifest))
     return ck
 
@@ -190,9 +191,17 @@ def _checkpoint_without_q1(tmp_path):
     "make_checkpoint, cause",
     [
         (lambda tmp_path: "/nonexistent", "No such file"),
-        (_checkpoint_without_q1, "manifest must name exactly the networks"),
+        (
+            functools.partial(_edited_checkpoint, lambda m: m["networks"].pop("q1")),
+            "manifest must name exactly the networks",
+        ),
+        # a 400-digit int: math.isfinite would raise OverflowError on it
+        (
+            functools.partial(_edited_checkpoint, lambda m: m.update(alpha=10**400)),
+            "expected a finite number",
+        ),
     ],
-    ids=["nonexistent", "manifest-without-q1"],
+    ids=["nonexistent", "manifest-without-q1", "int-alpha-past-float-range"],
 )
 def test_agent_checkpoint_failure_writes_report(tmp_path, capsys, make_checkpoint, cause):
     ck = make_checkpoint(tmp_path)
@@ -507,7 +516,7 @@ def test_suite_that_seats_nothing_writes_nothing(tmp_path, capsys):
         # four validation samples miss scene 4; an episode reaches it later
         (4, ["validation_count=4", "iterations=1", "episodes_per_iteration=5"], (True, True)),
         # the test suite's first scene: the test set's child fails, and the run
-        # ends at the next iteration boundary or at the test metric
+        # ends at the test metric, after its last iteration
         (5, [], (True, False)),
     ],
     ids=["fixed-set", "episode", "test-set"],
@@ -524,18 +533,30 @@ def test_scene_placement_failure_writes_report(
 
     monkeypatch.setattr(scene, "sample_positions", place_nothing_on_one_scene)
     run_dir = tmp_path / "run"
-    argv = ["run", "--run-dir", str(run_dir), "--agent", "random", *TINY_SETS]
+    argv = ["run", "--agent", "random", *TINY_SETS]
     for override in overrides:
         argv += ["--set", override]
-    assert run_cli(*argv) == 2
+    assert run_cli(*argv, "--run-dir", str(run_dir)) == 2
     report = _strict_json((run_dir / "report.json").read_text())
     assert f"no placement found on scene {scene_id}" in report["failure"]
     assert report["failure"] in capsys.readouterr().err
     assert report["test_metric"] is None
     written = (report["validation_digest"] is not None, report["test_digest"] is not None)
     assert written == digests_written
-    if scene_id == 4:  # how far the loop got before the child failed depends on timing
+    if scene_id == 5:  # the test set failed
+        assert report["iterations_completed"] == 2
+        # where the run ends does not depend on when the child fails
+        again = tmp_path / "again"
+        assert run_cli(*argv, "--run-dir", str(again)) == 2
+        files = _files(run_dir)
+        assert _files(again) == files
+        assert filecmp.cmpfiles(run_dir, again, files, shallow=False)[0] == files
+    else:
         assert report["iterations_completed"] == 0
+
+
+def _files(directory) -> list[str]:
+    return sorted(str(p.relative_to(directory)) for p in directory.rglob("*") if p.is_file())
 
 
 def test_one_sample_contrastive_finetune_fails_the_run(tmp_path, capsys):

@@ -264,7 +264,7 @@ def test_generative_reward_from_rubric(train, records):
     _, j2 = infer_and_reward(judge, records[:16])
     assert math.isclose(j2, (6.0 - mean) ** 2)
     # perfect batch gives the minimum reward of 1
-    judge.predict_terms = lambda samples: [r.terms for r in samples]
+    judge._predicted_masks = lambda features: judge.encode(records[:16]).truth
     assert infer_and_reward(judge, records[:16])[1] == 1.0
 
 
@@ -334,6 +334,9 @@ def test_judge_contract(any_judge, records, tmp_path):
     verdicts, loss = any_judge.infer(batch)
     assert [v.sample_id for v in verdicts] == [r.id for r in batch]
     assert type(loss) is float and math.isfinite(loss)
+    for v, rec in zip(verdicts, batch):
+        if v.rubric is not None:
+            assert v.rubric == rubric_score(v.predicted_terms, rec.terms)
     _, j2 = infer_and_reward(any_judge, batch)
     assert j2 == loss**2
     # every judge's validation metric is its verdicts' mean score

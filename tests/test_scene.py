@@ -110,6 +110,9 @@ def _set_path(doc, path, value):
         (("scenes", 0, "id"), 2.9, "must be an int"),
         (("scenes", 0, "id"), True, "must be an int"),
         (("scenes", 1, "id"), 0, "duplicate scene id 0"),
+        # a caption would name the object with blanks
+        (("catalog", 0, "name"), " ", "catalog name ' ' has no words"),
+        (("catalog", 0, "name"), "-", "catalog name '-' has no words"),
     ],
 )
 def test_suite_rejects_missing_keys_and_wrong_types(path, value, match):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from rls3 import wire
 from rls3.datasets import generate_fixed_records, record_to_dict
 from rls3.external_stub import handle_request
-from rls3.judges import ExternalJudge, JudgeError
+from rls3.judges import ExternalJudge, JudgeError, mean_score
 from rls3.orchestrator import desk_config, infer_and_reward, run_loop
 from rls3.scene import builtin_suite
 from rls3.wire import (
@@ -214,6 +214,9 @@ def test_external_judge_rejects_malformed_terms(records):
         judge = ExternalJudge(client, mode="generative")
         verdicts, _ = judge.infer(records[:2])
         assert verdicts[0].flagged and not verdicts[1].flagged
+        # the flagged entry is left out of the metric as it is out of the mean
+        metric = judge.validation_metric(judge.encode(records[:2]))
+        assert metric == mean_score(verdicts)
         with pytest.raises(JudgeError, match="no scored verdicts"):
             judge.infer(records[:1])  # every verdict flagged
         with pytest.raises(JudgeError, match="malformed terms list"):

@@ -7,10 +7,12 @@ plot series as CSV. Dataset files are content-addressed by sha256.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -169,10 +171,26 @@ def record_line(rec: SampleRecord) -> str:
     return rec.line
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Open `path` + ".tmp" for writing; when the block ends, it replaces
+    `path`. A block that raises removes it instead and leaves `path` as it
+    was, so `path` never holds a partial file."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_samples(records, path) -> str:
-    """Write JSONL and return the file's sha256 hex digest, hashed as written."""
+    """Write JSONL atomically and return the file's sha256 hex digest, hashed
+    as written."""
     h = hashlib.sha256()
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         for rec in records:
             line = f"{record_line(rec)}\n".encode("utf-8")
             h.update(line)

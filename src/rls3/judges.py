@@ -320,7 +320,7 @@ def _word_map(catalog_names: tuple[str, ...]):
     matches."""
     names: dict[str, list[tuple[tuple[str, ...], int]]] = {}
     for slot, name in enumerate(catalog_names):
-        parts = tuple(name.split())
+        parts = tuple(prompts.words(name))  # split as text_features splits captions
         if parts:
             names.setdefault(parts[0], []).append((parts, slot))
     singles = {w: 9 + i for i, w in enumerate(prompts.PRIMITIVES)}

@@ -13,7 +13,9 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import fcntl
 import hashlib
+import itertools
 import json
 import os
 import pickle
@@ -257,8 +259,9 @@ def desk_config(**overrides) -> RunConfig:
 @dataclass
 class EpisodeResult:
     records: list[SampleRecord]
-    transitions: list[Transition]
+    transitions: list[Transition]  # none once sent from the episode child
     truncated: bool
+    attempts: int  # env steps taken
 
 
 def early_stop(history: list[float], policy: EarlyStopPolicy) -> bool:
@@ -338,7 +341,27 @@ def run_episode(
                 snap, captions, sample_id_start + k, episode=episode_idx, iteration=iteration
             )
         )
-    return EpisodeResult(records, transitions, result.truncated)
+    return EpisodeResult(records, transitions, result.truncated, len(transitions))
+
+
+def _episodes(env, agent, prompt_rng, per_iteration: int, stochastic: bool):
+    """A run's episodes in order, each rolled when it is asked for: episode k
+    belongs to iteration k // per_iteration + 1, and its samples are numbered
+    on from those of the episodes before it."""
+    sample_id = 0
+    for k in itertools.count():
+        ep = run_episode(env, agent, k, k // per_iteration + 1, prompt_rng, sample_id, stochastic)
+        sample_id += len(ep.records)
+        yield ep
+
+
+def _for_the_pipe(ep: EpisodeResult) -> EpisodeResult:
+    """`ep` as the episode child sends it: each record's JSON line encoded
+    (the cached line travels in the pickle), and no transitions, which a
+    random agent does not absorb."""
+    for rec in ep.records:
+        datasets.record_line(rec)
+    return dataclasses.replace(ep, transitions=[])
 
 
 def make_judge(config: RunConfig, catalog_names: tuple[str, ...], seed):
@@ -437,17 +460,26 @@ _RUN_FAILURES = (
 )
 
 
-class _FixedSetChild:
-    """One fixed set generated, written and hashed in a forked child, which
-    pickles `(digest, records)`, or the exception that stopped it, into a
-    pipe. POSIX only. The child holds a copy of everything the parent had
-    open at the fork and leaves only through `os._exit`, so it flushes and
-    closes none of it.
+# a pipe this size holds about 40 episodes, so the episode child rolls on while
+# the parent fine-tunes; the default 64 KiB holds about 2.5
+_PIPE_BYTES = 1 << 20
+
+
+class _ChildStream:
+    """The items of `items`, an iterable iterated in a forked child, which
+    pickles each one into a pipe as it comes. POSIX only. Iterating yields
+    them in order. The exception that stopped the child is raised in place of
+    the item it stopped: itself if it is one of `_RUN_FAILURES`, else an
+    OrchestratorError naming it; a child that died raises an OrchestratorError.
+    The child holds a copy of everything the parent had open at the fork and
+    leaves only through `os._exit`, so it flushes and closes none of it.
     """
 
-    def __init__(self, suite: SceneSuite, count: int, seed: int, path: Path):
-        self._name = path.name
+    def __init__(self, name: str, items):
+        self._name = name
         read_fd, write_fd = os.pipe()
+        with contextlib.suppress(AttributeError, OSError):  # the default buffer then
+            fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
         self.pid = os.fork()
         if self.pid == 0:
             code = 1
@@ -455,45 +487,38 @@ class _FixedSetChild:
                 os.close(read_fd)
                 with open(write_fd, "wb") as pipe:
                     try:
-                        records = datasets.generate_fixed_records(suite, count, seed)
-                        outcome = (datasets.write_samples(records, path), records)
+                        for item in items:
+                            pipe.write(pickle.dumps(item, pickle.HIGHEST_PROTOCOL))
+                            pipe.flush()
+                        code = 0
                     except Exception as exc:
-                        outcome = exc
-                    pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
-                code = int(isinstance(outcome, Exception))
+                        pipe.write(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
             finally:
                 os._exit(code)
         os.close(write_fd)
         self._pipe = open(read_fd, "rb")
         self._exit_code: int | None = None  # set once the child is reaped
-        self._outcome = None
 
-    def result(self) -> tuple[str, list[SampleRecord]]:
-        """Wait for the child's `(digest, records)`. Its failure is raised as
-        one of `_RUN_FAILURES`, on this call and every later one."""
-        if self._outcome is None:
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        if self._exit_code is None:
             try:
-                outcome = pickle.load(self._pipe)
-            except (EOFError, pickle.UnpicklingError):
-                outcome = None  # the child died before its outcome was sent
-            finally:
-                self._pipe.close()  # a child still writing gets EPIPE, not a hang
-            self._reap()
-            if self._exit_code or not isinstance(outcome, tuple):
-                outcome = self._failure(outcome)
-            self._outcome = outcome
-        if isinstance(self._outcome, Exception):
-            raise self._outcome
-        return self._outcome
-
-    def _failure(self, outcome) -> Exception:
-        if isinstance(outcome, _RUN_FAILURES):
-            return outcome
-        if isinstance(outcome, Exception):
-            return OrchestratorError(f"building {self._name} failed: {outcome!r}")
-        return OrchestratorError(
-            f"the child building {self._name} exited with status {self._exit_code}"
-        )
+                item = pickle.load(self._pipe)
+            except EOFError:  # the child closed the pipe: it is leaving
+                self._reap()
+            except pickle.UnpicklingError:  # it died mid-item, or is writing garbage
+                self.kill()
+            else:
+                if not isinstance(item, Exception):
+                    return item
+                if isinstance(item, _RUN_FAILURES):
+                    raise item
+                raise OrchestratorError(f"{self._name} failed: {item!r}")
+        if self._exit_code:
+            raise OrchestratorError(f"the child {self._name} exited with status {self._exit_code}")
+        raise StopIteration
 
     def kill(self) -> None:
         """Kill and reap the child unless it is reaped already."""
@@ -507,15 +532,30 @@ class _FixedSetChild:
             self._exit_code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
 
 
+def _fixed_set(suite: SceneSuite, count: int, seed: int, path: Path):
+    """The test-set child's one item: a fixed set's (digest, records),
+    generated and written."""
+    records = datasets.generate_fixed_records(suite, count, seed)
+    yield datasets.write_samples(records, path), records
+
+
 def run_loop(config: RunConfig, run_dir) -> RunReport:
     """Run the loop into `run_dir`. The first of `_RUN_FAILURES` ends the run:
     the judge is asked nothing more, not even for the test metric, and
     report.json names that failure.
 
-    The test set is built in a forked child while the loop runs (see
-    `_FixedSetChild`). A child that fails ends the run at the test metric;
-    when the run fails otherwise, the child's digest is still collected. No
-    child outlives this call.
+    The run forks one child that builds the test set while the loop runs and,
+    for a random agent, one that rolls the episodes ahead of the judge (see
+    `_ChildStream`): a random agent reads neither observations nor J2. A SAC
+    agent's episodes run in this process, since each must see the J2 absorbed
+    from the one before. Both children are forked before the judge exists, so
+    they hold none of an external judge's pipes, and leave through `os._exit`.
+    Each RNG stream stays in the process that draws from it, and a child's run
+    failure is raised here at the point where it would have been raised in
+    process, so `failure` and every output byte are the same whichever process
+    raised. A test-set failure ends the run at the test metric; when the run
+    fails otherwise, the test set's digest is still collected. No child
+    outlives this call.
     """
     if config.agent == "sac" and config.agent_checkpoint is None:
         raise ConfigError("agent=sac requires a pretrained agent_checkpoint")
@@ -527,7 +567,7 @@ def run_loop(config: RunConfig, run_dir) -> RunReport:
 
     resolved = config.to_dict()
     resolved["digest"] = config.digest()
-    with open(run_dir / "config.json", "w", encoding="utf-8") as f:
+    with datasets.atomic_open(run_dir / "config.json", encoding="utf-8") as f:
         json.dump(resolved, f, sort_keys=True, indent=2)
 
     seq = np.random.SeedSequence(config.seed)
@@ -538,8 +578,7 @@ def run_loop(config: RunConfig, run_dir) -> RunReport:
     env = make_env(config, train, env_seed)
     policy = config.resolved_early_stop()
     report = RunReport(config_digest=resolved["digest"], seed=config.seed)
-    episode_counter = 0
-    test_set = None
+    stream = test_set = None
     try:
         with contextlib.ExitStack() as stack:
             samples_f, verdicts_f = (
@@ -550,17 +589,24 @@ def run_loop(config: RunConfig, run_dir) -> RunReport:
             metrics = csv.writer(metrics_f)
             metrics.writerow(_METRICS_COLUMNS)
 
+            agent = make_agent(config, agent_seed)
+            stochastic = not config.deterministic_actions
+            episodes = _episodes(env, agent, prompt_rng, config.episodes_per_iteration, stochastic)
+            if config.agent == "random":  # forked first, so it overlaps the validation set
+                count = config.iterations * config.episodes_per_iteration
+                episodes = stream = _ChildStream(
+                    "rolling episodes", map(_for_the_pipe, itertools.islice(episodes, count))
+                )
             val_records = datasets.generate_fixed_records(
                 train, config.validation_count, config.validation_seed
             )
             report.validation_digest = datasets.write_samples(
                 val_records, run_dir / "validation.jsonl"
             )
-            # forked before the judge exists, so the child holds no judge pipe
-            test_set = _FixedSetChild(
-                test, config.test_count, config.test_seed, run_dir / "test.jsonl"
+            test_set = _ChildStream(
+                "building test.jsonl",
+                _fixed_set(test, config.test_count, config.test_seed, run_dir / "test.jsonl"),
             )
-            agent = make_agent(config, agent_seed)
             judge = stack.enter_context(
                 contextlib.closing(make_judge(config, train.catalog_names, judge_seed))
             )
@@ -576,21 +622,12 @@ def run_loop(config: RunConfig, run_dir) -> RunReport:
                     if config.budget is not None and report.cumulative_attempts >= config.budget:
                         report.budget_exhausted = True
                         break
-                    ep = run_episode(
-                        env,
-                        agent,
-                        episode_counter,
-                        iteration,
-                        prompt_rng,
-                        report.cumulative_valid,
-                        stochastic=not config.deterministic_actions,
-                    )
-                    episode_counter += 1
+                    ep = next(episodes)
                     verdicts, j2 = infer_and_reward(judge, ep.records)
                     j2s.append(j2)
                     agent.absorb_episode(ep.transitions, j2, config.reward_scale)
                     report.cumulative_valid += len(ep.records)
-                    report.cumulative_attempts += len(ep.transitions)
+                    report.cumulative_attempts += ep.attempts
                     report.truncated_episodes += int(ep.truncated)
                     for rec in ep.records:
                         samples_f.write(datasets.record_line(rec) + "\n")
@@ -625,19 +662,20 @@ def run_loop(config: RunConfig, run_dir) -> RunReport:
                 if early_stop(report.validation_history, policy):
                     report.early_stop_iteration = iteration
                     break
-            report.test_digest, test_records = test_set.result()
+            report.test_digest, test_records = next(test_set)
             del val_set  # freed before the larger test set is encoded
             report.test_metric = judge.validation_metric(judge.encode(test_records))
     except _RUN_FAILURES as exc:
         report.failure = str(exc)
-        if test_set is not None:
+        if test_set is not None and report.test_digest is None:
             with contextlib.suppress(*_RUN_FAILURES):  # the child's own failure leaves it null
-                report.test_digest = test_set.result()[0]
+                report.test_digest = next(test_set)[0]
     finally:
-        if test_set is not None:
-            test_set.kill()
+        for child in (stream, test_set):
+            if child is not None:
+                child.kill()
     report.samples_digest = datasets.file_digest(run_dir / "samples.jsonl")
-    with open(run_dir / "report.json", "w", encoding="utf-8") as f:
+    with datasets.atomic_open(run_dir / "report.json", encoding="utf-8") as f:
         json.dump(report.to_dict(), f, sort_keys=True, indent=2)
     return report
 

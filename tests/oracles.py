@@ -192,9 +192,14 @@ def text_features_reference(caption: str, catalog_names: tuple[str, ...]) -> np.
     """Scan the caption's words left to right. At each word try every catalog
     name in catalog order and take the first whose words follow from there;
     else count the word if it is a primitive or function word. Each token
-    weighs 1 / (1 + index of its first word)."""
-    words = "".join(c.lower() if c.isalnum() else " " for c in caption).split()
-    name_words = [tuple(name.split()) for name in catalog_names]
+    weighs 1 / (1 + index of its first word). Caption and names split alike,
+    into their lower-cased alphanumeric runs."""
+
+    def split(text):
+        return "".join(c.lower() if c.isalnum() else " " for c in text).split()
+
+    words = split(caption)
+    name_words = [tuple(split(name)) for name in catalog_names]
     out = np.zeros(9 + len(PRIMITIVES) + len(_FUNCTION_WORDS))
     i = 0
     while i < len(words):

@@ -183,6 +183,25 @@ def test_write_read_round_trip(tmp_path, records):
     assert read_samples(path) == list(records)
 
 
+@pytest.mark.parametrize("old", [None, b"the set written before\n"], ids=["new", "over-old"])
+def test_a_write_that_raises_midway_leaves_no_partial_file(tmp_path, records, old):
+    path = tmp_path / "s.jsonl"
+    if old is not None:
+        path.write_bytes(old)
+
+    def records_then_failure():
+        yield from records
+        # what was written so far sits in a file beside the target
+        assert any(p != path and p.stat().st_size > 0 for p in tmp_path.iterdir())
+        raise RuntimeError("stopped midway")
+
+    with pytest.raises(RuntimeError, match="stopped midway"):
+        write_samples(records_then_failure(), path)
+    assert list(tmp_path.iterdir()) == ([] if old is None else [path])
+    if old is not None:
+        assert path.read_bytes() == old
+
+
 def test_replay_clean(records):
     assert replay_verify(records) is None
 

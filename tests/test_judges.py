@@ -209,6 +209,13 @@ _CAPTION_TOKENS = (
     names=tuple(reversed(_OVERLAPPING_NAMES)),
     tokens=["The", "pot lid", "is", "left", "of", "the", "coffee table"],
 )
+# a name with a capital or a hyphen matches the caption's words it splits into
+@example(
+    names=(
+        "pot lid", "pot", "coffee mug", "Desk Lamp", "mug", "plate", "hand-mixer", "lamp", "tea cup"
+    ),
+    tokens=["The", "desk lamp", "is", "left", "of", "the", "hand mixer", "and", "the", "Desk-Lamp"],
+)
 def test_text_features_match_the_scan(names, tokens):
     caption = " ".join(tokens)
     got = text_features(caption, tuple(names))

@@ -567,7 +567,7 @@ def test_external_judge_gets_no_request_after_a_timeout(tmp_path, monkeypatch):
     assert json.loads((run_dir / "report.json").read_text()) == report.to_dict()
 
 
-# --- the test-set child ---------------------------------------------------------------
+# --- the forked children ---------------------------------------------------------------
 
 
 @pytest.fixture
@@ -584,6 +584,22 @@ def forked_pids(monkeypatch):
 
     monkeypatch.setattr(os, "fork", recording_fork)
     return pids
+
+
+def _run_loop_reaping(config, run_dir, forked_pids, children: int):
+    """run_loop's report, once it is checked that the run forked `children`
+    children, reaped each one and left no ResourceWarning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        try:
+            return run_loop(config, run_dir)
+        finally:
+            gc.collect()
+            assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+            assert len(forked_pids) == children
+            for pid in forked_pids:
+                with pytest.raises(ChildProcessError):  # reaped already
+                    os.waitpid(pid, os.WNOHANG)
 
 
 def _fail_placement_on_scene_5(monkeypatch):
@@ -603,6 +619,7 @@ def _fail_placement_on_scene_5(monkeypatch):
         ("success", None),
         ("judge-failure", "judge died in finetune"),
         ("test-set-failure", "no placement found on scene 5"),
+        ("episode-failure", "episode 3 failed"),
     ],
 )
 def test_run_loop_reaps_its_test_set_child(tmp_path, monkeypatch, forked_pids, case, failure):
@@ -611,21 +628,26 @@ def test_run_loop_reaps_its_test_set_child(tmp_path, monkeypatch, forked_pids, c
         monkeypatch.setattr(orchestrator, "make_judge", lambda config, names, seed: judge)
     elif case == "test-set-failure":
         _fail_placement_on_scene_5(monkeypatch)
+    elif case == "episode-failure":  # the last episode, raised in the episode child
+        run = orchestrator.run_episode
+
+        def fail_episode_3(env, agent, episode_idx, *args):
+            if episode_idx == 3:
+                raise OrchestratorError("episode 3 failed")
+            return run(env, agent, episode_idx, *args)
+
+        monkeypatch.setattr(orchestrator, "run_episode", fail_episode_3)
     run_dir = tmp_path / "run"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ResourceWarning)
-        report = run_loop(desk_config(**TINY), run_dir)
-        gc.collect()
-    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
-    assert len(forked_pids) == 1
-    with pytest.raises(ChildProcessError):
-        os.waitpid(forked_pids[0], os.WNOHANG)
+    # a random agent's run forks the episode child and the test-set child
+    report = _run_loop_reaping(desk_config(**TINY), run_dir, forked_pids, children=2)
     assert report.failure == failure
     # a failed run still collects the digest of a test set that was built
     assert (report.test_digest is None) == (case == "test-set-failure")
     with open(run_dir / "metrics.csv", newline="") as f:
         rows = list(csv.reader(f))
-    assert rows.count(list(orchestrator._METRICS_COLUMNS)) == 1  # the child flushed no copy
+    assert rows.count(list(orchestrator._METRICS_COLUMNS)) == 1  # no child flushed a copy
+    lines = (run_dir / "samples.jsonl").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == report.cumulative_valid  # every episode before a failure, whole
 
 
 def test_run_loop_kills_its_test_set_child_on_interrupt(tmp_path, monkeypatch, forked_pids):
@@ -633,11 +655,32 @@ def test_run_loop_kills_its_test_set_child_on_interrupt(tmp_path, monkeypatch, f
         raise KeyboardInterrupt
 
     monkeypatch.setattr(orchestrator, "make_judge", interrupt)
-    with pytest.raises(KeyboardInterrupt):  # a test set that takes the child about a second
-        run_loop(desk_config(**{**TINY, "test_count": 10_000}), tmp_path / "run")
-    assert len(forked_pids) == 1
-    with pytest.raises(ChildProcessError):
-        os.waitpid(forked_pids[0], os.WNOHANG)
+    config = desk_config(**{**TINY, "test_count": 10_000})  # the child takes about a second
+    with pytest.raises(KeyboardInterrupt):
+        _run_loop_reaping(config, tmp_path / "run", forked_pids, children=2)
+
+
+def test_a_sac_run_forks_only_the_test_set_child(tmp_path, forked_pids):
+    ck = str(tmp_path / "ck")
+    # seed 1: the untrained agent finds a valid placement in every episode
+    config = desk_config(
+        **{**TINY, "agent": "sac", "agent_hidden": (8, 8), "agent_checkpoint": ck, "seed": 1}
+    )
+    orchestrator.make_sac_agent(config, 0).save(ck)
+    report = _run_loop_reaping(config, tmp_path / "run", forked_pids, children=1)
+    assert report.failure is None and report.iterations_completed == TINY["iterations"]
+
+
+def test_a_run_ending_mid_iteration_on_budget_reaps_the_episode_child(tmp_path, forked_pids):
+    # every episode takes at least 6 attempts, so the budget ends the first
+    # iteration within its 5 episodes, while the child has more of them ready
+    config = desk_config(**{**TINY, "episodes_per_iteration": 5, "budget": 12})
+    run_dir = tmp_path / "run"
+    report = _run_loop_reaping(config, run_dir, forked_pids, children=2)
+    assert report.budget_exhausted and report.iterations_completed == 0
+    assert report.failure is None
+    lines = (run_dir / "samples.jsonl").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == report.cumulative_valid > 0
 
 
 def test_importing_the_orchestrator_loads_no_process_pool():

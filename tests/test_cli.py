@@ -9,7 +9,7 @@ from importlib import resources
 import pytest
 
 from rls3 import cli, orchestrator, scene, wire
-from rls3.datasets import read_samples, record_line
+from rls3.datasets import file_digest, read_samples, record_line
 from rls3.judges import GenerativeJudge, JudgeError
 from rls3.orchestrator import desk_config, run_loop
 
@@ -319,6 +319,36 @@ def test_eval_summary_keys(tmp_path, capsys, judge, extra, metric):
     assert set(summary) == {"loss", metric}
     if metric == "mean_rubric":
         assert summary["loss"] == 6.0 - summary["mean_rubric"]
+
+
+# eval.json carries the judge's floats: pinned for one numpy build (2.4.6 with
+# OpenBLAS, equal under 1 and 2 BLAS threads), so a change to how eval scores
+# the samples or builds its rows shows here.
+GOLDEN_EVAL_DIGESTS = {
+    "generative": (
+        ["--judge", "generative"],
+        "5545c1d6ba54e28322f16000b17eaf1b7e747aaecf7d8275ac99c20f9943af16",
+    ),
+    "contrastive": (
+        ["--judge", "contrastive"],
+        "18514b5d510572c407a193f8e45cc6d4904c065f442587cf0c5d608763221c85",
+    ),
+    "external-contrastive": (
+        ["--judge", f"external:{STUB_COMMAND} --behavior all_correct",
+         "--set", "external_mode=contrastive"],
+        "810e234596c52dffb4a95e0ff223e6acaf9aad9bfe2202137a303f9e1f0df45f",
+    ),
+}
+
+
+@pytest.mark.parametrize("judge", sorted(GOLDEN_EVAL_DIGESTS))
+def test_eval_json_digests(tmp_path, capsys, judge):
+    run_dir = tmp_path / "run"
+    assert run_cli("gen-fixed-set", "--count", "60", "--run-dir", str(run_dir)) == 0
+    args, digest = GOLDEN_EVAL_DIGESTS[judge]
+    assert run_cli("eval", "--run-dir", str(run_dir), "--samples",
+                   str(run_dir / "fixed_set.jsonl"), *args) == 0
+    assert file_digest(run_dir / "eval.json") == digest
 
 
 def _rename_subject(line: str) -> str:

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .datasets import atomic_open
 from .nets import Mlp, NetOptimizer, load_net, save_net
 from .scene import OBS_DIM, OBS_SCALE, PlacementEnv, _number
 
@@ -280,7 +281,7 @@ class SacAgent:
             "polyak": self.polyak,
             "obs_scale": OBS_SCALE.tolist(),
         }
-        with open(directory / "manifest.json", "w", encoding="utf-8") as f:
+        with atomic_open(directory / "manifest.json", encoding="utf-8") as f:
             json.dump(manifest, f, sort_keys=True, indent=2)
 
     def load(self, directory) -> None:

@@ -183,6 +183,8 @@ def _cmd_eval(args) -> int:
     run_dir = _require_run_dir(args)
     run_dir.mkdir(parents=True, exist_ok=True)
     records = datasets.read_samples(args.samples)
+    if not records:
+        raise ValueError(f"sample file {args.samples} holds no records")
     suite = orchestrator.resolve_suite(config.train_suite)
     _check_names(records, suite.catalog_names)
     judge = orchestrator.make_judge(config, suite.catalog_names, config.seed)
@@ -192,14 +194,11 @@ def _cmd_eval(args) -> int:
                 raise UsageError("external judges do not take local checkpoints")
             judge.load(args.judge_checkpoint)
         verdicts, loss = judge.infer(records)
-        summary = {"loss": loss, judge.metric_name: judges.mean_score(verdicts)}
-    doc = {
-        "metric": summary,
-        "per_term": datasets.breakdown(verdicts, records, "term"),
-        "per_complexity": datasets.breakdown(verdicts, records, "complexity"),
-    }
-    with open(run_dir / "eval.json", "w", encoding="utf-8") as f:
-        json.dump(doc, f, sort_keys=True, indent=2)
+    scores = judges.verdict_scores(verdicts)
+    summary = {"loss": loss, judge.metric_name: judges.scored_mean(scores)}
+    with datasets.atomic_open(run_dir / "eval.json", encoding="utf-8") as f:
+        json.dump({"metric": summary, **datasets.breakdown(scores, records)}, f,
+                  sort_keys=True, indent=2)
     print(json.dumps(summary, sort_keys=True))
     return 0
 

@@ -271,26 +271,28 @@ def replay_verify(records) -> tuple[int, str] | None:
 # --- breakdowns ----------------------------------------------------------------
 
 
-def breakdown(verdicts, samples, kind: str) -> dict:
-    """Mean verdict score and count per answer term (kind "term", a sample
-    counting once for each of its truth terms) or per relation complexity
-    (kind "complexity"). Unscored verdicts are left out; a row with no scored
-    sample has mean_score None.
+def breakdown(scores, samples) -> dict:
+    """eval.json's per_term and per_complexity tables, scores[i] being
+    samples[i]'s score: the mean and count of the scored samples with each
+    answer term (a sample counts once for each of its truth terms) and with
+    each relation complexity, its number of terms. NaN scores are left out; a
+    row with no scored sample has mean_score None.
     """
-    keys = prompts.PRIMITIVES if kind == "term" else ("1", "2", "3")
-    scores: dict[str, list[float]] = {key: [] for key in keys}
-    by_id = {rec.id: rec for rec in samples}
-    for v in verdicts:
-        rec = by_id.get(v.sample_id)
-        if rec is None or v.score is None:
-            continue
-        for key in rec.terms if kind == "term" else (str(len(rec.terms)),):
-            scores[key].append(v.score)
-    rows = [
-        {"key": key, "mean_score": float(np.mean(s)) if s else None, "count": len(s)}
-        for key, s in scores.items()
-    ]
-    return {"kind": kind, "rows": rows}
+    scores = np.asarray(scores, dtype=float)
+    has = np.array([[t in r.terms for t in prompts.PRIMITIVES] for r in samples], dtype=bool)
+    tables = {
+        "term": (prompts.PRIMITIVES, has),
+        "complexity": (("1", "2", "3"), has.sum(axis=1)[:, None] == np.arange(1, 4)),
+    }
+    out = {}
+    for kind, (keys, member) in tables.items():
+        rows = []
+        for key, column in zip(keys, member.T):
+            s = scores[column & ~np.isnan(scores)]
+            rows.append({"key": key, "mean_score": float(np.mean(s)) if s.size else None,
+                         "count": s.size})
+        out[f"per_{kind}"] = {"kind": kind, "rows": rows}
+    return out
 
 
 # --- plot export -----------------------------------------------------------------

@@ -14,10 +14,13 @@ output with one of two array scorers: a table of `rubric_score` over every
 predicted term mask and every valid relation (bit i of a mask is
 `prompts.PRIMITIVES[i]`), or `_ranked` over (positive, term-swapped,
 object-swapped) similarity rows. `infer` builds its verdicts from those
-arrays; `validation_metric(encoded)` takes their mean and builds none. A
-predicted term set naming a word outside PRIMITIVES is flagged: it has no
-score, and every mean leaves it out. Caption token bags are built through a
-word map per catalog, keyed by each name's first word.
+arrays; `scores(encoded)` returns them as one score per sample, the rubric or
+1.0/0.0 for a ranking. Every metric and row comes from such an array:
+`validation_metric(encoded)` is its mean, and `rls3 eval` reads it off the
+verdicts through `verdict_scores`, its rows in file order, not by id. A
+predicted term set naming a word outside PRIMITIVES is flagged: its score is
+NaN, and every mean and row leaves it out. Caption token bags are built
+through a word map per catalog, keyed by each name's first word.
 
 Both judges consume world-frame coordinates plus the camera pose, so the
 camera-relative frame has to be learned; that is the manufactured initial
@@ -63,16 +66,6 @@ class JudgeVerdict:
     similarities: tuple[float, float, float] | None = None  # positive, neg_term, neg_object
     ranked_correct: bool | None = None
     flagged: bool = False
-
-    @property
-    def score(self) -> float | None:
-        """The rubric, or 1.0/0.0 for a ranking that does or does not put the
-        positive first; None for a flagged verdict, which carries neither."""
-        if self.rubric is not None:
-            return float(self.rubric)
-        if self.ranked_correct is not None:
-            return float(self.ranked_correct)
-        return None
 
 
 # --- rubric --------------------------------------------------------------------
@@ -167,7 +160,7 @@ def _rubric_verdicts(
         else JudgeVerdict(rec.id, predicted_terms=_TERM_SETS[m], rubric=int(rubric))
         for rec, m, rubric in zip(samples, predicted.tolist(), rubrics.tolist())
     ]
-    return verdicts, 6.0 - _mean(rubrics)
+    return verdicts, 6.0 - scored_mean(rubrics)
 
 
 def _ranked(similarities: np.ndarray) -> np.ndarray:
@@ -189,7 +182,7 @@ def _ranking_verdicts(samples: list[SampleRecord], similarities: np.ndarray) -> 
     ]
 
 
-def _mean(scores) -> float:
+def scored_mean(scores) -> float:
     """The mean of the scores that are not NaN, or JudgeError if none is."""
     scores = np.asarray(scores, dtype=float)
     scored = scores[~np.isnan(scores)]
@@ -198,10 +191,11 @@ def _mean(scores) -> float:
     return float(np.mean(scored))
 
 
-def mean_score(verdicts: list[JudgeVerdict]) -> float:
-    """Mean score of the verdicts that are not flagged. A judge's
-    validation_metric gives the same value for the same samples."""
-    return _mean([np.nan if v.score is None else v.score for v in verdicts])
+def verdict_scores(verdicts: list[JudgeVerdict]) -> np.ndarray:
+    """The scores of `infer`'s verdicts, as `scores` gives them for the same
+    samples: the rubric, or 1.0/0.0 for a ranking; NaN where flagged."""
+    return np.array([np.nan if v.flagged else v.rubric if v.rubric is not None
+                     else v.ranked_correct for v in verdicts], dtype=float)
 
 
 # --- contrastive loss ------------------------------------------------------------
@@ -372,6 +366,17 @@ def _load_nets(directory, current: dict[str, Mlp]) -> list[Mlp]:
     return loaded
 
 
+class _Judge:
+    """What every judge derives from its `scores(encoded)`."""
+
+    def validation_metric(self, encoded) -> float:
+        """The mean of the encoded samples' scores, NaN left out."""
+        return scored_mean(self.scores(encoded))
+
+    def close(self) -> None:
+        """A local judge holds nothing to release."""
+
+
 # --- generative judge -----------------------------------------------------------------
 
 
@@ -383,7 +388,7 @@ class GenerativeEncoding(NamedTuple):
     truth: np.ndarray
 
 
-class GenerativeJudge:
+class GenerativeJudge(_Judge):
     """Multi-label term classifier on scene-pair features, scored by the rubric."""
 
     metric_name = "mean_rubric"
@@ -422,9 +427,9 @@ class GenerativeJudge:
         encoded = self.encode(samples)
         return _rubric_verdicts(samples, self._predicted_masks(encoded.features), encoded.truth)
 
-    def validation_metric(self, encoded: GenerativeEncoding) -> float:
-        """Mean rubric of the encoded samples."""
-        return _mean(_rubrics(self._predicted_masks(encoded.features), encoded.truth))
+    def scores(self, encoded: GenerativeEncoding) -> np.ndarray:
+        """The rubric of each encoded sample."""
+        return _rubrics(self._predicted_masks(encoded.features), encoded.truth)
 
     def finetune(self, samples: list[SampleRecord], steps: int) -> list[float]:
         """Optimizer steps of multi-label cross-entropy on seeded minibatches;
@@ -470,9 +475,6 @@ class GenerativeJudge:
         (self.net,) = _load_nets(directory, {"classifier.net": self.net})
         self.optimizer = NetOptimizer(self.net, lr=self.optimizer.adam.lr)
 
-    def close(self) -> None:
-        """A local judge holds nothing to release."""
-
 
 # --- contrastive judge ------------------------------------------------------------------
 
@@ -485,7 +487,7 @@ class ContrastiveEncoding(NamedTuple):
     texts: np.ndarray
 
 
-class ContrastiveJudge:
+class ContrastiveJudge(_Judge):
     """Bi-encoder over scene metadata and caption token bags, trained and
     scored against the 3N text pool.
     """
@@ -558,9 +560,9 @@ class ContrastiveJudge:
         similarities, z, w = self._similarities(self.encode(samples))
         return _ranking_verdicts(samples, similarities), contrastive_loss(z, w, self.temperature)
 
-    def validation_metric(self, encoded: ContrastiveEncoding) -> float:
-        """Retrieval accuracy of the encoded samples; the loss is not built."""
-        return _mean(_ranked(self._similarities(encoded)[0]))
+    def scores(self, encoded: ContrastiveEncoding) -> np.ndarray:
+        """1.0 where a sample's positive outranks both negatives, else 0.0; no loss."""
+        return _ranked(self._similarities(encoded)[0]).astype(float)
 
     def finetune(self, samples: list[SampleRecord], epochs: int) -> list[float]:
         """InfoNCE steps over shuffled minibatches; returns each epoch's mean loss."""
@@ -608,23 +610,19 @@ class ContrastiveJudge:
         self.image_optimizer = NetOptimizer(self.image_encoder, lr=self.image_optimizer.adam.lr)
         self.text_optimizer = NetOptimizer(self.text_encoder, lr=self.text_optimizer.adam.lr)
 
-    def close(self) -> None:
-        """A local judge holds nothing to release."""
-
 
 # --- external judge -----------------------------------------------------------------------
 
 
 class ExternalEncoding(NamedTuple):
-    """Samples as ExternalJudge's infer and validation_metric read them: the
-    JSON lines an infer request sends, and one truth-term mask per sample,
-    read-only."""
+    """Samples as ExternalJudge's infer and scores read them: the JSON lines an
+    infer request sends, and one truth-term mask per sample, read-only."""
 
     lines: tuple[str, ...]
     truth: np.ndarray
 
 
-class ExternalJudge:
+class ExternalJudge(_Judge):
     """Adapter forwarding infer/finetune over the NDJSON wire protocol.
 
     An infer reply carries `terms`, one list of strings per sample
@@ -690,11 +688,11 @@ class ExternalJudge:
         sims, loss = self._infer_reply(encoded)
         return _ranking_verdicts(samples, sims), loss
 
-    def validation_metric(self, encoded: ExternalEncoding) -> float:
-        """The mean score of the reply, as `infer` scores it."""
+    def scores(self, encoded: ExternalEncoding) -> np.ndarray:
+        """Each sample's score in one infer round trip, as `infer` scores it."""
         if self.mode == "generative":
-            return _mean(_rubrics(self._infer_reply(encoded), encoded.truth))
-        return _mean(_ranked(self._infer_reply(encoded)[0]))
+            return _rubrics(self._infer_reply(encoded), encoded.truth)
+        return _ranked(self._infer_reply(encoded)[0]).astype(float)
 
     def finetune(self, samples, steps) -> list[float]:
         """The reply's loss as a one-entry list, or no loss for a bare `ok`."""

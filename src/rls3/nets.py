@@ -35,6 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datasets import atomic_open
+
 CHECKPOINT_MAGIC = b"RLS3NET1"
 
 
@@ -313,7 +315,7 @@ def _activation_codes(n_layers: int) -> tuple[int, ...]:
 
 def save_net(net: Mlp, path) -> None:
     fields = [len(net.layer_sizes), *net.layer_sizes, *_activation_codes(len(net.weights))]
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack(f"<{len(fields)}Q", *fields))
         f.write(net.flat.astype("<f8", copy=False).tobytes())

@@ -60,9 +60,35 @@ def _must_be(phrase: str, default=dataclasses.MISSING):
     return field(default=default, metadata={"range": (phrase, _RANGES[phrase])})
 
 
-def _check_ranges(config) -> None:
+# the Python types each scalar field annotation admits; bool, a subclass of
+# int, is admitted only where the annotation says bool
+_SCALAR_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
+
+
+def _is_scalar(value, base: str) -> bool:
+    return isinstance(value, _SCALAR_TYPES[base]) and isinstance(value, bool) == (base == "bool")
+
+
+def _check_type(key: str, value, annotation: str) -> None:
+    base, _, optional = annotation.partition(" | ")
+    if optional == "None" and value is None:
+        return
+    if base == "tuple[int, ...]":  # hidden sizes
+        annotation = "a list of positive ints"
+        ok = isinstance(value, (list, tuple)) and all(_is_scalar(v, "int") and v > 0 for v in value)
+    elif base == "EarlyStopPolicy":
+        ok = isinstance(value, EarlyStopPolicy)
+    else:
+        ok = _is_scalar(value, base)
+    if not ok:
+        raise ConfigError(f"config key {key!r} must be {annotation}, got {value!r}")
+
+
+def _check_fields(config) -> None:
+    """Check each field's type (see _check_type), then its range."""
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
+        _check_type(f.name, value, f.type)
         if f.type == "float" and not scene.is_finite_number(value):
             raise ConfigError(f"{f.name} must be a finite number")
         if "range" in f.metadata:
@@ -77,7 +103,7 @@ class EarlyStopPolicy:
     patience: int = _must_be("positive")
     epsilon: float = _must_be("non-negative")
 
-    __post_init__ = _check_ranges
+    __post_init__ = _check_fields
 
 
 GENERATIVE_EARLY_STOP = EarlyStopPolicy(min_iterations=15, patience=10, epsilon=0.02)
@@ -132,7 +158,7 @@ class RunConfig:
     external_mode: str = "generative"
 
     def __post_init__(self):
-        _check_ranges(self)
+        _check_fields(self)
         if self.agent not in ("sac", "random"):
             raise ConfigError(f"unknown agent kind {self.agent!r}")
         if self.judge not in ("generative", "contrastive") and not self.judge.startswith(
@@ -166,35 +192,14 @@ class RunConfig:
 
 _CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 _EARLY_STOP_FIELDS = {f.name: f.type for f in dataclasses.fields(EarlyStopPolicy)}
-# the Python types each scalar field annotation admits; bool, a subclass of
-# int, is admitted only where the annotation says bool
-_SCALAR_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
-
-
-def _is_scalar(value, base: str) -> bool:
-    return isinstance(value, _SCALAR_TYPES[base]) and isinstance(value, bool) == (base == "bool")
-
-
-def _check_type(key: str, value, annotation: str) -> None:
-    base, _, optional = annotation.partition(" | ")
-    if optional == "None" and value is None:
-        return
-    if base == "tuple[int, ...]":  # hidden sizes
-        annotation = "a list of positive ints"
-        ok = isinstance(value, (list, tuple)) and all(_is_scalar(v, "int") and v > 0 for v in value)
-    else:  # early_stop passes; config_from_dict checks its fields one by one
-        ok = base not in _SCALAR_TYPES or _is_scalar(value, base)
-    if not ok:
-        raise ConfigError(f"config key {key!r} must be {annotation}, got {value!r}")
-
-
 def config_from_dict(doc: dict) -> RunConfig:
+    """The config a JSON document describes. Each key's type is checked in
+    document order, so the first bad key is the one named."""
     kwargs = {}
     try:
         for key, value in doc.items():
             if key not in _CONFIG_FIELDS:
                 raise ConfigError(f"unknown config key {key!r}")
-            _check_type(key, value, _CONFIG_FIELDS[key])
             if key == "early_stop" and value is not None:
                 if not isinstance(value, dict):
                     raise ConfigError(f"config key 'early_stop' must be an object, got {value!r}")
@@ -202,6 +207,7 @@ def config_from_dict(doc: dict) -> RunConfig:
                     if sub in value:
                         _check_type(f"early_stop.{sub}", value[sub], annotation)
                 value = EarlyStopPolicy(**value)  # a missing or unknown field: TypeError
+            _check_type(key, value, _CONFIG_FIELDS[key])
             if _CONFIG_FIELDS[key] == "tuple[int, ...]":  # hidden sizes, a list in JSON
                 value = tuple(value)
             kwargs[key] = value

@@ -147,8 +147,8 @@ class NdjsonClient:
             raise WireProtocolError(f"malformed response line: {exc}") from exc
         if not isinstance(resp, dict) or "id" not in resp:
             raise WireProtocolError("response is not an object with an id")
-        if resp["id"] != req_id:
-            raise WireIdMismatch(f"expected id {req_id}, got {resp['id']}")
+        if type(resp["id"]) is not int or resp["id"] != req_id:  # no bool, no float
+            raise WireIdMismatch(f"expected id {req_id}, got {resp['id']!r}")
         return resp
 
 

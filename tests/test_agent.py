@@ -185,6 +185,17 @@ def test_absorb_episode_bonuses_the_terminal_reward_only():
 # --- persistence ----------------------------------------------------------------------
 
 
+def test_a_save_that_raises_midway_keeps_the_previous_manifest(tmp_path):
+    agent = make_agent(seed=9)
+    agent.save(tmp_path / "ck")
+    before = (tmp_path / "ck" / "manifest.json").read_bytes()
+    agent.gamma = object()  # json.dump raises at "gamma", after writing "alpha"
+    with pytest.raises(TypeError):
+        agent.save(tmp_path / "ck")
+    assert (tmp_path / "ck" / "manifest.json").read_bytes() == before
+    assert not list((tmp_path / "ck").glob("*.tmp"))
+
+
 def test_checkpoint_round_trip(tmp_path):
     agent = make_agent(seed=9)
     rng = np.random.default_rng(9)

@@ -443,6 +443,49 @@ def test_contrastive_eval_rows_are_ranking_shares(tmp_path, capsys, judge, extra
         assert row["mean_score"] == sum(shares) / len(shares)
 
 
+def test_eval_rows_count_every_record_of_a_file_with_repeated_ids(tmp_path, capsys):
+    # two fixed sets in one file: ids 0-39 each name two records
+    run_dir = tmp_path / "run"
+    for seed in ("0", "1"):
+        assert run_cli("gen-fixed-set", "--count", "40", "--seed", seed, "--out",
+                       f"set{seed}.jsonl", "--run-dir", str(run_dir)) == 0
+    samples = run_dir / "both.jsonl"
+    samples.write_text((run_dir / "set0.jsonl").read_text() + (run_dir / "set1.jsonl").read_text())
+    assert run_cli("eval", "--run-dir", str(run_dir), "--samples", str(samples),
+                   "--judge", "contrastive") == 0
+    capsys.readouterr()
+    doc = json.loads((run_dir / "eval.json").read_text())
+    records = read_samples(samples)
+    config = orchestrator.config_from_dict({"judge": "contrastive"})
+    names = orchestrator.resolve_suite(config.train_suite).catalog_names
+    judge = orchestrator.make_judge(config, names, config.seed)
+    scores = judge.scores(judge.encode(records)).tolist()
+    # each record counts once in the rows, with its own terms
+    for table, counts_in in (
+        ("per_term", lambda key, rec: key in rec.terms),
+        ("per_complexity", lambda key, rec: str(len(rec.terms)) == key),
+    ):
+        for row in doc[table]["rows"]:
+            mine = [s for s, rec in zip(scores, records) if counts_in(row["key"], rec)]
+            assert row["count"] == len(mine), (table, row)
+            assert row["mean_score"] == (pytest.approx(sum(mine) / len(mine)) if mine else None)
+    assert sum(r["count"] for r in doc["per_complexity"]["rows"]) == len(records) == 80
+
+
+def test_eval_rejects_an_empty_sample_file(tmp_path, capsys, monkeypatch):
+    samples = tmp_path / "empty.jsonl"
+    samples.write_text("\n")
+    built = []
+    monkeypatch.setattr(orchestrator, "make_judge", lambda *args: built.append(args))
+    run_dir = tmp_path / "run"
+    assert run_cli("eval", "--run-dir", str(run_dir), "--samples", str(samples),
+                   "--judge", "generative") == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: sample file {samples} holds no records"]
+    assert captured.out == "" and built == []
+    assert not (run_dir / "eval.json").exists()
+
+
 # An external contrastive judge whose infer replies are malformed as each
 # case says; every other request is acknowledged.
 BAD_SIMILARITIES = {

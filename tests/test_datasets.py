@@ -21,7 +21,7 @@ from rls3.datasets import (
     write_samples,
 )
 from rls3.agent import RandomAgent
-from rls3.judges import ContrastiveJudge, GenerativeJudge, JudgeVerdict
+from rls3.judges import ContrastiveJudge, GenerativeJudge
 from rls3.orchestrator import run_episode
 from rls3.prompts import PRIMITIVES
 from rls3.scene import PlacementEnv, builtin_suite
@@ -228,23 +228,24 @@ def test_replay_detects_caption_edit(records):
 
 def test_breakdowns(train, records):
     judge = GenerativeJudge(train.catalog_names, seed=0)
-    verdicts, _ = judge.infer(records)
-    table = breakdown(verdicts, records, "term")
+    tables = breakdown(judge.scores(judge.encode(records)), records)
+    table = tables["per_term"]
     assert table["kind"] == "term"
     assert [r["key"] for r in table["rows"]] == list(PRIMITIVES)
     assert sum(r["count"] for r in table["rows"]) >= len(records)  # terms overlap
     for r in table["rows"]:
         if r["count"]:
             assert 1.0 <= r["mean_score"] <= 5.0
-    ctable = breakdown(verdicts, records, "complexity")
+    ctable = tables["per_complexity"]
     assert ctable["kind"] == "complexity"
     assert [r["key"] for r in ctable["rows"]] == ["1", "2", "3"]
     assert sum(r["count"] for r in ctable["rows"]) == len(records)
 
 
 def test_breakdown_of_rankings_and_flags(train, records):
-    verdicts, _ = ContrastiveJudge(train.catalog_names, seed=0).infer(records)
-    rows = breakdown(verdicts, records, "complexity")["rows"]
+    judge = ContrastiveJudge(train.catalog_names, seed=0)
+    verdicts, _ = judge.infer(records)
+    rows = breakdown(judge.scores(judge.encode(records)), records)["per_complexity"]["rows"]
     for row in rows:
         ranked = [
             v.ranked_correct
@@ -253,11 +254,10 @@ def test_breakdown_of_rankings_and_flags(train, records):
         ]
         assert row["count"] == len(ranked)
         assert row["mean_score"] == (sum(ranked) / len(ranked) if ranked else None)
-    # flagged verdicts and verdicts of unknown samples are left out
-    flagged = [JudgeVerdict(rec.id, flagged=True) for rec in records]
-    stray = [JudgeVerdict(-1, rubric=5)]
-    for row in breakdown(flagged + stray, records, "term")["rows"]:
-        assert row == {"key": row["key"], "mean_score": None, "count": 0}
+    # NaN scores, those of flagged verdicts, are left out
+    for table in breakdown(np.full(len(records), np.nan), records).values():
+        for row in table["rows"]:
+            assert row == {"key": row["key"], "mean_score": None, "count": 0}
 
 
 def test_export_plot_data(tmp_path):

@@ -306,6 +306,13 @@ def test_generative_load_rejects_a_classifier_of_other_width(tmp_path, train):
 # --- the contract every judge keeps -------------------------------------------------
 
 STUB = [sys.executable, "-m", "rls3.external_stub"]
+FLAGGING_PEER = (
+    "import sys, json\n"
+    "for line in sys.stdin:\n"
+    "    req = json.loads(line)\n"
+    "    terms = [['sideways'] if i % 2 else ['left'] for i in range(len(req['samples']))]\n"
+    "    print(json.dumps({'id': req['id'], 'terms': terms}), flush=True)\n"
+)
 
 JUDGES = {
     "generative": lambda names: GenerativeJudge(names, seed=0),
@@ -325,6 +332,11 @@ JUDGES = {
     "external-contrastive-all_correct": lambda names: ExternalJudge(
         NdjsonClient.spawn(STUB + ["--behavior", "all_correct", "--loss", "0.8"], timeout=10),
         mode="contrastive",
+    ),
+    # every second predicted term set names a word outside the primitives
+    "external-generative-flagging": lambda names: ExternalJudge(
+        NdjsonClient.spawn([sys.executable, "-c", FLAGGING_PEER], timeout=10),
+        mode="generative",
     ),
 }
 
@@ -346,12 +358,18 @@ def test_judge_contract(any_judge, records, tmp_path):
             assert v.rubric == rubric_score(v.predicted_terms, rec.terms)
     _, j2 = infer_and_reward(any_judge, batch)
     assert j2 == loss**2
-    # every judge's validation metric is its verdicts' mean score
+    # every judge's validation metric is the mean of its scores, NaN where a
+    # verdict is flagged and left out; infer's verdicts carry the same scores
     encoded = any_judge.encode(records)
     assert not any(a.flags.writeable for a in encoded if isinstance(a, np.ndarray))
     metric = any_judge.validation_metric(encoded)
     assert type(metric) is float
-    assert metric == judges.mean_score(any_judge.infer(records)[0])
+    scores = any_judge.scores(encoded)
+    assert scores.dtype == float and scores.shape == (len(records),)
+    assert metric == float(np.mean(scores[~np.isnan(scores)]))
+    all_verdicts = any_judge.infer(records)[0]
+    assert np.isnan(scores).tolist() == [v.flagged for v in all_verdicts]
+    np.testing.assert_array_equal(judges.verdict_scores(all_verdicts), scores)
     assert any_judge.metric_name in ("mean_rubric", "retrieval_accuracy")
     assert (any_judge.metric_name == "mean_rubric") == (verdicts[0].rubric is not None)
     any_judge.save(tmp_path / "judge")
@@ -362,12 +380,16 @@ def test_judge_contract(any_judge, records, tmp_path):
 
 
 def test_verdict_score():
-    assert judges.JudgeVerdict(0, rubric=4).score == 4.0
-    assert judges.JudgeVerdict(0, ranked_correct=True).score == 1.0
-    assert judges.JudgeVerdict(0, ranked_correct=False).score == 0.0
-    assert judges.JudgeVerdict(0, flagged=True).score is None
+    verdicts = [
+        judges.JudgeVerdict(0, rubric=4),
+        judges.JudgeVerdict(1, ranked_correct=True),
+        judges.JudgeVerdict(2, ranked_correct=False),
+        judges.JudgeVerdict(3, flagged=True),
+    ]
+    np.testing.assert_array_equal(judges.verdict_scores(verdicts), [4.0, 1.0, 0.0, np.nan])
+    assert judges.scored_mean(judges.verdict_scores(verdicts)) == 5.0 / 3.0
     with pytest.raises(JudgeError, match="no scored verdicts"):
-        judges.mean_score([judges.JudgeVerdict(0, flagged=True)])
+        judges.scored_mean(judges.verdict_scores(verdicts[3:]))
 
 
 # --- contrastive judge ------------------------------------------------------------
@@ -542,7 +564,9 @@ def test_contrastive_triples_are_the_full_matrix_diagonals(train):
     assert np.max(np.abs(got - expected)) <= 1e-12
     ranked = (expected[:, 0] > expected[:, 1]) & (expected[:, 0] > expected[:, 2])
     assert [v.ranked_correct for v in verdicts] == ranked.tolist()
-    assert judge.validation_metric(judge.encode(recs)) == judges.mean_score(verdicts)
+    encoded = judge.encode(recs)
+    np.testing.assert_array_equal(judge.scores(encoded), ranked.astype(float))
+    assert judge.validation_metric(encoded) == float(np.mean(ranked.astype(float)))
 
 
 def test_contrastive_validation_builds_no_similarity_matrix(train):

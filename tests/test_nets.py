@@ -422,6 +422,26 @@ def test_mutated_checkpoint_loads_finite_or_raises_value_error(tmp_path, data):
     assert path.read_bytes() == blob
 
 
+class _StopsMidway:
+    """Stands in for a net's parameters: converting them raises, after
+    save_net has written the checkpoint's header."""
+
+    def astype(self, *args, **kwargs):
+        raise KeyboardInterrupt("stopped midway")
+
+
+def test_a_save_that_raises_midway_keeps_the_previous_checkpoint(tmp_path, net):
+    path = tmp_path / "net.net"
+    save_net(net, path)
+    before = path.read_bytes()
+    broken = Mlp([4, 8, 5, 3], seed=8)
+    broken.flat = _StopsMidway()
+    with pytest.raises(KeyboardInterrupt, match="stopped midway"):
+        save_net(broken, path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_checkpoint_rejects_nonfinite_weights(tmp_path, net):
     net.params()[0][0, 0] = np.inf
     path = tmp_path / "net.net"

@@ -162,6 +162,14 @@ def test_config_validation():
         ("threshold", 2.0),
         ("threshold", float("nan")),
         ("pretrain_steps", 0),
+        # a value of the wrong type, rejected when the config is built in
+        # Python as config_from_dict rejects it in a document
+        pytest.param("judge_hidden", (0,), id="zero-width-hidden"),
+        pytest.param("seed", True, id="bool-seed"),
+        pytest.param("iterations", 2.5, id="float-iterations"),
+        pytest.param("budget", 2.5, id="float-budget"),
+        pytest.param("early_stop", {"patience": 1}, id="early-stop-dict"),
+        pytest.param("iterations", "3", id="string-iterations"),
     ],
 )
 def test_config_rejects_bad_sizes_rates_and_seeds(key, value):

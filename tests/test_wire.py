@@ -1,5 +1,6 @@
 import contextlib
 import json
+import math
 import os
 import shlex
 import socket
@@ -10,6 +11,7 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 from rls3 import wire
 from rls3.datasets import generate_fixed_records, record_to_dict
 from rls3.external_stub import handle_request
-from rls3.judges import ExternalJudge, JudgeError, mean_score
+from rls3.judges import ExternalJudge, JudgeError, verdict_scores
 from rls3.orchestrator import desk_config, infer_and_reward, run_loop
 from rls3.scene import builtin_suite
 from rls3.wire import (
@@ -77,7 +79,8 @@ def test_external_contrastive_judge_rankings(records, behavior, sent, accuracy):
         assert judge.metric_name == "retrieval_accuracy"
         verdicts, loss = judge.infer(records)
         assert loss == 0.8 and [v.sample_id for v in verdicts] == [r.id for r in records]
-        assert all(v.similarities == sent and v.score == accuracy for v in verdicts)
+        assert all(v.similarities == sent for v in verdicts)
+        assert verdict_scores(verdicts).tolist() == [accuracy] * len(records)
         assert judge.validation_metric(judge.encode(records)) == accuracy
         assert infer_and_reward(judge, records)[1] == pytest.approx(0.64)
 
@@ -214,9 +217,11 @@ def test_external_judge_rejects_malformed_terms(records):
         judge = ExternalJudge(client, mode="generative")
         verdicts, _ = judge.infer(records[:2])
         assert verdicts[0].flagged and not verdicts[1].flagged
-        # the flagged entry is left out of the metric as it is out of the mean
-        metric = judge.validation_metric(judge.encode(records[:2]))
-        assert metric == mean_score(verdicts)
+        # the flagged entry has a NaN score and is left out of the metric
+        scores = judge.scores(judge.encode(records[:2]))
+        assert math.isnan(scores[0]) and scores[1] == verdicts[1].rubric
+        np.testing.assert_array_equal(verdict_scores(verdicts), scores)
+        assert judge.validation_metric(judge.encode(records[:2])) == scores[1]
         with pytest.raises(JudgeError, match="no scored verdicts"):
             judge.infer(records[:1])  # every verdict flagged
         with pytest.raises(JudgeError, match="malformed terms list"):
@@ -342,6 +347,22 @@ def test_malformed_response(peer):
 def test_id_mismatch(peer):
     with pytest.raises(WireIdMismatch, match="expected id 0, got 9999"):
         peer.request({"op": "infer"}, b'{"id": 9999, "ok": true}\n')
+
+
+@pytest.mark.parametrize("ids", [[False], [0, 1.0]], ids=["false-for-0", "float-for-1"])
+def test_reply_id_must_be_the_int_request_id(ids):
+    # the peer answers request k with id ids[k]; only the last answer is wrong
+    code = (
+        "import sys, json\n"
+        f"ids = {ids!r}\n"
+        "for k, line in enumerate(sys.stdin):\n"
+        "    print(json.dumps({'id': ids[k], 'ok': True}), flush=True)\n"
+    )
+    with contextlib.closing(NdjsonClient.spawn([sys.executable, "-c", code], timeout=10)) as client:
+        for _ in ids[:-1]:
+            assert client.request({"op": "finetune", "samples": []})["ok"] is True
+        with pytest.raises(WireIdMismatch, match=f"expected id {len(ids) - 1}, got {ids[-1]!r}"):
+            client.request({"op": "finetune", "samples": []})
 
 
 def test_peer_closure(peer):

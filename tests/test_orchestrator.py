@@ -740,3 +740,22 @@ def test_golden_digests(tmp_path):
         assert report.samples_digest == GOLDEN_SAMPLES_DIGEST
         got = tuple(file_digest(run_dir / name) for name in ("verdicts.jsonl", "metrics.csv"))
         assert got == outputs, judge
+
+
+# An external judge's verdict lines over the reference stub. Those of
+# contrastive mode carry the similarity triples parsed from its replies, which
+# the local judges' pins above do not cover.
+GOLDEN_EXTERNAL_VERDICTS_DIGESTS = {
+    "generative": "a079348f3cd587c68adc5a8e453f3d91ee137d9b185b4e1f03b94f2271a778c5",
+    "contrastive": "f0f3037f00d42d54bc381accbcf144e5fc5180499bea313d499103035077e8ea",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN_EXTERNAL_VERDICTS_DIGESTS))
+def test_golden_external_verdicts_digests(tmp_path, mode):
+    stub = f"{shlex.quote(sys.executable)} -m rls3.external_stub --behavior all_correct"
+    cfg = desk_config(**TINY, judge=f"external:{stub}", external_mode=mode, seed=0)
+    run_dir = tmp_path / "run"
+    report = run_loop(cfg, run_dir)
+    assert report.failure is None
+    assert file_digest(run_dir / "verdicts.jsonl") == GOLDEN_EXTERNAL_VERDICTS_DIGESTS[mode]

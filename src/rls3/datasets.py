@@ -1,8 +1,11 @@
 """Sample records, fixed validation/test sets, evaluation breakdowns, and
 plot-series export.
 
-Samples and verdicts persist as JSONL (one record per line, sorted keys);
-plot series as CSV. Dataset files are content-addressed by sha256.
+Samples and verdicts persist as JSONL, one per line. A record's line is
+written in one pass by `SampleRecord.line`, with the bytes of compact,
+sorted-key `json.dumps` of its dict, and read back through `json.loads` and
+`record_from_dict`. Plot series are CSV. Dataset files are content-addressed
+by sha256.
 """
 
 from __future__ import annotations
@@ -25,6 +28,10 @@ from .scene import (
 
 # the stored relation lists its horizontal terms in this (sorted) order
 _HORIZONTAL = tuple(sorted(prompts.HORIZONTAL_PRIMITIVES))
+
+# a string and a finite float as `json.dumps` writes them
+_str = json.encoder.encode_basestring_ascii
+_float = float.__repr__
 
 
 @dataclass(frozen=True)
@@ -51,10 +58,33 @@ class SampleRecord:
 
     @functools.cached_property
     def line(self) -> str:
-        """The record's JSON line (sorted keys, compact), as `samples.jsonl`
-        holds it; encoded on first access and kept. Not a field, so `==`,
-        `hash` and `replace` ignore it."""
-        return json.dumps(record_to_dict(self), sort_keys=True, separators=(",", ":"))
+        """The record's JSON line, as `samples.jsonl` holds it: the bytes of
+        `json.dumps` of its dict with sorted keys and compact separators,
+        written in one pass. Strings are escaped to ASCII by the function
+        `json.dumps` uses; floats are written by their repr, as `json.dumps`
+        writes a finite float (a snapshot holds checked placements, and
+        `record_from_dict` rejects a non-finite number). Encoded on first
+        access and kept. Not a field, so `==`, `hash` and `replace` ignore it."""
+        cam, terms = self.camera, self.terms
+        cx, cy, cz = cam.position
+        objects = ",".join([
+            f'{{"name":{_str(name)},"pos":[{_float(x)},{_float(y)},{_float(z)}],'
+            f'"yaw":{_float(yaw)}}}'
+            for name, (x, y, z), yaw in self.objects
+        ])
+        horizontal = ",".join([f'"{t}"' for t in _HORIZONTAL if t in terms])
+        vertical = '"above"' if "above" in terms else '"below"' if "below" in terms else "null"
+        return (
+            f'{{"camera":{{"pitch":{_float(cam.pitch)},'
+            f'"pos":[{_float(cx)},{_float(cy)},{_float(cz)}],'
+            f'"roll":{_float(cam.roll)},"yaw":{_float(cam.yaw)}}},'
+            f'"caption":{_str(self.caption)},"episode":{self.episode},"id":{self.id},'
+            f'"iteration":{self.iteration},"neg_object":{_str(self.neg_object)},'
+            f'"neg_term":{_str(self.neg_term)},"objects":[{objects}],'
+            f'"question":{_str(self.question)},"reference":{_str(self.reference)},'
+            f'"relation":{{"horizontal":[{horizontal}],"vertical":{vertical}}},'
+            f'"scene_id":{self.scene_id},"subject":{_str(self.subject)}}}'
+        )
 
 
 def record_from_snapshot(
@@ -67,10 +97,7 @@ def record_from_snapshot(
     return SampleRecord(
         id=sample_id,
         scene_id=snapshot.scene_id,
-        objects=tuple(
-            (name, pos, yaw)
-            for name, pos, yaw in zip(snapshot.names, snapshot.positions, snapshot.yaws)
-        ),
+        objects=tuple(zip(snapshot.names, snapshot.positions, snapshot.yaws)),
         camera=snapshot.camera,
         subject=captions.subject,
         reference=captions.reference,
@@ -82,36 +109,6 @@ def record_from_snapshot(
         episode=episode,
         iteration=iteration,
     )
-
-
-def record_to_dict(rec: SampleRecord) -> dict:
-    terms = rec.terms
-    return {
-        "id": rec.id,
-        "scene_id": rec.scene_id,
-        "objects": [
-            {"name": name, "pos": list(pos), "yaw": yaw}
-            for name, pos, yaw in rec.objects
-        ],
-        "camera": {
-            "pos": list(rec.camera.position),
-            "yaw": rec.camera.yaw,
-            "pitch": rec.camera.pitch,
-            "roll": rec.camera.roll,
-        },
-        "subject": rec.subject,
-        "reference": rec.reference,
-        "relation": {
-            "horizontal": [t for t in _HORIZONTAL if t in terms],
-            "vertical": "above" if "above" in terms else "below" if "below" in terms else None,
-        },
-        "caption": rec.caption,
-        "question": rec.question,
-        "neg_term": rec.neg_term,
-        "neg_object": rec.neg_object,
-        "episode": rec.episode,
-        "iteration": rec.iteration,
-    }
 
 
 def record_from_dict(doc: dict) -> SampleRecord:

@@ -17,6 +17,7 @@ import fcntl
 import hashlib
 import itertools
 import json
+import math
 import os
 import pickle
 import signal
@@ -686,14 +687,27 @@ def run_loop(config: RunConfig, run_dir) -> RunReport:
     return report
 
 
+# a string, a float, a bool and None as `json.dumps` writes them
+_json_str = json.encoder.encode_basestring_ascii
+_JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
+
+
+def _json_float(x: float) -> str:
+    """Its repr, or NaN, Infinity or -Infinity."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
 def _verdict_line(v: judges.JudgeVerdict, iteration: int) -> str:
-    doc = {
-        "sample_id": v.sample_id,
-        "iteration": iteration,
-        "predicted_terms": sorted(v.predicted_terms) if v.predicted_terms is not None else None,
-        "rubric": v.rubric,
-        "similarities": list(v.similarities) if v.similarities is not None else None,
-        "ranked_correct": v.ranked_correct,
-        "flagged": v.flagged,
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    """The verdict's line in `verdicts.jsonl`: the bytes of `json.dumps` of its
+    dict with sorted keys and compact separators, written in one pass."""
+    terms, sims = v.predicted_terms, v.similarities
+    predicted = "null" if terms is None else f"[{','.join(map(_json_str, sorted(terms)))}]"
+    similarities = "null" if sims is None else f"[{','.join(map(_json_float, sims))}]"
+    return (
+        f'{{"flagged":{_JSON_CONSTANTS[v.flagged]},"iteration":{iteration},'
+        f'"predicted_terms":{predicted},"ranked_correct":{_JSON_CONSTANTS[v.ranked_correct]},'
+        f'"rubric":{"null" if v.rubric is None else v.rubric},'
+        f'"sample_id":{v.sample_id},"similarities":{similarities}}}'
+    )

@@ -139,15 +139,21 @@ class ElevationBand:
     vertical: str | None
 
 
+# the five bands, built once
+_HORIZONTAL_ONLY = ElevationBand("horizontal_only", None)
+_MIXED = {v: ElevationBand("mixed", v) for v in VERTICAL_PRIMITIVES}
+_VERTICAL_ONLY = {v: ElevationBand("vertical_only", v) for v in VERTICAL_PRIMITIVES}
+
+
 def classify_elevation(elevation: float) -> ElevationBand:
     if not -90.0 <= elevation <= 90.0:
         raise ValueError("elevation must be in [-90, 90]")
     if abs(elevation) <= MIXED_ELEVATION_DEG:
-        return ElevationBand("horizontal_only", None)
+        return _HORIZONTAL_ONLY
     vertical = "above" if elevation > 0 else "below"
     if abs(elevation) <= VERTICAL_ONLY_ELEVATION_DEG:
-        return ElevationBand("mixed", vertical)
-    return ElevationBand("vertical_only", vertical)
+        return _MIXED[vertical]
+    return _VERTICAL_ONLY[vertical]
 
 
 def relation_for_pair(pos_a, pos_b, camera: CameraPose) -> frozenset[str]:
@@ -168,7 +174,7 @@ def build_relation(
     if n < 2:
         raise ValueError("snapshot needs at least two objects")
     for _ in range(2):  # resample once on degenerate geometry
-        i, j = rng.choice(n, size=2, replace=False)
+        i, j = rng.choice(n, size=2, replace=False).tolist()
         try:
             terms = relation_for_pair(
                 snapshot.positions[i], snapshot.positions[j], snapshot.camera

@@ -97,6 +97,13 @@ class ValidityReport:
         assert (self.reason == "ok") == self.valid
 
 
+# a placement check's four outcomes, built once
+_OK = ValidityReport(True, "ok")
+_OFF_SURFACE = ValidityReport(False, "off_surface")
+_NO_SUPPORT = ValidityReport(False, "no_support")
+_OVERLAP = ValidityReport(False, "overlap")
+
+
 @dataclass(frozen=True)
 class SceneSnapshot:
     scene_id: int
@@ -346,24 +353,32 @@ class PlacementEnv:
         self, slot: int, name: str, candidate_position: np.ndarray
     ) -> tuple[ValidityReport, np.ndarray | None]:
         """Validity of object `name` in `slot` at a position, and that position snapped."""
-        state = self.state
+        self.state  # an unset environment raises before a bad slot does
         if slot not in (0, 1, 2):
             raise ValueError("slot must be 0, 1, or 2")
         pos = np.asarray(candidate_position, dtype=float)
         if pos.shape != (3,):
-            return ValidityReport(False, "off_surface"), None
+            return _OFF_SURFACE, None
         pos = pos.tolist()
         if not all(map(math.isfinite, pos)):
-            return ValidityReport(False, "off_surface"), None
+            return _OFF_SURFACE, None
+        report, snapped = self._check(slot, name, *pos)
+        return report, None if snapped is None else np.array(snapped)
+
+    def _check(
+        self, slot: int, name: str, x: float, y: float, z: float
+    ) -> tuple[ValidityReport, tuple[float, float, float] | None]:
+        """check_placement on a finite candidate's Python floats; the snapped
+        position is a tuple."""
+        state = self.state
         half = self.suite.spec(name).half_extents
-        for support in self.scene().surfaces:
-            if footprint_on_surface(pos, half, support):
+        for support in self.suite.scenes[state.scene_pos].surfaces:
+            if footprint_on_surface((x, y, z), half, support):
                 break
         else:
-            return ValidityReport(False, "off_surface"), None
-        x, y, z = pos
+            return _OFF_SURFACE, None
         if abs((y - half[1]) - support.top_y) > self.snap_tol:
-            return ValidityReport(False, "no_support"), None
+            return _NO_SUPPORT, None
         snapped = (x, support.top_y + half[1], z)
         positions = state.positions.tolist()
         for other in range(ACTIVE_COUNT):
@@ -371,8 +386,8 @@ class PlacementEnv:
                 continue
             other_half = self.suite.spec(state.active[other]).half_extents
             if boxes_interpenetrate(snapped, half, positions[other], other_half):
-                return ValidityReport(False, "overlap"), None
-        return ValidityReport(True, "ok"), np.array(snapped)
+                return _OVERLAP, None
+        return _OK, snapped
 
     def step(self, action) -> StepResult:
         state = self.state
@@ -389,15 +404,13 @@ class PlacementEnv:
             name = state.container[swapped_with]
             y = base + self.suite.spec(name).half_extents[1]
 
-        # A non-finite or wrong-shape action becomes a non-finite candidate,
-        # which check_placement rejects as off_surface.
+        # A non-finite or wrong-shape action is off_surface.
         moves = action.tolist() if action.shape == (3,) else [math.inf]
         if all(map(math.isfinite, moves)):
-            dx, dy, dz = (min(max(a, -1.0), 1.0) * self.dmax for a in moves)
-            candidate = [x + dx, y + dy, z + dz]
+            dx, dy, dz = [(-1.0 if a < -1.0 else 1.0 if a > 1.0 else a) * self.dmax for a in moves]
+            report, snapped = self._check(slot, name, x + dx, y + dy, z + dz)
         else:
-            candidate = [math.inf] * 3
-        report, snapped = self.check_placement(slot, name, candidate)
+            report, snapped = _OFF_SURFACE, None
 
         snapshot = None
         if report.valid:
@@ -431,16 +444,15 @@ class PlacementEnv:
     def observe(self) -> np.ndarray:
         state = self.state
         head, camera = self._obs_fixed[state.scene_pos]
-        obs = np.array(
-            [
-                float(state.moved_slot),
-                *head,
-                *state.positions.ravel().tolist(),
-                *state.yaws.tolist(),
-                *camera,
-            ]
-        )
-        assert obs.shape == (OBS_DIM,) and np.isfinite(obs).all()
+        values = [
+            float(state.moved_slot),
+            *head,
+            *state.positions.ravel().tolist(),
+            *state.yaws.tolist(),
+            *camera,
+        ]
+        obs = np.array(values)
+        assert obs.shape == (OBS_DIM,) and all(map(math.isfinite, values))
         return obs
 
     def snapshot(self) -> SceneSnapshot:
@@ -461,7 +473,7 @@ def _fixed_observation(scene: SceneSpec) -> tuple[list[float], list[float]]:
 
 def _draw_configuration(suite: SceneSuite, scene: SceneSpec, rng: np.random.Generator):
     """Seeded catalog order, and positions and yaws for its first ACTIVE_COUNT names."""
-    names = [suite.catalog[i].name for i in rng.permutation(CATALOG_SIZE)]
+    names = [suite.catalog[i].name for i in rng.permutation(CATALOG_SIZE).tolist()]
     positions = sample_positions(suite, scene, names[:ACTIVE_COUNT], rng)
     yaws = rng.uniform(0.0, 360.0, size=ACTIVE_COUNT)
     return names, positions, yaws

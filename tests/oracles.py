@@ -7,6 +7,7 @@ no code with src/, so agreement between the two is meaningful.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -220,3 +221,54 @@ def text_features_reference(caption: str, catalog_names: tuple[str, ...]) -> np.
             out[15 + _FUNCTION_WORDS.index(w)] += weight
         i += 1
     return out
+
+
+# --- JSON lines -----------------------------------------------------------------
+# The encodings the package wrote through json.dumps before it wrote its lines
+# in one pass; record and verdict lines must keep these bytes.
+
+
+def record_to_dict(rec) -> dict:
+    """A sample record's JSON document: the relation stores its horizontal
+    terms sorted and its vertical term, if any, apart."""
+    terms = rec.terms
+    return {
+        "id": rec.id,
+        "scene_id": rec.scene_id,
+        "objects": [{"name": name, "pos": list(pos), "yaw": yaw} for name, pos, yaw in rec.objects],
+        "camera": {
+            "pos": list(rec.camera.position),
+            "yaw": rec.camera.yaw,
+            "pitch": rec.camera.pitch,
+            "roll": rec.camera.roll,
+        },
+        "subject": rec.subject,
+        "reference": rec.reference,
+        "relation": {
+            "horizontal": sorted(terms & {"front", "behind", "left", "right"}),
+            "vertical": "above" if "above" in terms else "below" if "below" in terms else None,
+        },
+        "caption": rec.caption,
+        "question": rec.question,
+        "neg_term": rec.neg_term,
+        "neg_object": rec.neg_object,
+        "episode": rec.episode,
+        "iteration": rec.iteration,
+    }
+
+
+def record_line_reference(rec) -> str:
+    return json.dumps(record_to_dict(rec), sort_keys=True, separators=(",", ":"))
+
+
+def verdict_line_reference(v, iteration: int) -> str:
+    doc = {
+        "sample_id": v.sample_id,
+        "iteration": iteration,
+        "predicted_terms": sorted(v.predicted_terms) if v.predicted_terms is not None else None,
+        "rubric": v.rubric,
+        "similarities": list(v.similarities) if v.similarities is not None else None,
+        "ranked_correct": v.ranked_correct,
+        "flagged": v.flagged,
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))

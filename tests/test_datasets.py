@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rls3.datasets import (
+    SampleRecord,
     breakdown,
     file_digest,
     generate_fixed_records,
@@ -15,16 +17,17 @@ from rls3.datasets import (
     read_samples,
     record_from_dict,
     record_line,
-    record_to_dict,
     replay_check,
     replay_verify,
     write_samples,
 )
 from rls3.agent import RandomAgent
-from rls3.judges import ContrastiveJudge, GenerativeJudge
-from rls3.orchestrator import run_episode
-from rls3.prompts import PRIMITIVES
-from rls3.scene import PlacementEnv, builtin_suite
+from rls3.judges import ContrastiveJudge, GenerativeJudge, JudgeVerdict
+from rls3.orchestrator import _verdict_line, run_episode
+from rls3.prompts import OPPOSITES, PRIMITIVES, render_caption, words
+from rls3.scene import CameraPose, PlacementEnv, builtin_suite
+
+from oracles import record_line_reference, record_to_dict, verdict_line_reference
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +163,67 @@ def test_record_line_is_encoded_once_and_is_no_field(records):
         assert rec.line is line and record_line(rec) is line
         assert rec == twin and hash(rec) == hash(twin)
         assert "line" not in vars(twin) and "line" not in vars(dataclasses.replace(rec))
+
+
+_RELATIONS = [
+    frozenset(terms)
+    for k in (1, 2, 3)
+    for terms in itertools.combinations(PRIMITIVES, k)
+    if not any(OPPOSITES[t] in terms for t in terms)
+]
+# names with characters JSON escapes ('"', '\\', controls) or that ASCII lacks,
+# and no spatial word, so a caption rendered from them parses to its relation
+_NAMES = (
+    st.text(st.sampled_from('mug é✓"\\\x01\u2028'), min_size=1, max_size=8) | st.text(max_size=8)
+).filter(lambda name: not set(words(name)) & set(PRIMITIVES))
+_FLOATS = st.sampled_from([-0.0, 5e-324, 1e16, 0.1, -2.5e-7]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+_VECTORS = st.tuples(_FLOATS, _FLOATS, _FLOATS)
+
+
+@st.composite
+def _records(draw):
+    names = draw(st.lists(_NAMES, min_size=3, max_size=3))
+    subject, reference = names[draw(st.integers(0, 2))], names[draw(st.integers(0, 2))]
+    terms = draw(st.sampled_from(_RELATIONS))
+    return SampleRecord(
+        id=draw(st.integers()),
+        scene_id=draw(st.integers()),
+        objects=tuple((name, draw(_VECTORS), draw(_FLOATS)) for name in names),
+        camera=CameraPose(draw(_VECTORS), draw(_FLOATS), draw(_FLOATS), draw(_FLOATS)),
+        subject=subject,
+        reference=reference,
+        terms=terms,
+        caption=render_caption(subject, reference, terms),
+        question=draw(st.text()),
+        neg_term=draw(st.text()),
+        neg_object=draw(st.text()),
+        episode=draw(st.integers()),
+        iteration=draw(st.integers()),
+    )
+
+
+_VERDICTS = st.one_of(
+    st.builds(
+        JudgeVerdict, st.integers(),
+        predicted_terms=st.frozensets(st.sampled_from(PRIMITIVES) | _NAMES, max_size=3),
+        rubric=st.integers(1, 5),
+    ),
+    st.builds(JudgeVerdict, st.integers(), flagged=st.just(True)),
+    st.builds(
+        JudgeVerdict, st.integers(), similarities=st.tuples(st.floats(), st.floats(), st.floats()),
+        ranked_correct=st.booleans(),
+    ),
+)
+
+
+@given(_records(), _VERDICTS, st.integers(0, 10**6))
+@settings(max_examples=300, deadline=None)
+def test_json_lines_are_the_json_dumps_bytes(rec, verdict, iteration):
+    assert rec.line == record_line_reference(rec)
+    assert record_from_dict(json.loads(rec.line)) == rec
+    assert _verdict_line(verdict, iteration) == verdict_line_reference(verdict, iteration)
 
 
 def test_fixed_set_deterministic(tmp_path, train):

@@ -13,11 +13,11 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, find, given, settings
 from hypothesis import strategies as st
 
 from rls3 import wire
-from rls3.datasets import generate_fixed_records, record_to_dict
+from rls3.datasets import generate_fixed_records
 from rls3.external_stub import handle_request
 from rls3.judges import ExternalJudge, JudgeError, verdict_scores
 from rls3.orchestrator import desk_config, infer_and_reward, run_loop
@@ -30,6 +30,8 @@ from rls3.wire import (
     WireTimeout,
     client_for_address,
 )
+
+from oracles import record_to_dict
 
 STUB = [sys.executable, "-m", "rls3.external_stub"]
 
@@ -432,11 +434,27 @@ def test_deeply_nested_reply_is_a_protocol_error(tcp_peer):
         tcp_peer.request({"op": "infer", "samples": []}, b"[" * 100_000 + b"\n")
 
 
+def _json_containers(inner):
+    """One level of JSON nesting around `inner`. A module-level function, not a
+    lambda: hypothesis parses the source of `extend` to check that it uses its
+    argument, and for a lambda inside a call that parse can go wrong and warn
+    that the strategy cannot recurse."""
+    return st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3)
+
+
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    _json_containers,
     max_leaves=8,
 )
+
+
+def test_json_values_nest_containers():
+    nested = find(
+        _JSON_VALUES, lambda v: isinstance(v, list) and any(isinstance(x, (list, dict)) for x in v)
+    )
+    assert isinstance(nested, list)
+
 _REPLIES = st.one_of(
     st.binary(max_size=64),
     st.binary(max_size=64).map(lambda b: b + b"\n"),

@@ -5,14 +5,30 @@ critics with polyak-averaged targets. Rewards are the environment's +/-1
 feasibility signal; the judge-derived episode bonus is injected on the
 terminal transition before the episode enters the replay buffer. Observations
 are `scene.OBS_DIM` wide, scaled by `scene.OBS_SCALE` at the network boundary.
+
+The twin critics do not depend on each other until the `min` of their values,
+so `SacAgent.update` runs q2's half of each update on one worker thread per
+process while the calling thread runs q1's half and the actor's: q2's target
+forward, q2's regression step with its target's polyak averaging, and q2's
+forward and input backward on the actor's actions. numpy releases the GIL in
+BLAS and ufunc loops, so the halves overlap on two cores. Each thread writes
+only its own networks, tapes and Adam state and reads shared inputs only, so
+every float is what one thread would compute, and `update()` returns or raises
+only after both halves have finished. The thread starts at the first update
+that does work, so a random agent never starts it, and a forked child starts
+its own. On Linux it starts off the calling thread's CPU.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+import os
+import queue
+import threading
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -82,12 +98,117 @@ class ReplayBuffer:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class UpdateInfo:
     performed: bool
 
 
+UPDATE_SKIPPED = UpdateInfo(performed=False)
+UPDATE_PERFORMED = UpdateInfo(performed=True)
+
+# the queue of the worker thread that runs q2's half of every SacAgent.update
+# in this process; None until the first update that does work
+_jobs: queue.SimpleQueue | None = None
+_jobs_lock = threading.Lock()
+
+
+def _forget_worker() -> None:
+    """In a forked child: the parent's worker thread is not there."""
+    global _jobs, _jobs_lock
+    _jobs, _jobs_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+class _Handoff:
+    """One call for the worker thread, with its own completion lock, held
+    until the call has finished, and its result or exception."""
+
+    def __init__(self, fn, args):
+        self._call = fn, args
+        self._value = self._error = None
+        self._done = threading.Lock()
+        self._done.acquire()
+
+    def run(self) -> None:
+        fn, args = self._call
+        try:
+            self._value = fn(*args)
+        except BaseException as exc:
+            self._error = exc
+        self._done.release()
+
+    def wait(self) -> None:
+        with self._done:
+            pass
+
+    def result(self):
+        self.wait()
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
+def _current_cpu() -> int | None:
+    """The CPU the calling thread runs on, where /proc tells it."""
+    try:
+        with open("/proc/thread-self/stat", "rb") as f:
+            return int(f.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _serve(jobs: queue.SimpleQueue, caller_cpu: int | None) -> None:
+    # Start off the caller's CPU, then let the scheduler place this thread
+    # freely. A woken thread tends to stay where it last ran, so two threads
+    # that hand work to each other, each asleep for moments at a time, can
+    # otherwise share one core for good while another sits idle.
+    with contextlib.suppress(AttributeError, OSError):
+        allowed = os.sched_getaffinity(0)
+        if caller_cpu is not None and allowed - {caller_cpu}:
+            os.sched_setaffinity(0, allowed - {caller_cpu})
+            os.sched_setaffinity(0, allowed)
+    while True:
+        jobs.get().run()
+
+
+@contextlib.contextmanager
+def _on_worker(fn, *args):
+    """Run fn(*args) on the worker thread while the with-block runs here, and
+    yield its handoff. The block's exit waits for fn, then raises the block's
+    exception or else fn's, so no result outlives the block that asked for it.
+    """
+    global _jobs
+    with _jobs_lock:
+        if _jobs is None:
+            _jobs = queue.SimpleQueue()
+            worker = threading.Thread(
+                target=_serve, args=(_jobs, _current_cpu()), name="rls3-critic", daemon=True
+            )
+            worker.start()
+        jobs = _jobs
+    job = _Handoff(fn, args)
+    jobs.put(job)
+    try:
+        yield job
+    finally:
+        job.wait()
+    job.result()
+
+
+def _action_gradient(q: Mlp, tape: list, sa_pi: np.ndarray, ones: np.ndarray):
+    """A critic's values at (observation, actor action) and their gradient
+    w.r.t. that input; its weights are held fixed."""
+    value = q.forward(sa_pi, tape)[:, 0]
+    _, grad = q.backward(ones, tape, need="input")
+    return value, grad
+
+
 class SacAgent:
+    keeps_transitions = True  # absorb_episode pushes them into the buffer
+
     def __init__(
         self,
         seed: int | np.random.SeedSequence = 0,
@@ -119,7 +240,8 @@ class SacAgent:
         self._rng = np.random.default_rng(s_act)
         # one tape per network, kept across updates so that each pass at the
         # same minibatch writes into the arrays of the last one; a network's
-        # passes in update() run one after another, each read before the next
+        # passes in update() run one after another on one thread, each read
+        # before the next
         self._tapes = {name: [] for name in CHECKPOINT_NETWORKS}
 
     @property
@@ -163,8 +285,10 @@ class SacAgent:
     # -- learning
 
     def update(self) -> UpdateInfo:
-        """One gradient step for both critics and the actor, then polyak target
-        averaging. No-op before the warmup fill is reached.
+        """One gradient step for each critic, each followed by the polyak
+        averaging of its target, and one for the actor. No-op before the
+        warmup fill is reached. q2's half runs on the worker thread (see the
+        module docstring).
 
         The minibatch is cast to float32 once, so every forward and backward
         pass here runs in float32; the gradients reach Adam, which updates the
@@ -172,7 +296,7 @@ class SacAgent:
         """
         batch = self.minibatch
         if len(self.buffer) < max(self.warmup, batch):
-            return UpdateInfo(performed=False)
+            return UPDATE_SKIPPED
         obs, act, rew, nxt, term = self.buffer.sample(batch)
         obs = (obs / OBS_SCALE).astype(np.float32)
         nxt = (nxt / OBS_SCALE).astype(np.float32)
@@ -189,27 +313,24 @@ class SacAgent:
             - np.sum(np.log(sq_term), axis=-1)
         )
         sa_next = np.hstack([nxt, a_next])
-        q1n = self.q1_target.forward(sa_next, tapes["q1_target"])[:, 0]
-        q2n = self.q2_target.forward(sa_next, tapes["q2_target"])[:, 0]
+        with _on_worker(self.q2_target.forward, sa_next, tapes["q2_target"]) as q2n:
+            q1n = self.q1_target.forward(sa_next, tapes["q1_target"])
         target = rew + self.gamma * (1.0 - term) * (
-            np.minimum(q1n, q2n) - self.alpha * logp_next
+            np.minimum(q1n[:, 0], q2n.result()[:, 0]) - self.alpha * logp_next
         )
 
+        # critic steps; the actor's sample is drawn here meanwhile
         sa = np.hstack([obs, act])
-        critics = ((self.q1, self.q1_opt, tapes["q1"]), (self.q2, self.q2_opt, tapes["q2"]))
-        for q, opt, tape in critics:
-            pred = q.forward(sa, tape)[:, 0]
-            grad, _ = q.backward((2.0 * (pred - target) / batch)[:, None], tape, need="params")
-            opt.step(grad)
+        with _on_worker(self._critic_step, "q2", sa, target):
+            self._critic_step("q1", sa, target)
+            a, (eps, _, std, sq_term, clamp_mask) = self._sample(obs, tapes["actor"])
 
         # actor step (critic weights held fixed: only their input gradients)
-        a, (eps, _, std, sq_term, clamp_mask) = self._sample(obs, tapes["actor"])
         sa_pi = np.hstack([obs, a])
         ones = np.ones((batch, 1), np.float32)
-        q1v = self.q1.forward(sa_pi, tapes["q1"])[:, 0]
-        _, g1 = self.q1.backward(ones, tapes["q1"], need="input")
-        q2v = self.q2.forward(sa_pi, tapes["q2"])[:, 0]
-        _, g2 = self.q2.backward(ones, tapes["q2"], need="input")
+        with _on_worker(_action_gradient, self.q2, tapes["q2"], sa_pi, ones) as q2_grad:
+            q1v, g1 = _action_gradient(self.q1, tapes["q1"], sa_pi, ones)
+        q2v, g2 = q2_grad.result()
         use_q1 = (q1v <= q2v)[:, None]
         dq_da = np.where(use_q1, g1[:, OBS_DIM:], g2[:, OBS_DIM:])
 
@@ -226,15 +347,21 @@ class SacAgent:
         )
         self.actor_opt.step(actor_grad)
 
-        # polyak averaging of the target critics
-        for q, t in ((self.q1, self.q1_target), (self.q2, self.q2_target)):
-            t.flat *= self.polyak
-            t.flat += (1.0 - self.polyak) * q.flat
-
         for net in (self.actor, self.q1, self.q2):
             if not net.all_finite():
                 raise AgentError("non-finite agent parameters after update")
-        return UpdateInfo(performed=True)
+        return UPDATE_PERFORMED
+
+    def _critic_step(self, name: str, sa: np.ndarray, target: np.ndarray) -> None:
+        """Critic `name`'s regression step towards `target`, then the polyak
+        averaging of its target net, which nothing later in the update reads."""
+        q, q_target = getattr(self, name), getattr(self, f"{name}_target")
+        tape = self._tapes[name]
+        pred = q.forward(sa, tape)[:, 0]
+        grad, _ = q.backward((2.0 * (pred - target) / len(sa))[:, None], tape, need="params")
+        getattr(self, f"{name}_opt").step(grad)
+        q_target.flat *= self.polyak
+        q_target.flat += (1.0 - self.polyak) * q.flat
 
     # -- reward shaping
 
@@ -319,6 +446,8 @@ class SacAgent:
 class RandomAgent:
     """Uniform actions in [-1, 1]^3; the budget-matched baseline."""
 
+    keeps_transitions = False  # absorb_episode keeps nothing
+
     def __init__(self, seed: int | np.random.SeedSequence = 0):
         self._rng = np.random.default_rng(seed)
 
@@ -326,7 +455,7 @@ class RandomAgent:
         return self._rng.uniform(-1.0, 1.0, size=ACTION_DIM)
 
     def update(self) -> UpdateInfo:
-        return UpdateInfo(performed=False)
+        return UPDATE_SKIPPED
 
     def absorb_episode(self, transitions: list[Transition], j2: float, beta: float) -> None:
         """Keeps nothing: a random agent does not learn."""

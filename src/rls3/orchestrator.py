@@ -266,7 +266,7 @@ def desk_config(**overrides) -> RunConfig:
 @dataclass
 class EpisodeResult:
     records: list[SampleRecord]
-    transitions: list[Transition]  # none once sent from the episode child
+    transitions: list[Transition]  # none unless run_episode keeps them
     truncated: bool
     attempts: int  # env steps taken
 
@@ -315,18 +315,22 @@ def run_episode(
     prompt_rng: np.random.Generator,
     sample_id_start: int,
     stochastic: bool = True,
+    keep_transitions: bool = True,
 ) -> EpisodeResult:
     """Roll one episode to T0 valid samples (or the step cap), building caption
     sets for every snapshot. The agent updates every step from previously
     absorbed episodes; the fresh transitions stay out of its buffer until the
-    terminal bonus is injected.
+    terminal bonus is injected. With `keep_transitions` false the episode
+    holds none.
     """
     transitions: list[Transition] = []
     snapshots = []
-    for obs, action, result in rollout(agent, env, episode_idx, stochastic):
-        transitions.append(
-            Transition(obs, action, result.reward, result.observation, result.done)
-        )
+    steps = enumerate(rollout(agent, env, episode_idx, stochastic), start=1)
+    for attempts, (obs, action, result) in steps:
+        if keep_transitions:
+            transitions.append(
+                Transition(obs, action, result.reward, result.observation, result.done)
+            )
         if result.snapshot is not None:
             snapshots.append(result.snapshot)
         agent.update()
@@ -348,27 +352,28 @@ def run_episode(
                 snap, captions, sample_id_start + k, episode=episode_idx, iteration=iteration
             )
         )
-    return EpisodeResult(records, transitions, result.truncated, len(transitions))
+    return EpisodeResult(records, transitions, result.truncated, attempts)
 
 
 def _episodes(env, agent, prompt_rng, per_iteration: int, stochastic: bool):
     """A run's episodes in order, each rolled when it is asked for: episode k
     belongs to iteration k // per_iteration + 1, and its samples are numbered
-    on from those of the episodes before it."""
-    sample_id = 0
+    on from those of the episodes before it. It keeps their transitions only
+    for an agent that keeps them."""
+    sample_id, keep = 0, agent.keeps_transitions
     for k in itertools.count():
-        ep = run_episode(env, agent, k, k // per_iteration + 1, prompt_rng, sample_id, stochastic)
+        iteration = k // per_iteration + 1
+        ep = run_episode(env, agent, k, iteration, prompt_rng, sample_id, stochastic, keep)
         sample_id += len(ep.records)
         yield ep
 
 
 def _for_the_pipe(ep: EpisodeResult) -> EpisodeResult:
     """`ep` as the episode child sends it: each record's JSON line encoded
-    (the cached line travels in the pickle), and no transitions, which a
-    random agent does not absorb."""
+    (the cached line travels in the pickle)."""
     for rec in ep.records:
         datasets.record_line(rec)
-    return dataclasses.replace(ep, transitions=[])
+    return ep
 
 
 def make_judge(config: RunConfig, catalog_names: tuple[str, ...], seed):

@@ -68,7 +68,8 @@ def _criterion_08_agent(seed):
 
 def _pretrain_criterion_08_agent(seed, ck):
     """One of criterion 8's agents, pretrained into checkpoint `ck`. Runs in
-    a worker process: the three builds are independent and single-threaded."""
+    a worker process: the three builds are independent. Each runs its SAC
+    updates on two threads, the caller and the agent's critic worker."""
     env = PlacementEnv(builtin_suite("train"), 20, seed=seed)
     pretrain_intrinsic(_criterion_08_agent(seed), env, 20_000, update_every=2, checkpoint_dir=ck)
 
@@ -77,8 +78,11 @@ def _pretrain_criterion_08_agent(seed, ck):
 def pretrained_agents(tmp_path_factory):
     """Criterion 8's three intrinsic-pretrained agents plus their checkpoints,
     built in two spawned processes and loaded here. Each worker gets one BLAS
-    thread: two workers with two threads each on two cores spin against each
-    other and take longer than one process building all three."""
+    thread: two workers with two BLAS threads each on two cores spin against
+    each other and take longer than one process building all three. Two
+    workers still beat one although each build now updates on two threads:
+    52-54 s against 73-78 s for this fixture's test on two cores, three runs
+    each."""
     cks = {seed: tmp_path_factory.mktemp(f"agent_{seed}") / "ck" for seed in SMOKE_SEEDS}
     with pytest.MonkeyPatch.context() as env:
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):

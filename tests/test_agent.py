@@ -1,6 +1,9 @@
 import hashlib
 import json
+import multiprocessing
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -15,6 +18,8 @@ from rls3.agent import (
     measure_valid_rate,
     pretrain_intrinsic,
 )
+from rls3.nets import DimensionError, Mlp
+from rls3.orchestrator import run_episode
 from rls3.scene import PlacementEnv, builtin_suite
 
 
@@ -102,6 +107,7 @@ def test_update_noop_before_warmup():
         agent.buffer.push(random_transition(rng))
     info = agent.update()
     assert not info.performed
+    assert info is RandomAgent().update()  # one shared, frozen UpdateInfo
 
 
 def test_update_runs_and_stays_finite():
@@ -352,6 +358,111 @@ def test_update_after_load_matches_a_fresh_agent(tmp_path):
             assert agent.update().performed
         digests.append(_checkpoint_digests(agent, tmp_path / f"after{len(digests)}"))
     assert digests[0] == digests[1]
+
+
+def _send_result(conn, fn, *args):
+    conn.send(fn(*args))
+
+
+def _result_in_child(method, fn, *args, timeout=60):
+    """fn(*args), computed in a child process started by `method`. A child
+    that dies without an answer raises EOFError here; one that gives no answer
+    within `timeout` seconds, say because it waits on a worker thread that is
+    not there, fails the test and is killed."""
+    ctx = multiprocessing.get_context(method)
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_send_result, args=(send, fn, *args), daemon=True)
+    child.start()
+    send.close()
+    try:
+        if not recv.poll(timeout):
+            pytest.fail(f"the {method} child gave no answer within {timeout} s")
+        return recv.recv()
+    finally:
+        child.kill()
+        child.join()
+
+
+def _updated_digests(agent, updates, directory):
+    for _ in range(updates):
+        assert agent.update().performed
+    return _checkpoint_digests(agent, directory)
+
+
+def _fresh_updated_digests(updates, directory):
+    return _updated_digests(_filled_agent(), updates, directory)
+
+
+def test_a_forked_child_updates_as_a_fresh_process_does(tmp_path):
+    agent = _filled_agent()
+    assert agent.update().performed  # so this process's worker thread runs
+    forked = _result_in_child("fork", _updated_digests, agent, 3, tmp_path / "forked")
+    fresh = _result_in_child("spawn", _fresh_updated_digests, 4, tmp_path / "fresh")
+    assert forked == fresh
+
+
+def _worker_threads_after_random_then_sac():
+    """The worker threads alive after a random agent's episode, then after a
+    SAC update."""
+    def workers():
+        return sum(t.name == "rls3-critic" for t in threading.enumerate())
+
+    env = PlacementEnv(builtin_suite("train"), 5, seed=1)
+    run_episode(env, RandomAgent(seed=1), 0, 1, np.random.default_rng(3), 0)
+    after_random = workers()
+    assert _filled_agent().update().performed
+    return after_random, workers()
+
+
+def test_only_a_sac_update_starts_the_worker_thread():
+    assert _result_in_child("spawn", _worker_threads_after_random_then_sac) == (0, 1)
+
+
+def test_callers_on_many_threads_share_the_worker_thread(tmp_path):
+    """More calling threads than cores, switching often: each agent's updates
+    come out as they do alone."""
+    seeds = range(3)
+    alone = [_updated_digests(_filled_agent(s), 5, tmp_path / f"alone{s}") for s in seeds]
+    together = {}
+
+    def run(seed):
+        together[seed] = _updated_digests(_filled_agent(seed), 5, tmp_path / f"together{seed}")
+
+    threads = [threading.Thread(target=run, args=(s,)) for s in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [together.get(s) for s in seeds] == alone
+
+
+@pytest.mark.parametrize("broken", ["q2_target", "q1_target"])
+def test_a_critic_half_that_raises_leaves_no_stale_result(tmp_path, broken):
+    """q2's half of an update runs on the worker thread and q1's here, so a
+    q2_target of the wrong input width raises on the worker only, and a
+    q1_target on this thread only. Either fails the update; once the net is
+    restored, the next update reads only its own results."""
+    failed, clean = _filled_agent(), _filled_agent()
+    for agent in (failed, clean):
+        assert agent.update().performed
+    net = getattr(failed, broken)
+    setattr(failed, broken, Mlp([net.n_in + 1, *net.layer_sizes[1:]]))
+    with pytest.raises(DimensionError, match=f"expected input width {net.n_in + 1}"):
+        failed.update()
+    setattr(failed, broken, net)
+    for agent in (failed, clean):  # the failed update drew from both streams
+        agent._rng = np.random.default_rng(8)
+        agent.buffer._rng = np.random.default_rng(9)
+        assert agent.update().performed
+    assert _checkpoint_digests(failed, tmp_path / "failed") == _checkpoint_digests(
+        clean, tmp_path / "clean"
+    )
 
 
 def test_updates_at_one_minibatch_reuse_their_arrays():

@@ -285,6 +285,17 @@ def test_run_episode_truncation_pads():
     assert len(ep.records) == 20
 
 
+def test_a_random_agent_loop_keeps_no_transitions():
+    def first_episode(episodes):
+        env = PlacementEnv(builtin_suite("train"), 6, seed=0)
+        return episodes(env, RandomAgent(seed=0), np.random.default_rng(1))
+
+    kept = first_episode(lambda env, agent, rng: run_episode(env, agent, 0, 1, rng, 0))
+    loop = first_episode(lambda *args: next(orchestrator._episodes(*args, 4, True)))
+    assert loop.transitions == [] and len(kept.transitions) == kept.attempts == loop.attempts
+    assert [r.line for r in loop.records] == [r.line for r in kept.records]
+
+
 def test_infer_and_reward_dispatch():
     train = builtin_suite("train")
     env = PlacementEnv(train, 5, seed=1)

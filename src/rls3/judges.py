@@ -8,19 +8,18 @@ then the term-swapped negatives, then the object-swapped negatives, in training
 and in inference alike. Either judge can be replaced by an external process
 speaking the newline-delimited JSON protocol.
 
-Every judge method reads its samples through `encode(samples)`, which builds
-their judge inputs once into an immutable encoding, and scores the judge's
-output with one of two array scorers: a table of `rubric_score` over every
-predicted term mask and every valid relation (bit i of a mask is
-`prompts.PRIMITIVES[i]`), or `_ranked` over (positive, term-swapped,
-object-swapped) similarity rows. `infer` builds its verdicts from those
-arrays; `scores(encoded)` returns them as one score per sample, the rubric or
-1.0/0.0 for a ranking. Every metric and row comes from such an array:
-`validation_metric(encoded)` is its mean, and `rls3 eval` reads it off the
-verdicts through `verdict_scores`, its rows in file order, not by id. A
-predicted term set naming a word outside PRIMITIVES is flagged: its score is
-NaN, and every mean and row leaves it out. Caption token bags are built
-through a word map per catalog, keyed by each name's first word.
+A judge is its `encode(samples)`, the samples' judge inputs built once into an
+immutable encoding, plus its `_predict(encoded, loss)`: its kind's prediction,
+a term mask per sample (bit i is `prompts.PRIMITIVES[i]`) or (positive,
+term-swapped, object-swapped) similarity rows. `_Judge` derives the rest once
+through the kind: `infer`'s verdicts and loss, `scores(encoded)` (the rubric,
+from a table of `rubric_score` over every mask and valid relation, or 1.0/0.0
+for a ranking) and their mean, `validation_metric`. An external judge's `mode`
+picks its kind once. `rls3 eval` reads the scores off the verdicts through
+`verdict_scores`, rows in file order. A predicted term set naming a word
+outside PRIMITIVES is flagged: its score is NaN, and every mean and row leaves
+it out. Caption token bags are built through a word map per catalog, keyed by
+each name's first word.
 
 Both judges consume world-frame coordinates plus the camera pose, so the
 camera-relative frame has to be learned; that is the manufactured initial
@@ -31,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -43,7 +43,6 @@ from .nets import Mlp, NetOptimizer, load_net, save_net
 from .scene import is_finite_number
 
 RUBRIC_MIN = 1
-RUBRIC_MAX = 5
 
 GENERATIVE_FEATURE_DIM = 28
 IMAGE_FEATURE_DIM = 40
@@ -68,7 +67,7 @@ class JudgeVerdict:
     flagged: bool = False
 
 
-# --- rubric --------------------------------------------------------------------
+# --- prediction kinds: rubric and ranking ----------------------------------------
 
 
 def rubric_score(predicted: frozenset[str] | set[str], truth: frozenset[str] | set[str]) -> int:
@@ -142,44 +141,79 @@ def _rubric_table() -> np.ndarray:
     return _read_only(table)
 
 
-def _rubrics(predicted: np.ndarray, truth: np.ndarray) -> np.ndarray:
-    """The rubric of each predicted mask against its truth mask; NaN, not
-    scored, where the prediction is flagged."""
-    return np.where(predicted == _FLAGGED, np.nan, _rubric_table()[predicted, truth])
+def _reply_list(resp: dict, key: str, n: int, entry_ok) -> list:
+    """An external infer reply's `key`, a list of n entries each passing
+    `entry_ok`; anything else raises JudgeError."""
+    entries = resp.get(key)
+    if not (isinstance(entries, list) and len(entries) == n and all(map(entry_ok, entries))):
+        raise JudgeError(f"external judge returned a malformed {key} list")
+    return entries
 
 
-def _rubric_verdicts(
-    samples: list[SampleRecord], predicted: np.ndarray, truth: np.ndarray
-) -> tuple[list[JudgeVerdict], float]:
-    """One verdict per sample, its predicted mask scored against its truth
-    mask, plus the batch loss: 6 - mean rubric, 1 when all are correct."""
-    rubrics = _rubrics(predicted, truth)
-    verdicts = [
-        JudgeVerdict(rec.id, flagged=True)
-        if math.isnan(rubric)
-        else JudgeVerdict(rec.id, predicted_terms=_TERM_SETS[m], rubric=int(rubric))
-        for rec, m, rubric in zip(samples, predicted.tolist(), rubrics.tolist())
-    ]
-    return verdicts, 6.0 - scored_mean(rubrics)
+def _rubric_reply(resp: dict, n: int) -> tuple[np.ndarray, None]:
+    """A reply's `terms`, one list of strings per sample, as predicted masks;
+    a rubric reply carries no loss."""
+    terms = _reply_list(
+        resp, "terms", n, lambda t: isinstance(t, list) and all(isinstance(w, str) for w in t)
+    )
+    return np.array([_mask(t) for t in terms], dtype=np.intp), None
 
 
-def _ranked(similarities: np.ndarray) -> np.ndarray:
-    """Per (positive, term-swapped, object-swapped) row: does the positive
-    beat both negatives?"""
+def _rubrics(predicted: np.ndarray, encoded) -> np.ndarray:
+    """The rubric of each predicted mask against its sample's truth mask;
+    NaN, not scored, where the prediction is flagged."""
+    return np.where(predicted == _FLAGGED, np.nan, _rubric_table()[predicted, encoded.truth])
+
+
+def _rubric_verdict(sample_id: int, mask: int, rubric: float) -> JudgeVerdict:
+    if math.isnan(rubric):
+        return JudgeVerdict(sample_id, flagged=True)
+    return JudgeVerdict(sample_id, predicted_terms=_TERM_SETS[mask], rubric=int(rubric))
+
+
+def _rubric_loss(rubrics: np.ndarray) -> float:
+    """The batch loss: 6 - mean rubric, 1 when all are correct."""
+    return 6.0 - scored_mean(rubrics)
+
+
+def _ranking_reply(resp: dict, n: int) -> tuple[np.ndarray, float]:
+    """A reply's `similarities`, one [positive, term-swapped, object-swapped]
+    triple per sample, as an (n, 3) array, and its `loss`."""
+    sims = _reply_list(
+        resp, "similarities", n,
+        lambda t: isinstance(t, list) and len(t) == 3 and all(map(is_finite_number, t)),
+    )
+    loss = resp.get("loss")
+    if not is_finite_number(loss):
+        raise JudgeError("external judge returned a malformed loss")
+    return np.array(sims, dtype=float).reshape(n, 3), float(loss)
+
+
+def _ranked(similarities: np.ndarray, _encoded) -> np.ndarray:
+    """1.0 per (positive, term-swapped, object-swapped) row whose positive
+    beats both negatives, else 0.0."""
     pos = similarities[:, 0]
-    return (pos > similarities[:, 1]) & (pos > similarities[:, 2])
+    return ((pos > similarities[:, 1]) & (pos > similarities[:, 2])).astype(float)
 
 
-def _ranking_verdicts(samples: list[SampleRecord], similarities: np.ndarray) -> list[JudgeVerdict]:
-    """One verdict per sample from its row of `similarities`, ranked correct
-    when the positive beats both negatives.
-    """
-    return [
-        JudgeVerdict(rec.id, similarities=tuple(triple), ranked_correct=ranked)
-        for rec, triple, ranked in zip(
-            samples, similarities.tolist(), _ranked(similarities).tolist()
-        )
-    ]
+def _ranking_verdict(sample_id: int, similarities: list[float], ranked: float) -> JudgeVerdict:
+    return JudgeVerdict(sample_id, similarities=tuple(similarities), ranked_correct=bool(ranked))
+
+
+class _Kind(NamedTuple):
+    """A kind of prediction and all that is derived from one."""
+
+    metric_name: str
+    reply: Callable  # (external infer reply, n) -> (prediction, loss)
+    score: Callable  # (prediction, encoded) -> one score per sample
+    verdict: Callable  # (sample id, its prediction, its score) -> its verdict
+    loss: Callable | None  # scores -> batch loss, for judges with no loss of their own
+
+
+_RUBRIC = _Kind("mean_rubric", _rubric_reply, _rubrics, _rubric_verdict, _rubric_loss)
+_RANKING = _Kind("retrieval_accuracy", _ranking_reply, _ranked, _ranking_verdict, None)
+# the kind of an external judge in each mode
+EXTERNAL_MODES = {"generative": _RUBRIC, "contrastive": _RANKING}
 
 
 def scored_mean(scores) -> float:
@@ -367,7 +401,32 @@ def _load_nets(directory, current: dict[str, Mlp]) -> list[Mlp]:
 
 
 class _Judge:
-    """What every judge derives from its `scores(encoded)`."""
+    """What every judge derives from its `kind`, `encode(samples)` and
+    `_predict(encoded, loss)`: the kind's prediction and, if `loss` asks, the
+    judge's own batch loss, None from a rubric judge."""
+
+    kind: _Kind
+
+    @property
+    def metric_name(self) -> str:
+        return self.kind.metric_name
+
+    def infer(self, samples: list[SampleRecord]) -> tuple[list[JudgeVerdict], float]:
+        """Verdicts plus the batch loss, the judge's own or else the kind's
+        loss of the scores; no weight updates."""
+        encoded = self.encode(samples)
+        prediction, loss = self._predict(encoded, True)
+        scores = self.kind.score(prediction, encoded)
+        verdict = self.kind.verdict
+        verdicts = [
+            verdict(rec.id, p, score)
+            for rec, p, score in zip(samples, prediction.tolist(), scores.tolist())
+        ]
+        return verdicts, self.kind.loss(scores) if loss is None else loss
+
+    def scores(self, encoded) -> np.ndarray:
+        """Each encoded sample's score, as `infer` scores it; no loss, no verdicts."""
+        return self.kind.score(self._predict(encoded, False)[0], encoded)
 
     def validation_metric(self, encoded) -> float:
         """The mean of the encoded samples' scores, NaN left out."""
@@ -391,7 +450,7 @@ class GenerativeEncoding(NamedTuple):
 class GenerativeJudge(_Judge):
     """Multi-label term classifier on scene-pair features, scored by the rubric."""
 
-    metric_name = "mean_rubric"
+    kind = _RUBRIC
 
     def __init__(
         self,
@@ -412,24 +471,15 @@ class GenerativeJudge(_Judge):
         self.minibatch = minibatch
         self._rng = np.random.default_rng(rng_seed)
 
-    def _predicted_masks(self, features: np.ndarray) -> np.ndarray:
-        """The mask of the terms whose probability exceeds the threshold, per row."""
-        logits = self.net.forward(features)
-        probs = 1.0 / (1.0 + np.exp(-logits))
-        return (probs > self.threshold) @ _BITS
-
     def encode(self, samples: list[SampleRecord]) -> GenerativeEncoding:
         features = np.stack([generative_features(r, self.catalog_names) for r in samples])
         return GenerativeEncoding(_read_only(features), _truth_masks(samples))
 
-    def infer(self, samples: list[SampleRecord]) -> tuple[list[JudgeVerdict], float]:
-        """Verdicts plus the rubric batch loss; no weight updates."""
-        encoded = self.encode(samples)
-        return _rubric_verdicts(samples, self._predicted_masks(encoded.features), encoded.truth)
-
-    def scores(self, encoded: GenerativeEncoding) -> np.ndarray:
-        """The rubric of each encoded sample."""
-        return _rubrics(self._predicted_masks(encoded.features), encoded.truth)
+    def _predict(self, encoded: GenerativeEncoding, loss: bool) -> tuple[np.ndarray, None]:
+        """The mask of the terms whose probability exceeds the threshold, per row."""
+        logits = self.net.forward(encoded.features)
+        probs = 1.0 / (1.0 + np.exp(-logits))
+        return (probs > self.threshold) @ _BITS, None
 
     def finetune(self, samples: list[SampleRecord], steps: int) -> list[float]:
         """Optimizer steps of multi-label cross-entropy on seeded minibatches;
@@ -492,7 +542,7 @@ class ContrastiveJudge(_Judge):
     scored against the 3N text pool.
     """
 
-    metric_name = "retrieval_accuracy"
+    kind = _RANKING
 
     def __init__(
         self,
@@ -521,9 +571,6 @@ class ContrastiveJudge(_Judge):
         # the fixed catalog, so entries never go stale
         self._text_rows: dict[str, np.ndarray] = {}
 
-    def _image_batch(self, samples) -> np.ndarray:
-        return np.stack([image_features(r, self.catalog_names) for r in samples])
-
     def _text_pool(self, samples) -> np.ndarray:
         """The 3N text pool: the positive captions, then the term-swapped
         negatives, then the object-swapped negatives.
@@ -538,14 +585,13 @@ class ContrastiveJudge(_Judge):
         return np.stack([cache[c] for c in captions])
 
     def encode(self, samples: list[SampleRecord]) -> ContrastiveEncoding:
-        return ContrastiveEncoding(
-            _read_only(self._image_batch(samples)), _read_only(self._text_pool(samples))
-        )
+        images = np.stack([image_features(r, self.catalog_names) for r in samples])
+        return ContrastiveEncoding(_read_only(images), _read_only(self._text_pool(samples)))
 
-    def _similarities(self, encoded: ContrastiveEncoding):
+    def _predict(self, encoded: ContrastiveEncoding, loss: bool) -> tuple[np.ndarray, float | None]:
         """Per-sample (positive, term-swapped, object-swapped) similarities,
-        three row dot products per sample and no N x 3N matrix, with the image
-        and text embeddings they came from.
+        three row dot products per sample and no N x 3N matrix; and, if asked,
+        the InfoNCE loss over the 3N text pool, which builds that matrix.
         """
         n = len(encoded.images)
         z = self.image_encoder.forward(encoded.images)
@@ -553,16 +599,8 @@ class ContrastiveJudge(_Judge):
         zn, _ = _normalize_rows(z)
         wn, _ = _normalize_rows(w)
         # sample i's positive and its two negatives are text rows i, n + i, 2n + i
-        return np.einsum("nd,knd->nk", zn, wn.reshape(3, n, -1)), z, w
-
-    def infer(self, samples: list[SampleRecord]) -> tuple[list[JudgeVerdict], float]:
-        """Verdicts plus the batch loss over the 3N text pool; no weight updates."""
-        similarities, z, w = self._similarities(self.encode(samples))
-        return _ranking_verdicts(samples, similarities), contrastive_loss(z, w, self.temperature)
-
-    def scores(self, encoded: ContrastiveEncoding) -> np.ndarray:
-        """1.0 where a sample's positive outranks both negatives, else 0.0; no loss."""
-        return _ranked(self._similarities(encoded)[0]).astype(float)
+        similarities = np.einsum("nd,knd->nk", zn, wn.reshape(3, n, -1))
+        return similarities, contrastive_loss(z, w, self.temperature) if loss else None
 
     def finetune(self, samples: list[SampleRecord], epochs: int) -> list[float]:
         """InfoNCE steps over shuffled minibatches; returns each epoch's mean loss."""
@@ -625,20 +663,18 @@ class ExternalEncoding(NamedTuple):
 class ExternalJudge(_Judge):
     """Adapter forwarding infer/finetune over the NDJSON wire protocol.
 
-    An infer reply carries `terms`, one list of strings per sample
-    (generative mode), or `similarities`, one [positive, term-swapped,
-    object-swapped] triple per sample, and `loss` (contrastive mode). A reply
-    is checked and parsed once into arrays, then scored as the matching local
-    judge scores its own output.
+    `mode` picks the judge's kind once: an infer reply carries `terms`
+    (generative mode, the rubric kind) or `similarities` and `loss`
+    (contrastive mode, the ranking kind). It is checked and parsed once into
+    arrays, then scored as the local judge of that kind scores its own output.
     """
 
     def __init__(self, client, mode: str = "generative"):
-        if mode not in ("generative", "contrastive"):
+        if mode not in EXTERNAL_MODES:
             raise ValueError(f"bad external judge mode {mode!r}")
         self.client = client
         self.mode = mode
-        local = GenerativeJudge if mode == "generative" else ContrastiveJudge
-        self.metric_name = local.metric_name
+        self.kind = EXTERNAL_MODES[mode]
 
     def _request(self, op: str, lines: list[str]) -> dict:
         """Send one op over the wire with the samples' JSON lines; a peer's
@@ -648,51 +684,13 @@ class ExternalJudge(_Judge):
             raise JudgeError(f"external judge failed to {op}: {resp['error']}")
         return resp
 
-    def _infer_reply(self, encoded: ExternalEncoding):
-        """One infer round trip, its reply checked and parsed: the predicted
-        masks in generative mode, or the (n, 3) similarities and the loss in
-        contrastive mode. A malformed reply raises JudgeError."""
-        n = len(encoded.lines)
-        resp = self._request("infer", list(encoded.lines))
-        if self.mode == "generative":
-            terms = resp.get("terms")
-            if not (
-                isinstance(terms, list)
-                and len(terms) == n
-                and all(isinstance(t, list) and all(isinstance(w, str) for w in t) for t in terms)
-            ):
-                raise JudgeError("external judge returned a malformed terms list")
-            return np.array([_mask(t) for t in terms], dtype=np.intp)
-        sims = resp.get("similarities")
-        if not (
-            isinstance(sims, list)
-            and len(sims) == n
-            and all(
-                isinstance(t, list) and len(t) == 3 and all(map(is_finite_number, t))
-                for t in sims
-            )
-        ):
-            raise JudgeError("external judge returned a malformed similarities list")
-        loss = resp.get("loss")
-        if not is_finite_number(loss):
-            raise JudgeError("external judge returned a malformed loss")
-        return np.array(sims, dtype=float).reshape(n, 3), float(loss)
-
     def encode(self, samples: list[SampleRecord]) -> ExternalEncoding:
         return ExternalEncoding(tuple(r.line for r in samples), _truth_masks(samples))
 
-    def infer(self, samples: list[SampleRecord]) -> tuple[list[JudgeVerdict], float]:
-        encoded = self.encode(samples)
-        if self.mode == "generative":
-            return _rubric_verdicts(samples, self._infer_reply(encoded), encoded.truth)
-        sims, loss = self._infer_reply(encoded)
-        return _ranking_verdicts(samples, sims), loss
-
-    def scores(self, encoded: ExternalEncoding) -> np.ndarray:
-        """Each sample's score in one infer round trip, as `infer` scores it."""
-        if self.mode == "generative":
-            return _rubrics(self._infer_reply(encoded), encoded.truth)
-        return _ranked(self._infer_reply(encoded)[0]).astype(float)
+    def _predict(self, encoded: ExternalEncoding, loss: bool):
+        """One infer round trip, its reply parsed by the kind; a contrastive
+        reply's loss comes asked for or not. A malformed reply raises JudgeError."""
+        return self.kind.reply(self._request("infer", list(encoded.lines)), len(encoded.lines))
 
     def finetune(self, samples, steps) -> list[float]:
         """The reply's loss as a one-entry list, or no loss for a bare `ok`."""

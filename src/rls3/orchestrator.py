@@ -166,7 +166,7 @@ class RunConfig:
             "external:"
         ):
             raise ConfigError(f"unknown judge kind {self.judge!r}")
-        if self.external_mode not in ("generative", "contrastive"):
+        if self.external_mode not in judges.EXTERNAL_MODES:
             raise ConfigError(f"unknown external_mode {self.external_mode!r}")
         if round(self.sampling_rate * self.samples_per_episode) == 0:  # as sample_for_batch rounds
             raise ConfigError(

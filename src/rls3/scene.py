@@ -349,27 +349,11 @@ class PlacementEnv:
         )
         return self.observe()
 
-    def check_placement(
-        self, slot: int, name: str, candidate_position: np.ndarray
-    ) -> tuple[ValidityReport, np.ndarray | None]:
-        """Validity of object `name` in `slot` at a position, and that position snapped."""
-        self.state  # an unset environment raises before a bad slot does
-        if slot not in (0, 1, 2):
-            raise ValueError("slot must be 0, 1, or 2")
-        pos = np.asarray(candidate_position, dtype=float)
-        if pos.shape != (3,):
-            return _OFF_SURFACE, None
-        pos = pos.tolist()
-        if not all(map(math.isfinite, pos)):
-            return _OFF_SURFACE, None
-        report, snapped = self._check(slot, name, *pos)
-        return report, None if snapped is None else np.array(snapped)
-
     def _check(
         self, slot: int, name: str, x: float, y: float, z: float
     ) -> tuple[ValidityReport, tuple[float, float, float] | None]:
-        """check_placement on a finite candidate's Python floats; the snapped
-        position is a tuple."""
+        """Validity of object `name` in `slot` at a finite candidate position,
+        given as Python floats, and that position snapped, as a tuple."""
         state = self.state
         half = self.suite.spec(name).half_extents
         for support in self.suite.scenes[state.scene_pos].surfaces:

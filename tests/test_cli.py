@@ -735,6 +735,21 @@ def test_eval_rejects_a_judge_checkpoint_that_does_not_fit(tmp_path, capsys):
     assert not (run_dir / "eval.json").exists()
 
 
+def test_eval_refuses_a_checkpoint_for_an_external_judge(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert run_cli("gen-fixed-set", "--count", "4", "--run-dir", str(run_dir)) == 0
+    checkpoint = tmp_path / "judge"
+    checkpoint.mkdir()
+    capsys.readouterr()
+    assert run_cli("eval", "--run-dir", str(run_dir), "--samples",
+                   str(run_dir / "fixed_set.jsonl"), "--judge-checkpoint", str(checkpoint),
+                   "--judge", f"external:{STUB_COMMAND} --behavior all_correct") == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: external judges do not take local checkpoints"]
+    assert captured.out == ""
+    assert not (run_dir / "eval.json").exists()
+
+
 @pytest.mark.parametrize(
     "config, argv",
     [

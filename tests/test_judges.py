@@ -271,7 +271,7 @@ def test_generative_reward_from_rubric(train, records):
     _, j2 = infer_and_reward(judge, records[:16])
     assert math.isclose(j2, (6.0 - mean) ** 2)
     # perfect batch gives the minimum reward of 1
-    judge._predicted_masks = lambda features: judge.encode(records[:16]).truth
+    judge._predict = lambda encoded, loss: (judge.encode(records[:16]).truth, None)
     assert infer_and_reward(judge, records[:16])[1] == 1.0
 
 
@@ -556,7 +556,7 @@ def test_contrastive_triples_are_the_full_matrix_diagonals(train):
     judge.finetune(recs[:60], epochs=2)
     verdicts, _ = judge.infer(recs)
     n = len(recs)
-    zn, _ = judges._normalize_rows(judge.image_encoder.forward(judge._image_batch(recs)))
+    zn, _ = judges._normalize_rows(judge.image_encoder.forward(judge.encode(recs).images))
     wn, _ = judges._normalize_rows(judge.text_encoder.forward(judge._text_pool(recs)))
     full = zn @ wn.T
     expected = np.stack([np.diagonal(full[:, k * n : (k + 1) * n]) for k in range(3)], axis=1)

@@ -224,9 +224,9 @@ def test_initial_placements_valid(train):
         env.reset_episode(ep)
         st = env.state
         for slot in range(3):
-            report, snapped = env.check_placement(slot, st.active[slot], st.positions[slot])
+            report, snapped = env._check(slot, st.active[slot], *st.positions[slot].tolist())
             assert report.valid, report.reason
-            np.testing.assert_array_equal(snapped, st.positions[slot])
+            assert snapped == tuple(st.positions[slot].tolist())
 
 
 def test_observation_layout(train):

@@ -87,6 +87,11 @@ def test_external_contrastive_judge_rankings(records, behavior, sent, accuracy):
         assert infer_and_reward(judge, records)[1] == pytest.approx(0.64)
 
 
+def test_external_judge_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="bad external judge mode 'bogus'"):
+        ExternalJudge(None, mode="bogus")
+
+
 class _ReplyClient:
     """Answers every request with one fixed reply."""
 

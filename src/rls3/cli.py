@@ -151,6 +151,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_gen_fixed_set(args) -> int:
+    if args.count < 1:
+        raise UsageError(f"--count must be at least 1, got {args.count}")
     config = _load_config(args)
     run_dir = _require_run_dir(args)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -180,6 +182,8 @@ def _check_names(records, catalog_names) -> None:
 
 def _cmd_eval(args) -> int:
     config = _load_config(args)
+    if args.judge_checkpoint and config.judge not in judges.LOCAL_JUDGES:
+        raise UsageError("external judges do not take local checkpoints")
     run_dir = _require_run_dir(args)
     run_dir.mkdir(parents=True, exist_ok=True)
     records = datasets.read_samples(args.samples)
@@ -190,8 +194,6 @@ def _cmd_eval(args) -> int:
     judge = orchestrator.make_judge(config, suite.catalog_names, config.seed)
     with contextlib.closing(judge):
         if args.judge_checkpoint:
-            if not hasattr(judge, "load"):
-                raise UsageError("external judges do not take local checkpoints")
             judge.load(args.judge_checkpoint)
         verdicts, loss = judge.infer(records)
     scores = judges.verdict_scores(verdicts)

@@ -14,8 +14,9 @@ a term mask per sample (bit i is `prompts.PRIMITIVES[i]`) or (positive,
 term-swapped, object-swapped) similarity rows. `_Judge` derives the rest once
 through the kind: `infer`'s verdicts and loss, `scores(encoded)` (the rubric,
 from a table of `rubric_score` over every mask and valid relation, or 1.0/0.0
-for a ranking) and their mean, `validation_metric`. An external judge's `mode`
-picks its kind once. `rls3 eval` reads the scores off the verdicts through
+for a ranking) and their mean, `validation_metric`. `LOCAL_JUDGES` is the one
+table of judge names; an external judge's `mode` names the local judge class
+whose kind it takes. `rls3 eval` reads the scores off the verdicts through
 `verdict_scores`, rows in file order. A predicted term set naming a word
 outside PRIMITIVES is flagged: its score is NaN, and every mean and row leaves
 it out. Caption token bags are built through a word map per catalog, keyed by
@@ -208,12 +209,13 @@ class _Kind(NamedTuple):
     score: Callable  # (prediction, encoded) -> one score per sample
     verdict: Callable  # (sample id, its prediction, its score) -> its verdict
     loss: Callable | None  # scores -> batch loss, for judges with no loss of their own
+    early_stop: tuple  # the loop's default (min_iterations, patience, epsilon), in metric units
 
 
-_RUBRIC = _Kind("mean_rubric", _rubric_reply, _rubrics, _rubric_verdict, _rubric_loss)
-_RANKING = _Kind("retrieval_accuracy", _ranking_reply, _ranked, _ranking_verdict, None)
-# the kind of an external judge in each mode
-EXTERNAL_MODES = {"generative": _RUBRIC, "contrastive": _RANKING}
+_RUBRIC = _Kind("mean_rubric", _rubric_reply, _rubrics, _rubric_verdict, _rubric_loss,
+                (15, 10, 0.02))
+_RANKING = _Kind("retrieval_accuracy", _ranking_reply, _ranked, _ranking_verdict, None,
+                 (10, 5, 0.005))
 
 
 def scored_mean(scores) -> float:
@@ -451,6 +453,9 @@ class GenerativeJudge(_Judge):
     """Multi-label term classifier on scene-pair features, scored by the rubric."""
 
     kind = _RUBRIC
+    # the run config field behind each constructor option beyond catalog, hidden, seed and lr
+    config_options = {"threshold": "threshold", "minibatch": "generative_minibatch"}
+    desk_finetune_steps = 64  # optimizer steps
 
     def __init__(
         self,
@@ -543,6 +548,8 @@ class ContrastiveJudge(_Judge):
     """
 
     kind = _RANKING
+    config_options = {"temperature": "temperature", "minibatch": "contrastive_minibatch"}
+    desk_finetune_steps = 4  # epochs
 
     def __init__(
         self,
@@ -649,6 +656,10 @@ class ContrastiveJudge(_Judge):
         self.text_optimizer = NetOptimizer(self.text_encoder, lr=self.text_optimizer.adam.lr)
 
 
+# each judge name's local judge class; an external judge in mode m takes its kind
+LOCAL_JUDGES = {"generative": GenerativeJudge, "contrastive": ContrastiveJudge}
+
+
 # --- external judge -----------------------------------------------------------------------
 
 
@@ -663,18 +674,19 @@ class ExternalEncoding(NamedTuple):
 class ExternalJudge(_Judge):
     """Adapter forwarding infer/finetune over the NDJSON wire protocol.
 
-    `mode` picks the judge's kind once: an infer reply carries `terms`
-    (generative mode, the rubric kind) or `similarities` and `loss`
-    (contrastive mode, the ranking kind). It is checked and parsed once into
-    arrays, then scored as the local judge of that kind scores its own output.
+    `mode` picks the judge's kind once, that of `LOCAL_JUDGES[mode]`: an infer
+    reply carries `terms` (generative mode, the rubric kind) or `similarities`
+    and `loss` (contrastive mode, the ranking kind). It is checked and parsed
+    once into arrays, then scored as the local judge of that kind scores its
+    own output.
     """
 
     def __init__(self, client, mode: str = "generative"):
-        if mode not in EXTERNAL_MODES:
+        if mode not in LOCAL_JUDGES:
             raise ValueError(f"bad external judge mode {mode!r}")
         self.client = client
         self.mode = mode
-        self.kind = EXTERNAL_MODES[mode]
+        self.kind = LOCAL_JUDGES[mode].kind
 
     def _request(self, op: str, lines: list[str]) -> dict:
         """Send one op over the wire with the samples' JSON lines; a peer's

@@ -119,10 +119,6 @@ class Mlp:
     def n_in(self) -> int:
         return self.layer_sizes[0]
 
-    @property
-    def n_out(self) -> int:
-        return self.layer_sizes[-1]
-
     def params(self) -> list[np.ndarray]:
         """Views into `flat`: W0, b0, W1, b1, ..."""
         return [p for pair in zip(self.weights, self.biases) for p in pair]

@@ -107,10 +107,6 @@ class EarlyStopPolicy:
     __post_init__ = _check_fields
 
 
-GENERATIVE_EARLY_STOP = EarlyStopPolicy(min_iterations=15, patience=10, epsilon=0.02)
-CONTRASTIVE_EARLY_STOP = EarlyStopPolicy(min_iterations=10, patience=5, epsilon=0.005)
-
-
 @dataclass
 class RunConfig:
     # loop shape
@@ -124,7 +120,7 @@ class RunConfig:
     agent: str = "sac"  # sac | random
     deterministic_actions: bool = False
     seed: int = _must_be("non-negative", 0)
-    early_stop: EarlyStopPolicy | None = None  # default depends on judge kind
+    early_stop: EarlyStopPolicy | None = None  # default: the judge kind's
     budget: int | None = _must_be("null or positive", None)  # attempt cap (random-agent matching)
     # environment
     train_suite: str = "train"
@@ -162,11 +158,9 @@ class RunConfig:
         _check_fields(self)
         if self.agent not in ("sac", "random"):
             raise ConfigError(f"unknown agent kind {self.agent!r}")
-        if self.judge not in ("generative", "contrastive") and not self.judge.startswith(
-            "external:"
-        ):
+        if self.judge not in judges.LOCAL_JUDGES and not self.judge.startswith("external:"):
             raise ConfigError(f"unknown judge kind {self.judge!r}")
-        if self.external_mode not in judges.EXTERNAL_MODES:
+        if self.external_mode not in judges.LOCAL_JUDGES:
             raise ConfigError(f"unknown external_mode {self.external_mode!r}")
         if round(self.sampling_rate * self.samples_per_episode) == 0:  # as sample_for_batch rounds
             raise ConfigError(
@@ -174,12 +168,11 @@ class RunConfig:
             )
 
     def resolved_early_stop(self) -> EarlyStopPolicy:
+        """`early_stop`, or else the default of the judge's kind, local or external."""
         if self.early_stop is not None:
             return self.early_stop
-        external = self.judge.startswith("external:")
-        if (self.external_mode if external else self.judge) == "contrastive":
-            return CONTRASTIVE_EARLY_STOP
-        return GENERATIVE_EARLY_STOP
+        name = self.external_mode if self.judge.startswith("external:") else self.judge
+        return EarlyStopPolicy(*judges.LOCAL_JUDGES[name].kind.early_stop)
 
     def to_dict(self) -> dict:
         doc = dataclasses.asdict(self)
@@ -242,7 +235,8 @@ def apply_overrides(doc: dict, overrides: dict[str, str]) -> dict:
 
 
 def desk_config(**overrides) -> RunConfig:
-    """Small configuration that exercises the whole loop in minutes on a CPU."""
+    """Small configuration that exercises the whole loop in minutes on a CPU.
+    A local judge's finetune_steps is its class's `desk_finetune_steps`."""
     base = dict(
         iterations=10,
         episodes_per_iteration=4,
@@ -254,10 +248,11 @@ def desk_config(**overrides) -> RunConfig:
         validation_count=500,
         test_count=1000,
     )
-    base.update(overrides)
-    if base.get("judge") == "contrastive" and "finetune_steps" not in overrides:
-        base["finetune_steps"] = 4
-    return RunConfig(**base)
+    config = RunConfig(**{**base, **overrides})  # checks the judge name's type
+    local = judges.LOCAL_JUDGES.get(config.judge)
+    if local is not None and "finetune_steps" not in overrides:
+        config.finetune_steps = local.desk_finetune_steps
+    return config
 
 
 # --- loop pieces ------------------------------------------------------------------
@@ -377,27 +372,14 @@ def _for_the_pipe(ep: EpisodeResult) -> EpisodeResult:
 
 
 def make_judge(config: RunConfig, catalog_names: tuple[str, ...], seed):
-    if config.judge == "generative":
-        return judges.GenerativeJudge(
-            catalog_names,
-            hidden=config.judge_hidden,
-            seed=seed,
-            lr=config.judge_lr,
-            threshold=config.threshold,
-            minibatch=config.generative_minibatch,
-        )
-    if config.judge == "contrastive":
-        return judges.ContrastiveJudge(
-            catalog_names,
-            hidden=config.judge_hidden,
-            temperature=config.temperature,
-            seed=seed,
-            lr=config.judge_lr,
-            minibatch=config.contrastive_minibatch,
-        )
-    addr = config.judge.split(":", 1)[1]
-    client = wire.client_for_address(addr)
-    return judges.ExternalJudge(client, mode=config.external_mode)
+    """The local judge the config names, built with its class's
+    `config_options`, or an external judge at the address after "external:"."""
+    local = judges.LOCAL_JUDGES.get(config.judge)
+    if local is None:
+        client = wire.client_for_address(config.judge.split(":", 1)[1])
+        return judges.ExternalJudge(client, mode=config.external_mode)
+    options = {arg: getattr(config, name) for arg, name in local.config_options.items()}
+    return local(catalog_names, config.judge_hidden, seed=seed, lr=config.judge_lr, **options)
 
 
 def make_env(config: RunConfig, suite: SceneSuite, seed) -> PlacementEnv:
@@ -482,17 +464,24 @@ class _ChildStream:
     pickles each one into a pipe as it comes. POSIX only. Iterating yields
     them in order. The exception that stopped the child is raised in place of
     the item it stopped: itself if it is one of `_RUN_FAILURES`, else an
-    OrchestratorError naming it; a child that died raises an OrchestratorError.
-    The child holds a copy of everything the parent had open at the fork and
+    OrchestratorError naming it; a child that died raises an OrchestratorError,
+    and so does a pipe or fork that fails, leaving no descriptor open. The
+    child holds a copy of everything the parent had open at the fork and
     leaves only through `os._exit`, so it flushes and closes none of it.
     """
 
     def __init__(self, name: str, items):
         self._name = name
-        read_fd, write_fd = os.pipe()
-        with contextlib.suppress(AttributeError, OSError):  # the default buffer then
-            fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-        self.pid = os.fork()
+        fds = ()
+        try:
+            fds = read_fd, write_fd = os.pipe()
+            with contextlib.suppress(AttributeError, OSError):  # the default buffer then
+                fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+            self.pid = os.fork()
+        except OSError as exc:
+            for fd in fds:
+                os.close(fd)
+            raise OrchestratorError(f"cannot start the child {name}: {exc}") from exc
         if self.pid == 0:
             code = 1
             try:

@@ -174,7 +174,7 @@ def test_criterion_04_gradient_checks(train):
     worst = 0.0
     for name, net in nets.items():
         x = rng.normal(size=(3, net.n_in))
-        weight = rng.normal(size=(3, net.n_out))
+        weight = rng.normal(size=(3, net.layer_sizes[-1]))
 
         def loss():
             return float(np.sum(net.forward(x) * weight))

@@ -28,11 +28,15 @@ def run_cli(*argv):
     return cli.dispatch(list(argv))
 
 
-def test_usage_errors():
+def test_usage_errors(tmp_path):
     assert run_cli("bogus-subcommand") == 1
     assert run_cli("run") == 1  # no run dir
     assert run_cli("gen-fixed-set", "--count", "5") == 1
     assert run_cli("replay") == 1
+    for count in ("0", "-3"):
+        run_dir = tmp_path / count
+        assert run_cli("gen-fixed-set", "--count", count, "--run-dir", str(run_dir)) == 1
+        assert not run_dir.exists()
 
 
 def test_unknown_config_key_is_usage_error(tmp_path):

@@ -136,7 +136,7 @@ USED_NETS = _used_nets()
 def test_float32_passes_match_float64_passes(shape, need):
     net = USED_NETS[shape]
     rng = np.random.default_rng(14)
-    x, g = rng.normal(size=(16, net.n_in)), rng.normal(size=(16, net.n_out))
+    x, g = rng.normal(size=(16, net.n_in)), rng.normal(size=(16, net.layer_sizes[-1]))
     t64, t32 = [], []
     want = [net.forward(x, t64).copy(), *net.backward(g, t64, need=need)]
     got = [net.forward(x.astype(np.float32), t32), *net.backward(g.astype(np.float32), t32, need=need)]

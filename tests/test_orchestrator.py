@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import errno
 import gc
 import json
 import os
@@ -28,7 +29,7 @@ from rls3.orchestrator import (
     run_loop,
     sample_for_batch,
 )
-from rls3.judges import ContrastiveJudge, GenerativeJudge, JudgeError
+from rls3.judges import ContrastiveJudge, ExternalJudge, GenerativeJudge, JudgeError
 from rls3.scene import PlacementEnv, builtin_suite
 
 
@@ -64,10 +65,31 @@ def test_defaults_match_reference_scale():
 
 
 def test_early_stop_policy_defaults():
-    g = RunConfig(judge="generative").resolved_early_stop()
-    assert (g.min_iterations, g.patience, g.epsilon) == (15, 10, 0.02)
-    c = RunConfig(judge="contrastive").resolved_early_stop()
-    assert (c.min_iterations, c.patience, c.epsilon) == (10, 5, 0.005)
+    for name, policy in (("generative", (15, 10, 0.02)), ("contrastive", (10, 5, 0.005))):
+        # an external judge in a mode gets the policy of the local judge of that name
+        for config in (RunConfig(judge=name), RunConfig(judge="external:x", external_mode=name)):
+            p = config.resolved_early_stop()
+            assert (p.min_iterations, p.patience, p.epsilon) == policy, (name, config.judge)
+
+
+def test_each_judge_name_is_one_kind_local_or_external():
+    names = builtin_suite("train").catalog_names
+    cases = (
+        ("generative", "mean_rubric", 64, {"threshold": 0.3, "generative_minibatch": 7},
+         lambda j: (j.net.layer_sizes, j.optimizer.adam.lr, j.threshold, j.minibatch),
+         ([28, 5, 6], 0.01, 0.3, 7)),
+        ("contrastive", "retrieval_accuracy", 4, {"temperature": 0.5, "contrastive_minibatch": 9},
+         lambda j: (j.image_encoder.layer_sizes, j.text_encoder.layer_sizes,
+                    j.image_optimizer.adam.lr, j.temperature, j.minibatch),
+         ([40, 5, 32], [20, 5, 32], 0.01, 0.5, 9)),
+    )
+    for name, metric, desk_steps, options, settings, expected in cases:
+        config = RunConfig(judge=name, judge_hidden=(5,), judge_lr=0.01, **options)
+        local = orchestrator.make_judge(config, names, 0)
+        assert local.metric_name == ExternalJudge(None, mode=name).metric_name == metric
+        assert settings(local) == expected  # every config field its class reads
+        assert desk_config(judge=name).finetune_steps == desk_steps
+        assert desk_config(judge="external:x", external_mode=name).finetune_steps == 64
 
 
 def test_config_rejects_unknown_keys():
@@ -688,6 +710,29 @@ def test_a_sac_run_forks_only_the_test_set_child(tmp_path, forked_pids):
     orchestrator.make_sac_agent(config, 0).save(ck)
     report = _run_loop_reaping(config, tmp_path / "run", forked_pids, children=1)
     assert report.failure is None and report.iterations_completed == TINY["iterations"]
+
+
+@pytest.mark.parametrize("failing, child", [(1, "rolling episodes"), (2, "building test.jsonl")])
+def test_a_failed_fork_is_a_run_failure(tmp_path, monkeypatch, forked_pids, failing, child):
+    """The `failing`-th fork fails: the report names it, and no child or
+    descriptor outlives the run."""
+    fork, calls = os.fork, []
+    error = OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    def fork_failing_at_call_n():
+        calls.append(None)
+        if len(calls) == failing:
+            raise error
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_failing_at_call_n)
+    fds = len(os.listdir("/proc/self/fd"))
+    run_dir = tmp_path / "run"
+    config = desk_config(**{**TINY, "iterations": 1, "episodes_per_iteration": 1})
+    report = _run_loop_reaping(config, run_dir, forked_pids, children=failing - 1)
+    assert report.failure == f"cannot start the child {child}: {error}"
+    assert json.loads((run_dir / "report.json").read_text()) == report.to_dict()
+    assert len(os.listdir("/proc/self/fd")) == fds
 
 
 def test_a_run_ending_mid_iteration_on_budget_reaps_the_episode_child(tmp_path, forked_pids):
